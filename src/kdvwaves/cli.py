@@ -48,10 +48,11 @@ from .fitting import (
 )
 from .inversion import (
     ALGEBRAIC_TOL,
-    _ladder_pair,
-    _travelling_pair,
+    DEFAULT_MEDIUM,
+    catalog,
     default_matrix,
     run_case,
+    solution_fields,
 )
 from .waves import (
     Frame,
@@ -63,8 +64,6 @@ from .waves import (
     make_kdv_cnoidal,
     make_kdv_soliton,
     make_kdv_superposition,
-    three_soliton,
-    two_soliton,
 )
 
 __all__ = ["main", "ConfigError"]
@@ -276,8 +275,7 @@ def cmd_profile(args) -> int:
     rows = []
     for t in times:
         if isinstance(built, SolitonLadder):
-            fn = two_soliton if len(built.amplitudes) == 2 else three_soliton
-            u = fn(x, t, built, eff)
+            u = built.evaluate(x, t, eff)
         else:
             u = built.evaluate(x, t, frame)
         if len(times) == 1:
@@ -297,72 +295,49 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _default_verify_cases() -> list[dict]:
-    p = {"alpha": 0.1, "beta": 0.1}
-    return [
-        {"label": "soliton/kdv", "equation": "kdv", "medium": p,
-         "grid": {"x0": -50.0, "length": 100.0, "n": 1024},
-         "wave": {"family": "kdv_soliton", "A": 1.0}},
-        {"label": "cnoidal/kdv", "equation": "kdv", "medium": p,
-         "wave": {"family": "kdv_cnoidal", "A": 1.0, "m": 0.9}},
-        {"label": "superposition/kdv", "equation": "kdv", "medium": p,
-         "wave": {"family": "kdv_superposition_plus", "A": 1.0, "m": 0.5}},
-        {"label": "soliton/kdv2", "equation": "kdv2", "medium": p,
-         "grid": {"x0": -40.0, "length": 80.0, "n": 1024},
-         "wave": {"family": "kdv2_soliton"}},
-        {"label": "soliton/fifth_order", "equation": "fifth_order",
-         "medium": {"alpha": 0.1, "beta": 0.1, "tau": 0.35},
-         "grid": {"x0": -60.0, "length": 120.0, "n": 1024},
-         "wave": {"family": "fifth_order_soliton"}},
-        {"label": "soliton/gardner", "equation": "gardner",
-         "medium": {"alpha": 0.1, "beta": 0.1, "tau": 0.0},
-         "grid": {"x0": -40.0, "length": 80.0, "n": 1024},
-         "wave": {"family": "gardner_soliton", "Delta": 1.0}},
-        {"label": "two_soliton/kdv", "equation": "kdv", "medium": p,
-         "grid": {"x0": -64.0, "length": 128.0, "n": 1024},
-         "wave": {"family": "two_soliton", "amplitudes": [1.0, 2.0]}},
-        {"label": "three_soliton/kdv", "equation": "kdv", "medium": p,
-         "grid": {"x0": -48.0, "length": 96.0, "n": 1024},
-         "wave": {"family": "three_soliton", "amplitudes": [1.0, 2.0, 3.0]}},
-    ]
-
-
-def cmd_verify(args) -> int:
-    doc = _load_config(args.config)
-    cases = doc.get("cases", None)
+def _verify_cases(doc: dict):
+    """(label, equation, medium, solution, grid, t) per case, built one at
+    a time; without 'cases', the catalog (mirrored by 'inverted')."""
+    cases = doc.get("cases")
     if cases is None:
-        cases = _default_verify_cases()
+        medium = DEFAULT_MEDIUM.flipped() if doc.get("inverted", False) else DEFAULT_MEDIUM
+        frame, t = _frame(doc), float(doc.get("t", 0.0))
+        for label, kind, params, solution, grid in catalog(medium):
+            yield label, EquationId(kind, frame), params, solution, grid, t
+        return
     if not isinstance(cases, list):
         raise ConfigError("'cases' must be a list")
-    tolerance = args.tolerance or float(doc.get("tolerance", 1e-8))
-
-    any_fail = False
-    rows = []
     for i, case in enumerate(cases):
         if not isinstance(case, dict):
             raise ConfigError(f"'cases[{i}]' must be a mapping")
         merged = {**doc, **case}
         params = _medium(merged)
-        frame = _frame(merged)
-        eq = EquationId(_equation_kind(merged), frame)
+        eq = EquationId(_equation_kind(merged), _frame(merged))
         built, eff = _wave_or_ladder(merged, params)
-        label = case.get("label", f"case{i}")
+        wavelength = None if isinstance(built, SolitonLadder) else built.wavelength()
+        grid = _grid(merged, required=wavelength is None)
+        if grid is None:
+            # one full period of the periodic families
+            grid = Grid(0.0, wavelength, 1024)
+        yield (case.get("label", f"case{i}"), eq, eff, built, grid,
+               float(merged.get("t", 0.0)))
 
-        if isinstance(built, SolitonLadder):
-            grid = _grid(merged)
-            u, ut = _ladder_pair(built, eff, grid)
-            report, _ = residual(u, ut, eq, eff,
+
+def cmd_verify(args) -> int:
+    doc = _load_config(args.config)
+    tolerance = (float(doc.get("tolerance", 1e-8)) if args.tolerance is None
+                 else args.tolerance)
+
+    any_fail = False
+    rows = []
+    for label, eq, params, solution, grid, t in _verify_cases(doc):
+        if isinstance(solution, SolitonLadder):
+            u, ut = solution_fields(solution, params, grid)
+            report, _ = residual(u, ut, eq, params,
                                  tolerance=tolerance, backend=args.backend)
         else:
-            wavelength = built.wavelength()
-            grid = _grid(merged, required=wavelength is None)
-            if grid is None:
-                # one full period of the periodic families
-                grid = Grid(0.0, wavelength, 1024)
-            report, _ = travelling_residual(
-                built, eq, eff, grid,
-                t=float(merged.get("t", 0.0)),
-                tolerance=tolerance, backend=args.backend)
+            report, _ = travelling_residual(solution, eq, params, grid, t=t,
+                                            tolerance=tolerance, backend=args.backend)
 
         _emit(_report_record(label, report))
         rows.append((label, report))
@@ -394,7 +369,7 @@ def cmd_symmetry(args) -> int:
             raise ConfigError(f"'select' matches no case label: {select!r}")
 
     rows = [run_case(c, backend=args.backend) for c in cases]
-    tolerance = args.tolerance or ALGEBRAIC_TOL
+    tolerance = ALGEBRAIC_TOL if args.tolerance is None else args.tolerance
     worst = 0.0
     any_fail = False
     for row in rows:
@@ -438,7 +413,7 @@ def cmd_fit(args) -> int:
     fit_kwargs = {}
     if "n_points" in doc:
         fit_kwargs["n_points"] = int(doc["n_points"])
-    if args.tolerance:
+    if args.tolerance is not None:
         fit_kwargs["rtol"] = args.tolerance
     elif "rtol" in doc:
         fit_kwargs["rtol"] = float(doc["rtol"])
@@ -517,8 +492,7 @@ def cmd_evolve(args) -> int:
                     dealias=doc.get("dealias"))
 
     if isinstance(built, SolitonLadder):
-        fn = two_soliton if len(built.amplitudes) == 2 else three_soliton
-        u0 = fn(grid.x, 0.0, built, eff)
+        u0 = built.evaluate(grid.x, 0.0, eff)
     else:
         u0 = built.evaluate(grid.x, 0.0, eq.frame)
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["elliptic_K", "elliptic_E", "jacobi_sn_cn_dn", "M_ONE_CUTOFF"]
+__all__ = ["elliptic_K", "elliptic_E", "jacobi_sn_cn_dn", "sech", "M_ONE_CUTOFF"]
 
 # Above this parameter the descending Landen chain starts from
 # b0 = sqrt(1 - m) < 1e-6 and the hyperbolic limit is already exact to
@@ -112,3 +112,9 @@ def jacobi_sn_cn_dn(u, m: float):
     if scalar:
         return float(sn[0]), float(cn[0]), float(dn[0])
     return sn, cn, dn
+
+
+def sech(z):
+    """sech(z) = cn(z, 1) = dn(z, 1), overflow-free for any real z."""
+    e = np.exp(-np.abs(z))
+    return 2.0 * e / (1.0 + e * e)

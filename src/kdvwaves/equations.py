@@ -1,7 +1,9 @@
 """Periodic grids, derivative backends and residual operators.
 
-Four long-wave equations share the quadratic advection/dispersion core;
-they differ in the extra cubic, cross and fifth-derivative terms:
+The term table `TERMS` is the single statement of the four long-wave
+equations; residuals, fits and the ETDRK4 stepper all read it.  Written
+out, with a = alpha, b = beta, b' = (1 - 3 tau) b / 6 and
+b5 = (19 - 30 tau - 45 tau^2) b^2 / 360:
 
     kdv:         u_t + u_x + (3/2) a u u_x + (b/6) u_xxx
     kdv2:        kdv + second-order corrections (cubic, a*b cross terms,
@@ -9,10 +11,9 @@ they differ in the extra cubic, cross and fifth-derivative terms:
     fifth_order: u_t + u_x + (3/2) a u u_x + b' u_xxx + b5 u_xxxxx
     gardner:     u_t + u_x + (3/2) a u u_x - (3/8) a^2 u^2 u_x + b' u_xxx
 
-with a = alpha, b = beta, b' = (1 - 3 tau) b / 6 and
-b5 = (19 - 30 tau - 45 tau^2) b^2 / 360.  An uneven bottom h(x) (piecewise
-linear, so h_xx = 0) contributes -(delta/4)(2 h u_x + h_x u).  In the
-moving frame x - t the bare u_x term is absent.
+An uneven bottom h(x) (piecewise linear, so h_xx = 0) contributes
+-(delta/4)(2 h u_x + h_x u).  In the moving frame x - t the bare u_x
+term is absent.
 
 Every term of every residual is assembled from sign-symmetric primitives,
 so negating (u, u_t, alpha) negates the residual bitwise.  That exactness
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .waves import Frame, MediumParams, TravellingWave
 
 __all__ = [
     "EquationKind",
+    "TERMS",
     "Grid",
     "Field",
     "BottomProfile",
@@ -52,6 +55,41 @@ class EquationKind(Enum):
     KDV2 = "kdv2"
     FIFTH_ORDER = "fifth_order"
     GARDNER = "gardner"
+
+
+Term = tuple[str, Callable[[MediumParams], float], tuple[int, ...]]
+
+_ADVECTION: Term = ("u_x", lambda p: 1.0, (1,))
+_QUADRATIC: Term = ("quadratic", lambda p: 1.5 * p.alpha, (0, 1))
+_CUBIC: Term = ("cubic", lambda p: -0.375 * p.alpha * p.alpha, (0, 0, 1))
+_KDV_DISPERSION: Term = ("dispersion_3", lambda p: p.beta / 6.0, (3,))
+_TENSION_DISPERSION: Term = ("dispersion_3", MediumParams.beta_prime, (3,))
+
+# One ordered table per kind of (name, coefficient(params), derivative
+# orders).  A term is its coefficient times the product of those
+# derivatives of u (order 0 is u): one factor makes it linear, more make
+# it nonlinear.  Residuals sum the terms in table order.
+TERMS: dict[EquationKind, tuple[Term, ...]] = {
+    EquationKind.KDV: (_ADVECTION, _QUADRATIC, _KDV_DISPERSION),
+    EquationKind.KDV2: (
+        _ADVECTION, _QUADRATIC, _KDV_DISPERSION, _CUBIC,
+        ("cross_1", lambda p: p.alpha * p.beta * (23.0 / 24.0), (1, 2)),
+        ("cross_2", lambda p: p.alpha * p.beta * (5.0 / 12.0), (0, 3)),
+        ("dispersion_5", lambda p: 19.0 / 360.0 * p.beta * p.beta, (5,)),
+    ),
+    EquationKind.FIFTH_ORDER: (
+        _ADVECTION, _QUADRATIC, _TENSION_DISPERSION,
+        ("dispersion_5", MediumParams.beta5, (5,)),
+    ),
+    EquationKind.GARDNER: (_ADVECTION, _QUADRATIC, _TENSION_DISPERSION, _CUBIC),
+}
+
+
+def equation_table(kind: EquationKind, frame: Frame) -> tuple[Term, ...]:
+    """The kind's terms in the given frame; the moving frame drops the bare u_x."""
+    if frame is Frame.MOVING:
+        return tuple(t for t in TERMS[kind] if t is not _ADVECTION)
+    return TERMS[kind]
 
 
 @dataclass(frozen=True)
@@ -76,10 +114,14 @@ class Grid:
     def x(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
 
-    @property
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers of the rfft modes."""
-        return 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.dx)
+    def derivative_multiplier(self, order: int) -> np.ndarray:
+        """(ik)^order on the rfft modes; odd orders zero the unmatched
+        Nyquist mode, which carries no odd derivative."""
+        k = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.dx)
+        mult = (1j * k) ** order
+        if order % 2 == 1:
+            mult[-1] = 0.0
+        return mult
 
 
 @dataclass
@@ -149,22 +191,19 @@ class ResidualReport:
     flags: tuple[str, ...] = field(default=())
 
 
-def spectral_derivative(f: Field, order: int) -> Field:
-    """Fourier-collocation derivative of the given order (1, 2, 3 or 5)."""
-    values = _spectral_diff(f.values, f.grid.length, order)
-    return Field(f.grid, values, f.time)
-
-
-def _spectral_diff(values: np.ndarray, length: float, order: int) -> np.ndarray:
+def _check_order(order: int):
     if order not in DERIVATIVE_ORDERS:
         raise ValueError(f"derivative order must be one of {DERIVATIVE_ORDERS}, got {order!r}")
-    n = values.shape[-1]
-    k = 2.0 * math.pi * np.fft.rfftfreq(n, d=length / n)
-    mult = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        # odd derivative of the unmatched Nyquist mode is set to zero
-        mult[-1] = 0.0
-    return np.fft.irfft(mult * np.fft.rfft(values), n)
+
+
+def spectral_derivative(f: Field, order: int) -> Field:
+    """Fourier-collocation derivative of the given order (1, 2, 3 or 5)."""
+    _check_order(order)
+    return Field(f.grid, _spectral_diff(f.values, f.grid, order), f.time)
+
+
+def _spectral_diff(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
+    return np.fft.irfft(grid.derivative_multiplier(order) * np.fft.rfft(values), grid.n)
 
 
 def _fornberg_weights(order: int, offsets: np.ndarray) -> np.ndarray:
@@ -204,30 +243,20 @@ def _fd8_stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def fd8_derivative(f: Field, order: int) -> Field:
     """Centred finite-difference derivative (>= 8th order), periodic wrap."""
-    if order not in DERIVATIVE_ORDERS:
-        raise ValueError(f"derivative order must be one of {DERIVATIVE_ORDERS}, got {order!r}")
+    _check_order(order)
+    return Field(f.grid, _fd8_diff(f.values, f.grid, order), f.time)
+
+
+def _fd8_diff(values: np.ndarray, grid: Grid, order: int) -> np.ndarray:
     offsets, weights = _fd8_stencil(order)
-    out = np.zeros_like(f.values)
-    for off, w in zip(offsets, weights):
-        if w != 0.0:
-            out += w * np.roll(f.values, -off)
-    return Field(f.grid, out / f.grid.dx**order, f.time)
-
-
-_BACKENDS = {"spectral": _spectral_diff, "fd8": None}  # fd8 filled below
-
-
-def _fd8_diff(values: np.ndarray, length: float, order: int) -> np.ndarray:
-    offsets, weights = _fd8_stencil(order)
-    dx = length / values.shape[-1]
     out = np.zeros_like(values)
     for off, w in zip(offsets, weights):
         if w != 0.0:
             out += w * np.roll(values, -off)
-    return out / dx**order
+    return out / grid.dx**order
 
 
-_BACKENDS["fd8"] = _fd8_diff
+_BACKENDS = {"spectral": _spectral_diff, "fd8": _fd8_diff}
 
 
 def bottom_eval(bottom: BottomProfile, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -250,16 +279,15 @@ def bottom_eval(bottom: BottomProfile, grid: Grid) -> tuple[np.ndarray, np.ndarr
     return h, slope
 
 
-def _required_orders(kind: EquationKind) -> tuple[int, ...]:
-    if kind is EquationKind.KDV:
-        return (1, 3)
-    if kind is EquationKind.KDV2:
-        return (1, 2, 3, 5)
-    if kind is EquationKind.FIFTH_ORDER:
-        return (1, 3, 5)
-    if kind is EquationKind.GARDNER:
-        return (1, 3)
-    raise ValueError(f"unknown equation kind {kind!r}")
+def _required_orders(kind: EquationKind) -> list[int]:
+    return sorted({o for _, _, orders in TERMS[kind] for o in orders if o})
+
+
+def bottom_term(params: MediumParams, bottom_pair: tuple[np.ndarray, np.ndarray],
+                u: np.ndarray, ux: np.ndarray) -> np.ndarray:
+    """The uneven-bottom term -(delta/4)(2 h u_x + h_x u) of every equation."""
+    h, hx = bottom_pair
+    return -0.25 * params.delta * (2.0 * h * ux + hx * u)
 
 
 def equation_terms(kind: EquationKind, params: MediumParams, frame: Frame,
@@ -268,36 +296,25 @@ def equation_terms(kind: EquationKind, params: MediumParams, frame: Frame,
                    bottom_pair: tuple[np.ndarray, np.ndarray] | None = None,
                    ) -> list[tuple[str, np.ndarray]]:
     """Named residual terms; their sum is the equation's left-hand side."""
-    a, b = params.alpha, params.beta
-    ux = derivs[1]
-    uxxx = derivs[3]
     terms: list[tuple[str, np.ndarray]] = []
     if u_t is not None:
         terms.append(("u_t", u_t))
-    if frame is Frame.FIXED:
-        terms.append(("u_x", ux))
-    terms.append(("quadratic", 1.5 * a * u * ux))
-    if kind in (EquationKind.KDV, EquationKind.KDV2):
-        terms.append(("dispersion_3", b / 6.0 * uxxx))
-    else:
-        terms.append(("dispersion_3", params.beta_prime() * uxxx))
-    if kind is EquationKind.KDV2:
-        uxx = derivs[2]
-        u5x = derivs[5]
-        terms.append(("cubic", -0.375 * a * a * u * u * ux))
-        terms.append(("cross_1", a * b * (23.0 / 24.0) * ux * uxx))
-        terms.append(("cross_2", a * b * (5.0 / 12.0) * u * uxxx))
-        terms.append(("dispersion_5", 19.0 / 360.0 * b * b * u5x))
-    elif kind is EquationKind.FIFTH_ORDER:
-        u5x = derivs[5]
-        b5 = (19.0 - 30.0 * params.tau - 45.0 * params.tau**2) * b * b / 360.0
-        terms.append(("dispersion_5", b5 * u5x))
-    elif kind is EquationKind.GARDNER:
-        terms.append(("cubic", -0.375 * a * a * u * u * ux))
+    for name, coefficient, orders in equation_table(kind, frame):
+        value = coefficient(params)
+        for o in orders:
+            value = value * (derivs[o] if o else u)
+        terms.append((name, value))
     if bottom_pair is not None:
-        h, hx = bottom_pair
-        terms.append(("bottom", -0.25 * params.delta * (2.0 * h * ux + hx * u)))
+        terms.append(("bottom", bottom_term(params, bottom_pair, u, derivs[1])))
     return terms
+
+
+def sum_terms(terms: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, float]:
+    """(sum of the terms, largest magnitude any single term reaches)."""
+    res = terms[0][1]
+    for _, t in terms[1:]:
+        res = res + t
+    return res, max(float(np.max(np.abs(t))) for _, t in terms)
 
 
 def _tau_flags(kind: EquationKind, params: MediumParams) -> tuple[str, ...]:
@@ -320,14 +337,11 @@ def residual(u: Field, u_t: Field, eq: EquationId, params: MediumParams,
     if u.grid != u_t.grid:
         raise ValueError("u and u_t must share a grid")
     diff = _BACKENDS[backend]
-    derivs = {k: diff(u.values, u.grid.length, k) for k in _required_orders(eq.kind)}
+    derivs = {k: diff(u.values, u.grid, k) for k in _required_orders(eq.kind)}
     bottom_pair = bottom_eval(eq.bottom, u.grid) if eq.bottom is not None else None
     terms = equation_terms(eq.kind, params, eq.frame, u.values, derivs,
                            u_t=u_t.values, bottom_pair=bottom_pair)
-    res = terms[0][1]
-    for _, t in terms[1:]:
-        res = res + t
-    scale = max(float(np.max(np.abs(t))) for _, t in terms)
+    res, scale = sum_terms(terms)
     norm_inf = float(np.max(np.abs(res)))
     norm_2 = float(math.sqrt(u.grid.dx * np.sum(res * res)))
     relative = norm_inf / scale if scale > 0.0 else 0.0
@@ -358,6 +372,6 @@ def travelling_residual(spec: TravellingWave, eq: EquationId, params: MediumPara
         raise ValueError("travelling profiles assume a flat bottom; "
                          "evaluate residual() directly for bottom terms")
     u = Field(grid, spec.evaluate(grid.x, t, eq.frame), t)
-    ux = _BACKENDS[backend](u.values, grid.length, 1)
+    ux = _BACKENDS[backend](u.values, grid, 1)
     u_t = Field(grid, -spec.speed_in(eq.frame) * ux, t)
     return residual(u, u_t, eq, params, tolerance=tolerance, backend=backend)

@@ -7,6 +7,7 @@ Matthews with the contour-integral coefficient evaluation of Kassam &
 Trefethen (SIAM J. Sci. Comput. 26, 2005), which is what keeps the
 stiff k^3/k^5 symbols from poisoning the coefficients at small dt.
 
+Both parts are read from the equation's term table (`equations.TERMS`).
 Every nonlinear term is assembled from sign-symmetric primitives and the
 linear symbol does not depend on alpha, so evolving (-u0, -alpha) gives
 bitwise the negation of evolving (u0, alpha) -- the dynamical face of
@@ -19,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equations import BottomProfile, EquationId, EquationKind, Field, Grid, bottom_eval
-from .waves import Frame, MediumParams
+from .equations import (TERMS, BottomProfile, EquationId, Field, Grid, bottom_eval,
+                        bottom_term, equation_table)
+from .waves import MediumParams
 
 __all__ = [
     "EvolveConfig",
@@ -83,7 +85,7 @@ class EvolveConfig:
     def dealias_active(self) -> bool:
         if self.dealias is not None:
             return self.dealias
-        return self.eq.kind in (EquationKind.KDV2, EquationKind.GARDNER)
+        return any(len(orders) >= 3 for _, _, orders in TERMS[self.eq.kind])
 
 
 @dataclass
@@ -102,24 +104,11 @@ class Trajectory:
 
 
 def _linear_symbol(eq: EquationId, params: MediumParams, grid: Grid) -> np.ndarray:
-    """Fourier symbol of the linear part of du/dt (advection + dispersion)."""
-    k = grid.wavenumbers
-    if eq.kind in (EquationKind.KDV, EquationKind.KDV2):
-        c3 = params.beta / 6.0
-    else:
-        c3 = params.beta_prime()
-    if eq.kind is EquationKind.KDV2:
-        c5 = 19.0 * params.beta**2 / 360.0
-    elif eq.kind is EquationKind.FIFTH_ORDER:
-        c5 = (19.0 - 30.0 * params.tau - 45.0 * params.tau**2) * params.beta**2 / 360.0
-    else:
-        c5 = 0.0
-    # u_t = -u_x - c3 u_xxx - c5 u_xxxxx  ->  L = -ik + i c3 k^3 - i c5 k^5
-    L = 1j * (-k + c3 * k**3 - c5 * k**5)
-    if eq.frame is Frame.MOVING:
-        L += 1j * k   # the bare advection is absent in the co-moving frame
-    if grid.n % 2 == 0:
-        L[-1] = 0.0   # unmatched Nyquist mode carries no odd derivative
+    """Fourier symbol of the linear part of du/dt: minus each one-factor term."""
+    L = np.zeros(grid.n // 2 + 1, dtype=complex)
+    for _, coefficient, orders in equation_table(eq.kind, eq.frame):
+        if len(orders) == 1:
+            L -= coefficient(params) * grid.derivative_multiplier(orders[0])
     return L
 
 
@@ -147,13 +136,6 @@ class ETDRK4:
     def __init__(self, config: EvolveConfig):
         self.config = config
         grid, params, eq = config.grid, config.params, config.eq
-        k = grid.wavenumbers
-        self._ik = 1j * k.copy()
-        self._k2 = -(k * k)          # multiplier of u_xx
-        self._ik3 = -1j * k**3       # multiplier of u_xxx
-        if grid.n % 2 == 0:
-            self._ik[-1] = 0.0
-            self._ik3[-1] = 0.0
         L = _linear_symbol(eq, params, grid)
         self.E, self.E2, self.Q, self.f1, self.f2, self.f3 = \
             _etdrk4_coefficients(L, config.dt)
@@ -161,29 +143,28 @@ class ETDRK4:
             self._mask = (np.arange(grid.n // 2 + 1) <= grid.n // 3).astype(float)
         else:
             self._mask = None
-        if eq.bottom is not None:
-            self._h, self._hx = bottom_eval(eq.bottom, grid)
-        else:
-            self._h = self._hx = None
-        self._kind = eq.kind
-        self._alpha = params.alpha
-        self._ab = params.alpha * params.beta
-        self._delta = params.delta
+        self._params = params
+        self._bottom = bottom_eval(eq.bottom, grid) if eq.bottom is not None else None
         self._n = grid.n
+        nonlinear = [(c, orders) for _, c, orders in TERMS[eq.kind] if len(orders) > 1]
+        # orders 0 and 1 are always sampled: the bottom term reads f[0], f[1]
+        orders = sorted({0, 1}.union(*(o for _, o in nonlinear)))
+        self._multipliers = [grid.derivative_multiplier(o) if o else None for o in orders]
+        # coefficients carry the sign of du/dt, so no term is negated per call
+        self._terms = [(-c(params), [orders.index(o) for o in term_orders])
+                       for c, term_orders in nonlinear]
 
     def nonlinear(self, v: np.ndarray) -> np.ndarray:
         """rfft of the nonlinear (and bottom) part of du/dt."""
-        u = np.fft.irfft(v, self._n)
-        ux = np.fft.irfft(self._ik * v, self._n)
-        out = -1.5 * self._alpha * u * ux
-        if self._kind in (EquationKind.KDV2, EquationKind.GARDNER):
-            out += 0.375 * self._alpha**2 * u * u * ux
-        if self._kind is EquationKind.KDV2:
-            uxx = np.fft.irfft(self._k2 * v, self._n)
-            uxxx = np.fft.irfft(self._ik3 * v, self._n)
-            out -= self._ab * ((23.0 / 24.0) * ux * uxx + (5.0 / 12.0) * u * uxxx)
-        if self._h is not None:
-            out += 0.25 * self._delta * (2.0 * self._h * ux + self._hx * u)
+        f = [np.fft.irfft(v if m is None else m * v, self._n) for m in self._multipliers]
+        out = None
+        for c, factors in self._terms:
+            term = c * f[factors[0]]
+            for i in factors[1:]:
+                term *= f[i]
+            out = term if out is None else out + term
+        if self._bottom is not None:
+            out -= bottom_term(self._params, self._bottom, f[0], f[1])
         nv = np.fft.rfft(out)
         if self._mask is not None:
             nv *= self._mask

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import elliptic_K, jacobi_sn_cn_dn
-from .equations import EquationKind, equation_terms
+from .elliptic import elliptic_K, jacobi_sn_cn_dn, sech
+from .equations import EquationKind, equation_terms, sum_terms
 from .waves import (Frame, MediumParams, TravellingWave, WaveFamily,
                     make_fifth_order_soliton, make_gardner_soliton,
                     make_kdv2_soliton, make_kdv_cnoidal, make_kdv_soliton,
@@ -144,12 +144,6 @@ def _eval_monomials(poly: dict[tuple[int, int, int], float],
     return total
 
 
-def _sech_tanh(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    e = np.exp(-np.abs(z))
-    sech = 2.0 * e / (1.0 + e * e)
-    return sech, np.tanh(z)
-
-
 def _elliptic_profile_derivs(shape: str, sign: int, xi: np.ndarray,
                              vals: dict[str, float]) -> dict[int, np.ndarray]:
     A, B, D = vals["A"], vals["B"], vals.get("D", 0.0)
@@ -171,7 +165,7 @@ def _elliptic_profile_derivs(shape: str, sign: int, xi: np.ndarray,
         raise ValueError(f"modulus m must lie in [0, 1], got {m!r}")
     w = B * xi
     if m == 1.0:
-        cn, sn = _sech_tanh(w)
+        sn, cn = np.tanh(w), sech(w)
         dn = cn
     else:
         sn, cn, dn = jacobi_sn_cn_dn(w, m)
@@ -232,13 +226,8 @@ def _fit_residual(kind: EquationKind, params: MediumParams,
                   values: dict[str, float]) -> tuple[np.ndarray, float]:
     """(residual vector, scale) of the travelling ODE at the nodes."""
     d = profile_derivatives(ansatz, xi, values)
-    u_t = -values["v"] * d[1]
-    terms = equation_terms(kind, params, Frame.FIXED, d[0],
-                           {1: d[1], 2: d[2], 3: d[3], 5: d[5]}, u_t=u_t)
-    res = terms[0][1]
-    for _, t in terms[1:]:
-        res = res + t
-    scale = max(float(np.max(np.abs(t))) for _, t in terms)
+    terms = equation_terms(kind, params, Frame.FIXED, d[0], d, u_t=-values["v"] * d[1])
+    res, scale = sum_terms(terms)
     if ansatz.zero_mean:
         res = np.append(res, _period_mean(ansatz, values))
     return res, scale

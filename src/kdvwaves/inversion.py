@@ -18,17 +18,17 @@ Two levels of evidence, from strongest to most concrete:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equations import (BottomProfile, EquationId, EquationKind, Field, Grid,
-                        ResidualReport, residual)
+                        ResidualReport, residual, spectral_derivative)
 from .waves import (Frame, MediumParams, SolitonLadder, TravellingWave,
                     make_fifth_order_soliton, make_gardner_soliton,
                     make_kdv2_soliton, make_kdv_cnoidal, make_kdv_soliton,
-                    make_kdv_superposition, three_soliton, time_derivative,
-                    two_soliton)
+                    make_kdv_superposition, time_derivative)
 
 __all__ = [
     "RandomField",
@@ -38,6 +38,7 @@ __all__ = [
     "mirrored_residual",
     "negative_control",
     "ramp_bottom",
+    "catalog",
     "default_matrix",
     "run_case",
 ]
@@ -160,27 +161,60 @@ def ramp_bottom(grid: Grid, height: float = 0.3) -> BottomProfile:
     ))
 
 
-def _travelling_pair(wave: TravellingWave, grid: Grid) -> tuple[Field, Field]:
-    from .equations import spectral_derivative
-    u = Field(grid, wave.evaluate(grid.x, 0.0, Frame.FIXED))
-    ut = Field(grid, -wave.speed_in(Frame.FIXED) * spectral_derivative(u, 1).values)
-    return u, ut
+DEFAULT_MEDIUM = MediumParams(alpha=0.1, beta=0.1)
 
 
-def _ladder_pair(ladder: SolitonLadder, params: MediumParams,
-                 grid: Grid) -> tuple[Field, Field]:
-    fn = two_soliton if len(ladder.amplitudes) == 2 else three_soliton
-    u = Field(grid, fn(grid.x, 0.0, ladder, params))
-    ut = Field(grid, time_derivative(lambda x, t: fn(x, t, ladder, params),
-                                     grid.x, 0.0))
-    return u, ut
+def catalog(params: MediumParams) -> list[tuple]:
+    """(label, kind, medium, solution, grid) of one closed-form solution per
+    family and ladder, each on a grid suited to it (one wavelength for the
+    periodic waves).
+
+    Amplitudes take the sign of alpha, so catalog(params.flipped()) is the
+    mirror catalog.  The fifth-order and Gardner solitons set their own
+    tau (0.35 and 0).
+    """
+    sign = math.copysign(1.0, params.alpha)
+    p5 = MediumParams(params.alpha, params.beta, tau=0.35)
+    pg = MediumParams(params.alpha, params.beta, tau=0.0)
+    cn = make_kdv_cnoidal(params, sign, 0.9)
+    sup = make_kdv_superposition(
+        params, sign, 0.5, math.sqrt(3.0 * params.alpha * sign / (4.0 * params.beta)))
+    kdv = EquationKind.KDV
+    return [
+        ("soliton/kdv", kdv, params, make_kdv_soliton(params, sign),
+         Grid(-50.0, 100.0, 1024)),
+        ("cnoidal/kdv", kdv, params, cn, Grid(0.0, cn.wavelength(), 1024)),
+        ("superposition/kdv", kdv, params, sup, Grid(0.0, sup.wavelength(), 1024)),
+        ("soliton/kdv2", EquationKind.KDV2, params, make_kdv2_soliton(params),
+         Grid(-40.0, 80.0, 1024)),
+        ("soliton/fifth_order", EquationKind.FIFTH_ORDER, p5, make_fifth_order_soliton(p5),
+         Grid(-60.0, 120.0, 1024)),
+        ("soliton/gardner", EquationKind.GARDNER, pg, make_gardner_soliton(pg, Delta=1.0),
+         Grid(-40.0, 80.0, 1024)),
+        ("two_soliton/kdv", kdv, params, SolitonLadder((sign, 2.0 * sign)),
+         Grid(-64.0, 128.0, 1024)),
+        ("three_soliton/kdv", kdv, params, SolitonLadder((sign, 2.0 * sign, 3.0 * sign)),
+         Grid(-48.0, 96.0, 1024)),
+    ]
+
+
+def solution_fields(solution: TravellingWave | SolitonLadder, params: MediumParams,
+                    grid: Grid) -> tuple[Field, Field]:
+    """(u, u_t) at t = 0: u_t is -v u_x (spectral) for a travelling wave,
+    an eighth-order time difference for a ladder."""
+    if isinstance(solution, SolitonLadder):
+        u = Field(grid, solution.evaluate(grid.x, 0.0, params))
+        return u, Field(grid, time_derivative(
+            lambda x, t: solution.evaluate(x, t, params), grid.x, 0.0))
+    u = Field(grid, solution.evaluate(grid.x, 0.0, Frame.FIXED))
+    return u, Field(grid, -solution.speed_in(Frame.FIXED) * spectral_derivative(u, 1).values)
 
 
 def default_matrix(params: MediumParams | None = None,
                    seeds: range = range(5)) -> list[InversionCase]:
     """Random fields for all four equations (flat and ramp bottom) plus
-    one closed-form solution per family, each on a grid suited to it."""
-    p = params or MediumParams(alpha=0.1, beta=0.1)
+    the catalog's closed-form solutions."""
+    p = params or DEFAULT_MEDIUM
     p_tension = MediumParams(p.alpha, p.beta, tau=0.2, delta=p.delta)
     grid = Grid(-64.0, 128.0, 1024)
     ramp = ramp_bottom(grid)
@@ -198,38 +232,10 @@ def default_matrix(params: MediumParams | None = None,
                     eq=EquationId(kind, Frame.FIXED, bottom),
                     params=bp, u=u, ut=ut, is_solution=False))
 
-    def solution(label, kind, wave_params, wave, grid):
-        u, ut = _travelling_pair(wave, grid)
-        cases.append(InversionCase(label=label, eq=EquationId(kind),
-                                   params=wave_params, u=u, ut=ut,
+    for label, kind, medium, solution, sgrid in catalog(p):
+        u, ut = solution_fields(solution, medium, sgrid)
+        cases.append(InversionCase(label, EquationId(kind), medium, u, ut,
                                    is_solution=True))
-
-    solution("soliton/kdv", EquationKind.KDV, p,
-             make_kdv_soliton(p, 1.0), Grid(-50.0, 100.0, 1024))
-    cn = make_kdv_cnoidal(p, 1.0, 0.9)
-    solution("cnoidal/kdv", EquationKind.KDV, p, cn,
-             Grid(0.0, cn.wavelength(), 512))
-    sup = make_kdv_superposition(p, 1.0, 0.5,
-                                 np.sqrt(3 * p.alpha / (4 * p.beta)), sign=+1)
-    solution("superposition/kdv", EquationKind.KDV, p, sup,
-             Grid(0.0, sup.wavelength(), 1024))
-    solution("soliton/kdv2", EquationKind.KDV2, p,
-             make_kdv2_soliton(p), Grid(-40.0, 80.0, 1024))
-    p5 = MediumParams(p.alpha, p.beta, tau=0.35)
-    solution("soliton/fifth_order", EquationKind.FIFTH_ORDER, p5,
-             make_fifth_order_soliton(p5), Grid(-60.0, 120.0, 1024))
-    pg = MediumParams(p.alpha, p.beta, tau=0.0)
-    solution("soliton/gardner", EquationKind.GARDNER, pg,
-             make_gardner_soliton(pg, Delta=1.0), Grid(-40.0, 80.0, 1024))
-
-    g2 = Grid(-64.0, 128.0, 1024)
-    u, ut = _ladder_pair(SolitonLadder((1.0, 2.0)), p, g2)
-    cases.append(InversionCase("two_soliton/kdv", EquationId(EquationKind.KDV),
-                               p, u, ut, is_solution=True))
-    g3 = Grid(-48.0, 96.0, 1024)
-    u, ut = _ladder_pair(SolitonLadder((1.0, 2.0, 3.0)), p, g3)
-    cases.append(InversionCase("three_soliton/kdv", EquationId(EquationKind.KDV),
-                               p, u, ut, is_solution=True))
     return cases
 
 

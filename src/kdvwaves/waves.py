@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .elliptic import M_ONE_CUTOFF, elliptic_E, elliptic_K, jacobi_sn_cn_dn
+from .elliptic import M_ONE_CUTOFF, elliptic_E, elliptic_K, jacobi_sn_cn_dn, sech
 
 __all__ = [
     "Frame",
@@ -74,6 +74,10 @@ class MediumParams:
         """Effective third-derivative coefficient (1 - 3 tau) beta / 6."""
         return (1.0 - 3.0 * self.tau) * self.beta / 6.0
 
+    def beta5(self) -> float:
+        """Fifth-derivative coefficient (19 - 30 tau - 45 tau^2) beta^2 / 360."""
+        return (19.0 - 30.0 * self.tau - 45.0 * self.tau**2) * self.beta**2 / 360.0
+
 
 class WaveFamily(Enum):
     KDV_SOLITON = "kdv_soliton"
@@ -102,7 +106,6 @@ class TravellingWave:
     D: float = 0.0
     m: float | None = None
     Delta: float | None = None
-    sign_B: int = 1
 
     def speed_in(self, frame: Frame) -> float:
         return self.v if frame is Frame.FIXED else self.v - 1.0
@@ -121,9 +124,9 @@ class TravellingWave:
         xi = np.asarray(xi, dtype=float)
         fam = self.family
         if fam in (WaveFamily.KDV_SOLITON, WaveFamily.KDV2_SOLITON):
-            return self.A * _sech2(self.B * xi) + self.D
+            return self.A * sech(self.B * xi) ** 2 + self.D
         if fam is WaveFamily.FIFTH_ORDER_SOLITON:
-            return self.A * _sech2(self.B * xi) ** 2 + self.D
+            return self.A * (sech(self.B * xi) ** 2) ** 2 + self.D
         if fam is WaveFamily.KDV_CNOIDAL:
             _, cn, _ = jacobi_sn_cn_dn(self.B * xi, self.m)
             return self.A * cn * cn + self.D
@@ -173,12 +176,10 @@ class SolitonLadder:
     def magnitudes(self) -> tuple[float, ...]:
         return tuple(abs(a) for a in self.amplitudes)
 
-
-def _sech2(z):
-    """sech(z)^2, overflow-free for any real z."""
-    e = np.exp(-np.abs(z))
-    s = 2.0 * e / (1.0 + e * e)
-    return s * s
+    def evaluate(self, x, t: float, params: MediumParams):
+        """The interacting profile at time t: two_soliton or three_soliton."""
+        fn = two_soliton if len(self.amplitudes) == 2 else three_soliton
+        return fn(x, t, self, params)
 
 
 def make_kdv_soliton(params: MediumParams, A: float) -> TravellingWave:
@@ -278,7 +279,7 @@ def make_fifth_order_soliton(params: MediumParams) -> TravellingWave:
     window above tau = 1/3; outside it the constructor raises.
     """
     b3 = params.beta_prime()
-    b5 = (19.0 - 30.0 * params.tau - 45.0 * params.tau**2) * params.beta**2 / 360.0
+    b5 = params.beta5()
     if b5 == 0.0 or b3 * b5 >= 0.0:
         raise ValueError(
             f"no real sech^4 width: need opposite-sign dispersion coefficients, "
@@ -310,8 +311,7 @@ def make_gardner_soliton(params: MediumParams, Delta: float,
     A = 4.0 * bp / (params.alpha * Delta**2)
     B = sign_B * math.sqrt(disc)
     v = 1.0 + bp / Delta**2
-    return TravellingWave(WaveFamily.GARDNER_SOLITON, A=A, B=B, v=v,
-                          Delta=Delta, sign_B=sign_B)
+    return TravellingWave(WaveFamily.GARDNER_SOLITON, A=A, B=B, v=v, Delta=Delta)
 
 
 def soliton_phase(x, t: float, A: float, params: MediumParams):
@@ -354,7 +354,7 @@ def two_soliton(x, t: float, ladder: SolitonLadder, params: MediumParams):
     th1 = soliton_phase(x, t, a1, pos)
     th2 = soliton_phase(x, t, a2, pos)
     sh, ch, e2 = _scaled_sinh_cosh(th2)
-    num = (a2 - a1) * (a1 * _sech2(th1) * sh * sh + a2 * e2)
+    num = (a2 - a1) * (a1 * sech(th1) ** 2 * sh * sh + a2 * e2)
     den = (math.sqrt(a1) * np.tanh(th1) * sh - math.sqrt(a2) * ch) ** 2
     u = num / den
     return -u if ladder.inverted else u
@@ -379,8 +379,8 @@ def three_soliton(x, t: float, ladder: SolitonLadder, params: MediumParams):
     th3 = soliton_phase(x, t, a3, pos)
     t1 = np.tanh(th1)
     t3 = np.tanh(th3)
-    s1 = _sech2(th1)
-    s3 = _sech2(th3)
+    s1 = sech(th1) ** 2
+    s3 = sech(th3) ** 2
     sh, ch, e2 = _scaled_sinh_cosh(th2)
     d2 = math.sqrt(2 * a1) * t1 * sh - math.sqrt(2 * a2) * ch   # x exp(-|th2|)
     d3 = -math.sqrt(2 * a1) * t1 + math.sqrt(2 * a3) * t3

@@ -280,3 +280,32 @@ def test_full_precision_round_trip(capsys, tmp_path):
         x, u = map(float, line.split(","))
         assert float(repr(u)) == u            # %.17g parses back exactly
         assert u == w.profile(x)
+
+
+def test_tolerance_zero_is_not_replaced_by_the_default(capsys, tmp_path):
+    # the antisymmetry defects are exactly zero, so a zero tolerance passes
+    code, _, err = _run(capsys, ["symmetry", "--seed", "7", "--tolerance", "0"])
+    assert code == 0
+    assert "(tolerance 0)" in err
+    # no residual of a closed form is exactly zero
+    cfg = _write(tmp_path, "v0.yaml", {})
+    code, _, err = _run(capsys, ["verify", "--config", cfg, "--tolerance", "0"])
+    assert code == 1
+    assert "(tolerance 0)" in err
+
+
+def test_symmetry_with_negative_alpha_runs_the_mirror_catalog(capsys, tmp_path):
+    rows = {}
+    for alpha in (0.1, -0.1):
+        cfg = _write(tmp_path, f"s{alpha}.yaml",
+                     {"medium": {"alpha": alpha, "beta": 0.1}, "n_seeds": 1})
+        code, out, _ = _run(capsys, ["symmetry", "--config", cfg])
+        assert code == 0
+        rows[alpha] = {r["label"]: r for r in _records(out)}
+        assert all(r["algebraic_defect_value"] == 0.0 for r in rows[alpha].values())
+    solutions = [label for label, r in rows[0.1].items() if r["kind"] == "solution"]
+    assert len(solutions) == 8
+    for label in solutions:
+        up, dn = rows[0.1][label], rows[-0.1][label]
+        assert dn["upright_residual"] == up["mirrored_residual"]
+        assert dn["mirrored_residual"] == up["upright_residual"]

@@ -154,3 +154,40 @@ def test_dealias_default_tracks_cubic_terms():
     cfg3 = EvolveConfig(eq=KDV, params=P, grid=GRID, dt=0.1, t_end=1.0,
                         dealias=True)
     assert cfg3.dealias_active()
+
+
+ALL_SETUPS = [(kind, frame, use_bottom) for kind in EquationKind for frame in Frame
+              for use_bottom in (False, True)]
+
+
+@pytest.mark.parametrize("kind, frame, use_bottom", ALL_SETUPS)
+def test_stepper_rhs_is_minus_the_residual(kind, frame, use_bottom):
+    """The stepper's du/dt, irfft(L v + N(v)), and the residual at u_t = 0
+    read one term table, so they agree to roundoff."""
+    from kdvwaves.equations import Field, residual
+    from kdvwaves.evolve import ETDRK4, _linear_symbol
+
+    grid = Grid(-32.0, 64.0, 256)
+    u, _ = RandomField(seed=4, amplitude=0.4).build(grid)
+    p = MediumParams(alpha=0.1, beta=0.1, tau=0.2, delta=0.05 if use_bottom else 0.0)
+    eq = EquationId(kind, frame, ramp_bottom(grid) if use_bottom else None)
+    cfg = EvolveConfig(eq=eq, params=p, grid=grid, dt=0.01, t_end=0.01, dealias=False)
+    v = np.fft.rfft(u.values)
+    rhs = np.fft.irfft(_linear_symbol(eq, p, grid) * v + ETDRK4(cfg).nonlinear(v), grid.n)
+    report, res = residual(u, Field(grid, np.zeros(grid.n)), eq, p)
+    assert np.max(np.abs(rhs + res.values)) <= 1e-12 * report.scale
+
+
+@pytest.mark.parametrize("kind, frame, use_bottom", ALL_SETUPS)
+def test_mirror_evolution_is_bitwise_for_every_setup(kind, frame, use_bottom):
+    grid = Grid(0.0, 40.0, 128)
+    u0 = RandomField(seed=6, amplitude=0.2).build(grid)[0].values
+    p = MediumParams(alpha=0.1, beta=0.1, tau=0.2, delta=0.05 if use_bottom else 0.0)
+    eq = EquationId(kind, frame, ramp_bottom(grid) if use_bottom else None)
+    up = evolve(EvolveConfig(eq=eq, params=p, grid=grid, dt=0.01, t_end=0.2,
+                             output_stride=5), u0)
+    dn = evolve(EvolveConfig(eq=eq, params=p.flipped(), grid=grid, dt=0.01,
+                             t_end=0.2, output_stride=5), -u0)
+    assert len(up.snapshots) == len(dn.snapshots) == 5
+    for a, b in zip(up.snapshots, dn.snapshots):
+        assert np.array_equal(a.values, -b.values)
