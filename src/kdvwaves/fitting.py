@@ -16,7 +16,9 @@ rule applied to u * (1 + B cosh(xi/Delta)) = A.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,31 +138,28 @@ def _monomial_derivative(poly: dict[tuple[int, int, int], float],
     return out
 
 
-def _eval_monomials(poly: dict[tuple[int, int, int], float],
-                    sn: np.ndarray, cn: np.ndarray, dn: np.ndarray) -> np.ndarray:
-    total = np.zeros_like(sn)
-    for (a, b, c), coef in poly.items():
-        total += coef * sn**a * cn**b * dn**c
-    return total
+@functools.lru_cache(maxsize=64)
+def _derivative_chain(shape: str, sign: int, m: float) -> tuple[np.ndarray, np.ndarray]:
+    """d^k f/dw^k, k = 0..5, at A = 1 and D = 0: monomial exponents (a, b, c)
+    of sn^a cn^b dn^c by row, and their coefficients, one column per k."""
+    if shape == "dn2_pm_cndn":
+        chain = [{(0, 0, 2): 0.5, (0, 1, 1): 0.5 * sign * math.sqrt(m)}]
+    else:
+        chain = [{"sech2": {(0, 1, 1): 1.0}, "sech4": {(0, 2, 2): 1.0},
+                  "cn2": {(0, 2, 0): 1.0}}[shape]]
+    for _ in range(5):
+        chain.append(_monomial_derivative(chain[-1], m))
+    monomials = sorted(set().union(*chain))
+    exponents = np.array(monomials)
+    coefficients = np.array([[poly.get(e, 0.0) for poly in chain] for e in monomials])
+    exponents.flags.writeable = coefficients.flags.writeable = False   # shared
+    return exponents, coefficients
 
 
 def _elliptic_profile_derivs(shape: str, sign: int, xi: np.ndarray,
                              vals: dict[str, float]) -> dict[int, np.ndarray]:
     A, B, D = vals["A"], vals["B"], vals.get("D", 0.0)
-    if shape == "sech2":
-        m, poly = 1.0, {(0, 1, 1): A, (0, 0, 0): D}
-    elif shape == "sech4":
-        m, poly = 1.0, {(0, 2, 2): A, (0, 0, 0): D}
-    elif shape == "cn2":
-        m = vals["m"]
-        poly = {(0, 2, 0): A, (0, 0, 0): D}
-    elif shape == "dn2_pm_cndn":
-        m = vals["m"]
-        poly = {(0, 0, 2): 0.5 * A,
-                (0, 1, 1): 0.5 * A * sign * math.sqrt(m),
-                (0, 0, 0): D}
-    else:
-        raise ValueError(f"not an elliptic/hyperbolic shape: {shape!r}")
+    m = 1.0 if shape in ("sech2", "sech4") else vals["m"]
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"modulus m must lie in [0, 1], got {m!r}")
     w = B * xi
@@ -169,11 +168,14 @@ def _elliptic_profile_derivs(shape: str, sign: int, xi: np.ndarray,
         dn = cn
     else:
         sn, cn, dn = jacobi_sn_cn_dn(w, m)
-    derivs: dict[int, np.ndarray] = {}
-    for k in range(6):
-        derivs[k] = B**k * _eval_monomials(poly, sn, cn, dn)
-        poly = _monomial_derivative(poly, m)
-    return derivs
+    exponents, coefficients = _derivative_chain(shape, sign, m)
+    # one power table: powers[e, j] = (sn, cn, dn)[j] ** e
+    powers = np.stack([sn, cn, dn]) ** np.arange(exponents.max() + 1)[:, None, None]
+    monomials = (powers[exponents[:, 0], 0] * powers[exponents[:, 1], 1]
+                 * powers[exponents[:, 2], 2])
+    derivs = (coefficients.T @ monomials) * (A * B ** np.arange(6))[:, None]
+    derivs[0] += D
+    return dict(enumerate(derivs))
 
 
 def _gardner_profile_derivs(xi: np.ndarray,
@@ -250,7 +252,7 @@ class FitResult:
     ansatz: AnsatzFamily
     values: dict[str, float]
     residual: float            # max |R| / scale at the returned values
-    status: str                # converged / stalled / max_iterations / singular_jacobian
+    status: str                # converged/trivial/stalled/max_iterations/singular_jacobian
     n_iterations: int
     rank: int | None = None    # rank of the last Jacobian
 
@@ -269,6 +271,27 @@ def _try_eval(kind, params, ansatz, xi, values):
         return None
 
 
+def _fd_jacobian(kind, params, ansatz, xi, values, base) -> np.ndarray:
+    """Forward differences of the residual in each free parameter, backward
+    where the forward bump cannot be evaluated (e.g. m + h > 1)."""
+    jac = np.empty((len(base), len(ansatz.free)))
+    for j, p in enumerate(ansatz.free):
+        h = 1e-7 * (1.0 + abs(values[p]))
+        for step in (h, -h):
+            trial = _try_eval(kind, params, ansatz, xi, {**values, p: values[p] + step})
+            if trial is not None:
+                jac[:, j] = (trial[0] - base) / step
+                break
+        else:
+            raise ValueError(f"cannot perturb parameter {p!r} at the base point")
+    return jac
+
+
+# the collapse rule of fit_travelling_wave (see its docstring)
+TRIVIAL_WINDOW = 8
+TRIVIAL_MIN_GAIN = 2.0
+
+
 def fit_travelling_wave(kind: EquationKind, params: MediumParams,
                         ansatz: AnsatzFamily, start: dict[str, float],
                         n_points: int | None = None, max_iterations: int = 200,
@@ -278,6 +301,16 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
     start must provide every free parameter.  Collocation nodes are laid
     out once, from the starting shape, and held fixed so the objective
     does not move under the iteration.
+
+    Statuses: converged (relative residual <= rtol), trivial, stalled (no
+    trial lowers the residual), max_iterations, singular_jacobian (dead
+    end at deficient rank, or no Jacobian).  A free amplitude can slide
+    along a solution family toward u = 0, which solves every equation.
+    The fit stops as trivial once, over the last TRIVIAL_WINDOW (8)
+    accepted steps, |A| fell each time, the damping rejected a trial, and
+    the relative residual gained less than TRIVIAL_MIN_GAIN (2x).  The
+    rejection clause spares fits that shrink |A| with full steps on their
+    way to a real solution.  Reading |A| only, fits and mirrors stop alike.
     """
     missing = [p for p in ansatz.free if p not in start]
     if missing:
@@ -294,30 +327,27 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
         a = float(np.max(np.abs(res)))
         return a / scale if scale > 0.0 else a
 
+    def finish(status, n_iterations):
+        return FitResult(ansatz, _canonical(ansatz, c), rel(cur), status,
+                         n_iterations, rank)
+
     cur = _try_eval(kind, params, ansatz, xi, ansatz.values(c))
     if cur is None:
         raise ValueError("ansatz cannot be evaluated at the start values")
     rank = None
     mu = 1e-3   # Levenberg-Marquardt damping, shared across iterations
+    i_amp = ansatz.free.index("A") if "A" in ansatz.free else None
+    # (|A|, relative residual, a trial was rejected) per accepted step
+    history = deque([(abs(c[i_amp]), rel(cur), False)] if i_amp is not None else [],
+                    maxlen=TRIVIAL_WINDOW + 1)
     for it in range(1, max_iterations + 1):
         if rel(cur) <= rtol:
-            return FitResult(ansatz, _canonical(ansatz, c), rel(cur),
-                             "converged", it - 1, rank)
+            return finish("converged", it - 1)
         res, _ = cur
-        jac = np.empty((len(res), n_free))
-        for j in range(n_free):
-            h = 1e-7 * (1.0 + abs(c[j]))
-            cj = c.copy()
-            cj[j] += h
-            bumped = _try_eval(kind, params, ansatz, xi, ansatz.values(cj))
-            if bumped is None:       # e.g. m + h > 1: step backwards instead
-                cj[j] = c[j] - h
-                bumped = _try_eval(kind, params, ansatz, xi, ansatz.values(cj))
-                h = -h
-            if bumped is None:
-                return FitResult(ansatz, ansatz.values(c), rel(cur),
-                                 "singular_jacobian", it, rank)
-            jac[:, j] = (bumped[0] - res) / h
+        try:
+            jac = _fd_jacobian(kind, params, ansatz, xi, ansatz.values(c), res)
+        except ValueError:
+            return finish("singular_jacobian", it)
         sigma = np.linalg.svd(jac, compute_uv=False)
         rank = int(np.sum(sigma > sigma[0] * 1e-12)) if sigma[0] > 0.0 else 0
         # Marquardt scaling keeps the damping meaningful when the
@@ -326,8 +356,7 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
         col[col == 0.0] = 1.0
         best = float(np.linalg.norm(res))
         accepted = False
-        step = np.zeros(n_free)
-        for _ in range(12):
+        for n_trial in range(12):
             aug = np.vstack([jac, math.sqrt(mu) * np.diag(col)])
             rhs = np.concatenate([-res, np.zeros(n_free)])
             step, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
@@ -341,22 +370,20 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
             if mu > 1e12:
                 break
         if not accepted:
-            if rel(cur) <= 10.0 * rtol:
-                status = "converged"
-            elif rank < n_free:
-                status = "singular_jacobian"
-            else:
-                status = "stalled"
-            return FitResult(ansatz, _canonical(ansatz, c), rel(cur), status,
-                             it, rank)
+            return finish("converged" if rel(cur) <= 10.0 * rtol else
+                          "singular_jacobian" if rank < n_free else "stalled", it)
         if np.max(np.abs(step) / (1.0 + np.abs(c))) < 1e-13:
             # the iteration has stopped moving; only a small residual
             # makes that convergence rather than a dead end
-            status = "converged" if rel(cur) <= 10.0 * rtol else "stalled"
-            return FitResult(ansatz, _canonical(ansatz, c), rel(cur),
-                             status, it, rank)
-    return FitResult(ansatz, _canonical(ansatz, c), rel(cur),
-                     "max_iterations", max_iterations, rank)
+            return finish("converged" if rel(cur) <= 10.0 * rtol else "stalled", it)
+        if i_amp is not None:
+            history.append((abs(c[i_amp]), rel(cur), n_trial > 0))
+            amps, rels, rejected = zip(*history)
+            if (len(history) == history.maxlen and any(rejected[1:])
+                    and all(new < old for old, new in zip(amps, amps[1:]))
+                    and rels[0] < TRIVIAL_MIN_GAIN * rels[-1]):
+                return finish("trivial", it)
+    return finish("max_iterations", max_iterations)
 
 
 def _canonical(ansatz: AnsatzFamily, c: np.ndarray) -> dict[str, float]:
@@ -485,18 +512,6 @@ def count_constraints(kind: EquationKind, params: MediumParams,
         raise ValueError(
             "`at` is not on the solution manifold "
             f"(relative residual {float(np.max(np.abs(base))) / scale:.3e})")
-    jac = np.empty((len(base), n_free))
-    for j, p in enumerate(ansatz.free):
-        h = 1e-7 * (1.0 + abs(values[p]))
-        bumped = dict(values)
-        bumped[p] = values[p] + h
-        trial = _try_eval(kind, params, ansatz, xi, bumped)
-        if trial is None:
-            bumped[p] = values[p] - h
-            trial = _try_eval(kind, params, ansatz, xi, bumped)
-            h = -h
-        if trial is None:
-            raise ValueError(f"cannot perturb parameter {p!r} at the base point")
-        jac[:, j] = (trial[0] - base) / h
+    jac = _fd_jacobian(kind, params, ansatz, xi, values, base)
     sigma = np.linalg.svd(jac, compute_uv=False)
     return int(np.sum(sigma > sigma[0] * 1e-6)) if sigma[0] > 0.0 else 0

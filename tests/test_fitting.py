@@ -1,11 +1,16 @@
 """Collocation fitting: recovery of closed forms, bookkeeping, landscapes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
+from kdvwaves import fitting
+from kdvwaves.cli import main
+from kdvwaves.elliptic import jacobi_sn_cn_dn, sech
 from kdvwaves.equations import EquationId, EquationKind, Grid, travelling_residual
 from kdvwaves.fitting import (
     AnsatzFamily,
@@ -82,6 +87,43 @@ def test_profile_derivative_orders_up_to_five():
     # exact check at 0: odd derivatives of an even profile vanish
     assert abs(d[1][0]) < 1e-14
     assert abs(d[3][0]) < 1e-14
+
+
+def _loop_derivatives(shape, sign, xi, values):
+    """f^(k), k = 0..5, summed monomial by monomial, with the sum of |terms|."""
+    A, B, D, m = values["A"], values["B"], values["D"], values.get("m", 1.0)
+    poly = {"sech2": {(0, 1, 1): A}, "sech4": {(0, 2, 2): A}, "cn2": {(0, 2, 0): A},
+            "dn2_pm_cndn": {(0, 0, 2): 0.5 * A,
+                            (0, 1, 1): 0.5 * A * sign * math.sqrt(m)}}[shape]
+    w = B * xi
+    sn, cn, dn = ((np.tanh(w), sech(w), sech(w)) if m == 1.0
+                  else jacobi_sn_cn_dn(w, m))
+    out = []
+    for k in range(6):
+        terms = [B**k * c * sn**a * cn**b * dn**e for (a, b, e), c in poly.items()]
+        if k == 0:
+            terms.append(np.full_like(xi, D))
+        out.append((sum(terms), sum(np.abs(t) for t in terms)))
+        poly = fitting._monomial_derivative(poly, m)
+    return out
+
+
+@pytest.mark.parametrize("shape,sign,values", [
+    ("sech2", 1, {"A": 1.3, "B": 0.8, "v": 1.0, "D": 0.1}),
+    ("sech4", 1, {"A": -0.03, "B": 0.44, "v": 1.0, "D": 0.0}),
+    ("cn2", 1, {"A": 1.0, "B": 0.91, "v": 1.0, "D": -0.36, "m": 0.9}),
+    ("cn2", 1, {"A": 2.0, "B": 1.7, "v": 1.0, "D": -0.36, "m": 0.2}),
+    ("dn2_pm_cndn", 1, {"A": 1.0, "B": 0.87, "v": 1.0, "D": -0.36, "m": 0.5}),
+    ("dn2_pm_cndn", -1, {"A": -1.0, "B": 1.4, "v": 1.0, "D": 0.2, "m": 0.99}),
+])
+def test_cached_chain_matches_the_monomial_loop(shape, sign, values):
+    # the matrix product sums in another order than the loop: allow a few
+    # ulps of the summed term magnitudes (float64 eps is 2.2e-16)
+    xi = np.linspace(-7.0, 9.0, 41)
+    d = profile_derivatives(AnsatzFamily(shape, tuple(values), {}, sign=sign),
+                            xi, values)
+    for k, (ref, magnitude) in enumerate(_loop_derivatives(shape, sign, xi, values)):
+        assert np.all(np.abs(d[k] - ref) <= 1e-14 * magnitude), k
 
 
 # --- closed-form recovery -------------------------------------------------------
@@ -204,3 +246,97 @@ def test_gardner_family_with_free_width_has_one_freedom():
         EquationKind.GARDNER, pg,
         AnsatzFamily("gardner", ("A", "B", "v", "Delta"), {}))
     assert k == 3
+
+
+# --- collapse onto the trivial zero, and the cached derivative chain ---------------
+
+KDV2_SECH2 = AnsatzFamily("sech2", ("A", "B", "v"), {"D": 0.0})
+MULTISTART_CONFIG = (Path(__file__).resolve().parents[1]
+                     / "scripts" / "configs" / "fit_kdv2_multistart.yaml")
+
+
+def test_shipped_multistart_stops_collapsing_starts_early():
+    doc = yaml.safe_load(MULTISTART_CONFIG.read_text())
+    spec = doc["starts"]["amplitudes"]
+    p = MediumParams(**doc["medium"])
+    starts = amplitude_starts(p, spec["n"], tuple(spec["span"]))
+    basins, results = multi_start_fit(EquationKind.KDV2, p, KDV2_SECH2, starts)
+    assert [r.status for r in results] == ["trivial"] * 4 + ["converged"] * 4
+    assert all(r.n_iterations <= 20 for r in results if r.status == "trivial")
+    assert sum(r.n_iterations for r in results) <= 100
+    assert len(basins) == 1 and basins[0].count == 4
+
+
+def test_trivial_rule_keeps_every_converging_start_of_the_ladder():
+    # the seven starts below A0 = 3 slide onto u = 0 (before the trivial
+    # status they ran out of iterations); the six from 3.2 to 200 converge
+    # to the soliton, A0 = 200 after 20 steps that shrink |A| each time
+    for p in (P, P.flipped()):
+        w = make_kdv2_soliton(p)
+        starts = amplitude_starts(p, 13, (0.01, 200.0))
+        assert starts[-1]["A"] == math.copysign(200.0, p.alpha)
+        results = [fit_travelling_wave(EquationKind.KDV2, p, KDV2_SECH2, s)
+                   for s in starts]
+        assert [r.status for r in results] == ["trivial"] * 7 + ["converged"] * 6
+        for r in results[7:]:
+            assert_allclose([r.values[k] for k in "ABv"], [w.A, w.B, w.v], rtol=1e-6)
+
+
+def test_fit_outcomes_mirror_under_inversion():
+    # A f solves the equation at alpha iff -A f solves it at -alpha, so the
+    # fits from mirrored starts end alike, at the same iteration
+    runs = [multi_start_fit(EquationKind.KDV2, p, KDV2_SECH2,
+                            amplitude_starts(p, 8, (0.5, 8.0)))
+            for p in (P, P.flipped())]
+    (up_basins, up), (dn_basins, dn) = runs
+    assert [r.status for r in up] == ["trivial"] * 4 + ["converged"] * 4
+    assert [(r.status, r.n_iterations) for r in dn] == \
+        [(r.status, r.n_iterations) for r in up]
+    assert len(up_basins) == len(dn_basins) == 1
+    a, b = up_basins[0].values, dn_basins[0].values
+    assert_allclose([-b["A"], b["B"], b["v"]], [a["A"], a["B"], a["v"]], rtol=1e-9)
+
+
+def test_singular_jacobian_exit_folds_the_sign_of_B(monkeypatch):
+    start = {"A": 1.0, "B": -0.7, "v": 1.06}
+    real = fitting._fit_residual
+
+    def only_at_start(kind, params, ansatz, xi, values):
+        if any(values[k] != start[k] for k in start):
+            raise ValueError("bumped")
+        return real(kind, params, ansatz, xi, values)
+
+    monkeypatch.setattr(fitting, "_fit_residual", only_at_start)
+    result = fit_travelling_wave(EquationKind.KDV2, P, KDV2_SECH2, start)
+    assert result.status == "singular_jacobian"
+    assert result.values["B"] == 0.7
+
+
+def test_derivative_chain_cache_does_not_mix_keys():
+    xi = np.linspace(0.2, 5.0, 9)
+    calls = [("dn2_pm_cndn", sign, m) for m in (0.3, 0.5, 0.9) for sign in (1, -1)]
+    calls += [("cn2", 1, m) for m in (0.3, 0.5, 0.9)]
+    calls = calls[::2] + calls[1::2] + calls       # interleaved, then repeated
+
+    def derivs(shape, sign, m):
+        values = {"A": 1.3, "B": 0.8, "v": 1.0, "D": -0.2, "m": m}
+        ansatz = AnsatzFamily(shape, tuple(values), {}, sign=sign)
+        return profile_derivatives(ansatz, xi, values)
+
+    warm = [derivs(*call) for call in calls]
+    for call, got in zip(calls, warm):
+        fitting._derivative_chain.cache_clear()
+        cold = derivs(*call)
+        for k in range(6):
+            assert np.array_equal(got[k], cold[k]), (call, k)
+
+
+def test_cli_single_start_reports_trivial(capsys, tmp_path):
+    cfg = tmp_path / "fit.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "equation": "kdv2", "medium": {"alpha": 0.1, "beta": 0.1},
+        "ansatz": {"shape": "sech2", "free": ["A", "B", "v"], "fixed": {"D": 0.0}},
+        "start": {k: float(v) for k, v in amplitude_starts(P, 1, (0.5, 0.5))[0].items()}}))
+    code = main(["fit", "--config", str(cfg)])
+    assert code == 1
+    assert '"status": "trivial"' in capsys.readouterr().out
