@@ -503,18 +503,17 @@ def cmd_evolve(args) -> int:
         aborted = str(exc)
         traj = exc.trajectory
 
+    mon = monitors(traj)
     if args.out:
         out = Path(args.out)
         rows = [(t, x, u) for snap, t in zip(traj.snapshots, traj.times)
                 for x, u in zip(grid.x, snap.values)]
         _write_csv(out / "trajectory.csv", ["t", "x", "u"], rows)
-        mon = monitors(traj)
         _write_csv(out / "monitors.csv",
                    ["time", "mass", "momentum", "min", "max"],
                    zip(mon["time"], mon["mass"], mon["momentum"],
                        mon["min"], mon["max"]))
 
-    mon = monitors(traj)
     record = {
         "equation": eq.label(),
         "t_final": traj.times[-1],

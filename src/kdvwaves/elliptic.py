@@ -90,7 +90,7 @@ def jacobi_sn_cn_dn(u, m: float):
 
     if m > M_ONE_CUTOFF:
         sn = np.tanh(u_arr)
-        cn = 1.0 / np.cosh(u_arr)
+        cn = sech(u_arr)
         dn = cn.copy()
     elif m == 0.0:
         sn = np.sin(u_arr)

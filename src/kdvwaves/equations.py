@@ -34,6 +34,7 @@ from .waves import Frame, MediumParams, TravellingWave
 __all__ = [
     "EquationKind",
     "TERMS",
+    "FLUXES",
     "Grid",
     "Field",
     "BottomProfile",
@@ -82,6 +83,17 @@ TERMS: dict[EquationKind, tuple[Term, ...]] = {
         ("dispersion_5", MediumParams.beta5, (5,)),
     ),
     EquationKind.GARDNER: (_ADVECTION, _QUADRATIC, _TENSION_DISPERSION, _CUBIC),
+}
+
+
+# Antiderivatives of the nonlinear monomials of TERMS, keyed by their
+# derivative orders: the monomial is d/dx of the sum of weight times the
+# product of the flux orders' derivatives (conservative form).
+FLUXES: dict[tuple[int, ...], tuple[tuple[float, tuple[int, ...]], ...]] = {
+    (0, 1): ((0.5, (0, 0)),),                      # u u_x = (u^2/2)_x
+    (0, 0, 1): ((1.0 / 3.0, (0, 0, 0)),),          # u^2 u_x = (u^3/3)_x
+    (1, 2): ((0.5, (1, 1)),),                      # u_x u_xx = (u_x^2/2)_x
+    (0, 3): ((1.0, (0, 2)), (-0.5, (1, 1))),       # u u_xxx = (u u_xx - u_x^2/2)_x
 }
 
 

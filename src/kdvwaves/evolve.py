@@ -8,6 +8,12 @@ Trefethen (SIAM J. Sci. Comput. 26, 2005), which is what keeps the
 stiff k^3/k^5 symbols from poisoning the coefficients at small dt.
 
 Both parts are read from the equation's term table (`equations.TERMS`).
+On a flat bottom every nonlinear monomial is an exact x-derivative
+(`equations.FLUXES`), so du/dt gets ik times the rfft of one merged flux,
+the conservative form of Fornberg & Whitham (Phil. Trans. R. Soc. A 289,
+1978); with a bottom the terms stay in product form.  Each stage makes
+two FFT calls: one irfft of the stacked (ik)^o v rows, and one rfft.
+
 Every nonlinear term is assembled from sign-symmetric primitives and the
 linear symbol does not depend on alpha, so evolving (-u0, -alpha) gives
 bitwise the negation of evolving (u0, alpha) -- the dynamical face of
@@ -20,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equations import (TERMS, BottomProfile, EquationId, Field, Grid, bottom_eval,
-                        bottom_term, equation_table)
+from .equations import (FLUXES, TERMS, BottomProfile, EquationId, Field, Grid,
+                        bottom_eval, bottom_term, equation_table)
 from .waves import MediumParams
 
 __all__ = [
@@ -139,24 +145,35 @@ class ETDRK4:
         L = _linear_symbol(eq, params, grid)
         self.E, self.E2, self.Q, self.f1, self.f2, self.f3 = \
             _etdrk4_coefficients(L, config.dt)
-        if config.dealias_active():
-            self._mask = (np.arange(grid.n // 2 + 1) <= grid.n // 3).astype(float)
-        else:
-            self._mask = None
+        self._f2x2 = 2.0 * self.f2
         self._params = params
         self._bottom = bottom_eval(eq.bottom, grid) if eq.bottom is not None else None
         self._n = grid.n
-        nonlinear = [(c, orders) for _, c, orders in TERMS[eq.kind] if len(orders) > 1]
-        # orders 0 and 1 are always sampled: the bottom term reads f[0], f[1]
-        orders = sorted({0, 1}.union(*(o for _, o in nonlinear)))
-        self._multipliers = [grid.derivative_multiplier(o) if o else None for o in orders]
         # coefficients carry the sign of du/dt, so no term is negated per call
-        self._terms = [(-c(params), [orders.index(o) for o in term_orders])
-                       for c, term_orders in nonlinear]
+        terms = [(orders, -c(params)) for _, c, orders in TERMS[eq.kind] if len(orders) > 1]
+        if self._bottom is None:
+            # conservative form: du/dt gets ik times the rfft of the merged fluxes
+            fluxes: dict[tuple[int, ...], float] = {}
+            for orders, c in terms:
+                for w, flux_orders in FLUXES[orders]:
+                    fluxes[flux_orders] = fluxes.get(flux_orders, 0.0) + w * c
+            terms = list(fluxes.items())
+            sampled, outer = set(), grid.derivative_multiplier(1)
+        else:
+            # product form: the bottom term reads u and u_x, which are sampled anyway
+            sampled, outer = {0, 1}, None
+        if config.dealias_active():
+            mask = (np.arange(grid.n // 2 + 1) <= grid.n // 3).astype(float)
+            outer = mask if outer is None else outer * mask
+        self._outer = outer
+        orders = sorted(sampled.union(*(t for t, _ in terms)))
+        # one row of (ik)^o per sampled order, so one irfft call samples them all
+        self._multipliers = np.array([grid.derivative_multiplier(o) for o in orders])
+        self._terms = [(c, [orders.index(o) for o in t]) for t, c in terms]
 
     def nonlinear(self, v: np.ndarray) -> np.ndarray:
         """rfft of the nonlinear (and bottom) part of du/dt."""
-        f = [np.fft.irfft(v if m is None else m * v, self._n) for m in self._multipliers]
+        f = np.fft.irfft(self._multipliers * v, self._n)
         out = None
         for c, factors in self._terms:
             term = c * f[factors[0]]
@@ -166,19 +183,20 @@ class ETDRK4:
         if self._bottom is not None:
             out -= bottom_term(self._params, self._bottom, f[0], f[1])
         nv = np.fft.rfft(out)
-        if self._mask is not None:
-            nv *= self._mask
+        if self._outer is not None:
+            nv *= self._outer
         return nv
 
     def step(self, v: np.ndarray) -> np.ndarray:
         Nv = self.nonlinear(v)
-        a = self.E2 * v + self.Q * Nv
+        E2v = self.E2 * v
+        a = E2v + self.Q * Nv
         Na = self.nonlinear(a)
-        b = self.E2 * v + self.Q * Na
+        b = E2v + self.Q * Na
         Nb = self.nonlinear(b)
         c = self.E2 * a + self.Q * (2.0 * Nb - Nv)
         Nc = self.nonlinear(c)
-        return self.E * v + self.f1 * Nv + 2.0 * self.f2 * (Na + Nb) + self.f3 * Nc
+        return self.E * v + self.f1 * Nv + self._f2x2 * (Na + Nb) + self.f3 * Nc
 
 
 def evolve(config: EvolveConfig, u0) -> Trajectory:

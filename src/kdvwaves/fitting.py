@@ -272,11 +272,12 @@ def _try_eval(kind, params, ansatz, xi, values):
 
 
 def _fd_jacobian(kind, params, ansatz, xi, values, base) -> np.ndarray:
-    """Forward differences of the residual in each free parameter, backward
-    where the forward bump cannot be evaluated (e.g. m + h > 1)."""
+    """One-sided differences of the residual in each free parameter, bumped
+    away from zero (so mirrored fits stay exact negations), and the other
+    way where that bump cannot be evaluated (e.g. m + h > 1)."""
     jac = np.empty((len(base), len(ansatz.free)))
     for j, p in enumerate(ansatz.free):
-        h = 1e-7 * (1.0 + abs(values[p]))
+        h = math.copysign(1e-7 * (1.0 + abs(values[p])), values[p])
         for step in (h, -h):
             trial = _try_eval(kind, params, ansatz, xi, {**values, p: values[p] + step})
             if trial is not None:

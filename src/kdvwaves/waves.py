@@ -136,7 +136,9 @@ class TravellingWave:
             _, cn, dn = jacobi_sn_cn_dn(self.B * xi, self.m)
             return 0.5 * self.A * (dn * dn + sgn * math.sqrt(self.m) * cn * dn) + self.D
         if fam is WaveFamily.GARDNER_SOLITON:
-            return self.A / (1.0 + self.B * np.cosh(xi / self.Delta))
+            # cosh overflows to inf far out in the tail, where A/inf = 0 is the limit
+            with np.errstate(over="ignore"):
+                return self.A / (1.0 + self.B * np.cosh(xi / self.Delta))
         raise ValueError(f"unknown family {fam!r}")
 
     def evaluate(self, x, t: float = 0.0, frame: Frame = Frame.FIXED):

@@ -1,6 +1,7 @@
 """Elliptic kernel: frozen references, invariants, and live oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kdvwaves.elliptic import elliptic_E, elliptic_K, jacobi_sn_cn_dn
+from kdvwaves.elliptic import M_ONE_CUTOFF, elliptic_E, elliptic_K, jacobi_sn_cn_dn, sech
 
 # Frozen reference values (independent AGM implementation, cross-checked
 # against scipy.special.ellipk/ellipe/ellipj at build time).
@@ -144,3 +145,14 @@ def test_domain_validation():
         elliptic_K(-0.1)
     with pytest.raises(ValueError):
         jacobi_sn_cn_dn(0.5, 1.5)
+
+
+@pytest.mark.parametrize("m", [1.0, 0.5 * (1.0 + M_ONE_CUTOFF)])
+def test_hyperbolic_limit_is_overflow_free(m):
+    u = np.array([-1000.0, -800.0, 800.0, 1000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sn, cn, dn = jacobi_sn_cn_dn(u, m)
+    assert np.array_equal(sn, np.sign(u))
+    assert np.array_equal(cn, sech(u)) and np.array_equal(dn, cn)
+    assert np.all(cn == 0.0)

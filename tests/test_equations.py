@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kdvwaves.equations import (
+    FLUXES,
+    TERMS,
     BottomProfile,
     EquationId,
     EquationKind,
@@ -20,6 +22,7 @@ from kdvwaves.equations import (
     spectral_derivative,
     travelling_residual,
 )
+from kdvwaves.inversion import RandomField
 from kdvwaves.waves import (
     Frame,
     MediumParams,
@@ -215,3 +218,23 @@ def test_gardner_tabletop_residual():
     grid = Grid(-60.0, 120.0, 2048)
     report, _ = travelling_residual(w, EquationId(EquationKind.GARDNER), p, grid)
     assert report.passed
+
+
+# --- conservative (flux) form of the nonlinear terms ---------------------------
+
+def test_every_nonlinear_monomial_has_a_flux():
+    nonlinear = {orders for terms in TERMS.values()
+                 for _, _, orders in terms if len(orders) > 1}
+    assert nonlinear <= set(FLUXES)
+
+
+@pytest.mark.parametrize("orders", sorted(FLUXES))
+def test_flux_derivative_is_the_monomial(orders):
+    grid = Grid(-32.0, 64.0, 256)
+    u, _ = RandomField(seed=3, amplitude=0.7).build(grid)
+    d = {0: u.values, **{k: spectral_derivative(u, k).values for k in (1, 2, 3)}}
+    monomial = np.prod([d[o] for o in orders], axis=0)
+    flux = sum(w * np.prod([d[o] for o in flux_orders], axis=0)
+               for w, flux_orders in FLUXES[orders])
+    flux_x = spectral_derivative(Field(grid, flux), 1).values
+    assert np.max(np.abs(flux_x - monomial)) <= 1e-12 * np.max(np.abs(monomial))

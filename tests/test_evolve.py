@@ -191,3 +191,41 @@ def test_mirror_evolution_is_bitwise_for_every_setup(kind, frame, use_bottom):
     assert len(up.snapshots) == len(dn.snapshots) == 5
     for a, b in zip(up.snapshots, dn.snapshots):
         assert np.array_equal(a.values, -b.values)
+
+
+@pytest.mark.parametrize("kind, frame, use_bottom", ALL_SETUPS)
+def test_step_makes_two_fft_calls_per_stage(kind, frame, use_bottom, monkeypatch):
+    """Each of the four stages makes one stacked irfft and one rfft call."""
+    from kdvwaves.evolve import ETDRK4
+
+    grid = Grid(0.0, 40.0, 128)
+    p = MediumParams(alpha=0.1, beta=0.1, tau=0.2, delta=0.05 if use_bottom else 0.0)
+    eq = EquationId(kind, frame, ramp_bottom(grid) if use_bottom else None)
+    stepper = ETDRK4(EvolveConfig(eq=eq, params=p, grid=grid, dt=0.01, t_end=0.01))
+    v = np.fft.rfft(RandomField(seed=2, amplitude=0.2).build(grid)[0].values)
+    calls = []
+
+    def counted(name):
+        real = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    stepper.step(v)
+    assert calls == ["irfft", "rfft"] * 4
+
+
+@pytest.mark.parametrize("kind", list(EquationKind))
+def test_flat_bottom_nonlinearity_conserves_mass_exactly(kind):
+    """In flux form the nonlinear part is ik times a transform, so its mean is 0."""
+    from kdvwaves.evolve import ETDRK4
+
+    grid = Grid(0.0, 40.0, 128)
+    cfg = EvolveConfig(eq=EquationId(kind), params=MediumParams(alpha=0.1, beta=0.1),
+                       grid=grid, dt=0.01, t_end=0.01)
+    v = np.fft.rfft(RandomField(seed=8, amplitude=0.5).build(grid)[0].values + 0.3)
+    assert ETDRK4(cfg).nonlinear(v)[0] == 0.0

@@ -297,6 +297,23 @@ def test_fit_outcomes_mirror_under_inversion():
     assert_allclose([-b["A"], b["B"], b["v"]], [a["A"], a["B"], a["v"]], rtol=1e-9)
 
 
+def test_mirrored_fits_are_exact_negations():
+    # every finite-difference bump points away from zero, so each iterate
+    # from a mirrored start is the exact mirror of the upright one
+    def mirror(values):
+        return {**values, "A": -values["A"]}
+
+    (up_basins, up), (dn_basins, dn) = [
+        multi_start_fit(EquationKind.KDV2, p, KDV2_SECH2,
+                        amplitude_starts(p, 8, (0.5, 8.0)))
+        for p in (P, P.flipped())]
+    assert [(mirror(b.values), b.residual, b.count) for b in dn_basins] == \
+        [(b.values, b.residual, b.count) for b in up_basins]
+    for a, b in zip(up, dn):
+        assert (mirror(b.values), b.residual, b.status, b.n_iterations, b.rank) == \
+            (a.values, a.residual, a.status, a.n_iterations, a.rank)
+
+
 def test_singular_jacobian_exit_folds_the_sign_of_B(monkeypatch):
     start = {"A": 1.0, "B": -0.7, "v": 1.06}
     real = fitting._fit_residual

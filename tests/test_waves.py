@@ -1,6 +1,7 @@
 """Catalog constructors: coefficient formulas, shapes, and limits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,18 @@ def test_gardner_soliton_coefficients():
     assert_allclose(w.A, 4 * bp / (p.alpha * 1.0), rtol=1e-15)
     assert_allclose(w.B, math.sqrt(1 - bp), rtol=1e-15)
     assert_allclose(w.v, 1 + bp, rtol=1e-15)
+
+
+def test_gardner_tail_is_overflow_free():
+    # cosh overflows beyond |xi|/Delta ~ 710; the profile's limit there is 0
+    p = MediumParams(alpha=0.1, beta=0.3, tau=0.0)
+    w = make_gardner_soliton(p, Delta=1.0)
+    xi = np.array([-2000.0, -5.0, 0.0, 3.0, 2000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = w.profile(xi)
+    assert u[0] == u[-1] == 0.0
+    assert np.array_equal(u[1:-1], w.A / (1.0 + w.B * np.cosh(xi[1:-1])))
 
 
 def test_gardner_width_floor():
