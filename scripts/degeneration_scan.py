@@ -37,7 +37,7 @@ def main():
 
     print(f"{'1-m':>8} {'wavelength':>11} {'ln(16/(1-m))/B':>15} "
           f"{'pedestal D':>11} {'cn2 gap':>10} {'sup+ gap':>10} {'sup-/+ gap':>11}")
-    for k in range(1, 10):
+    for k in range(1, 16):
         eps = 10.0 ** -k
         m = 1.0 - eps
         cn = make_kdv_cnoidal(params, args.amplitude, m)
@@ -55,7 +55,7 @@ def main():
         gap_shift = np.max(np.abs(minus.profile(xi_s)
                                   - plus.profile(xi_s + lam_s / 2)))
 
-        asym = math.log(16.0 / eps) / cn.B
+        asym = math.log(16.0 / (1.0 - m)) / cn.B  # 1 - m, not eps: m = 1 - eps rounds
         print(f"{eps:8.0e} {lam:11.4f} {asym:15.4f} {cn.D:11.6f} "
               f"{gap_cn:10.2e} {gap_plus:10.2e} {gap_shift:11.2e}")
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -200,7 +199,7 @@ def _wave_or_ladder(doc: dict, params: MediumParams, key: str = "wave"):
             m = float(_take(sec, "m", key, required=True))
             B = _take(sec, "B", key)
             if B is None:
-                B = math.sqrt(3.0 * params.alpha * A / (4.0 * params.beta))
+                B = make_kdv_soliton(params, A).B
             sign = +1 if family.endswith("plus") else -1
             return make_kdv_superposition(params, A, m, float(B), sign=sign), params
         if family == "kdv2_soliton":

@@ -4,7 +4,8 @@ Self-contained double-precision implementations built on the
 arithmetic-geometric mean (AGM); no dependency on scipy.special.  The
 argument is the parameter m = k^2, following the convention of
 Abramowitz & Stegun chapters 16-17 (and DLMF 19/22), so that
-sn(u, 0) = sin(u) and sn(u, 1) = tanh(u).
+sn(u, 0) = sin(u) and sn(u, 1) = tanh(u).  One AGM path serves every
+0 <= m < 1; the only special case is m = 1, where K is infinite.
 """
 from __future__ import annotations
 
@@ -12,12 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["elliptic_K", "elliptic_E", "jacobi_sn_cn_dn", "sech", "M_ONE_CUTOFF"]
-
-# Above this parameter the descending Landen chain starts from
-# b0 = sqrt(1 - m) < 1e-6 and the hyperbolic limit is already exact to
-# double precision, so sn/cn/dn dispatch to tanh/sech there.
-M_ONE_CUTOFF = 1.0 - 1e-12
+__all__ = ["elliptic_K", "elliptic_E", "jacobi_sn_cn_dn", "sech"]
 
 _AGM_EPS = 1e-17
 _AGM_MAX_ITER = 64
@@ -78,9 +74,10 @@ def jacobi_sn_cn_dn(u, m: float):
 
         phi_{i-1} = (phi_i + arcsin((c_i/a_i) sin phi_i)) / 2,
 
-    then sn = sin phi_0, cn = cos phi_0, dn = sqrt(1 - m sn^2).
-    Vectorized over u; scalar in, scalar out.  m > M_ONE_CUTOFF uses the
-    hyperbolic limit (tanh, sech, sech), m = 0 the trigonometric one.
+    then sn = sin phi_0, cn = cos phi_0, dn = sqrt(1 - m + m cn^2).
+    Vectorized over u; scalar in, scalar out.  The recursion covers every
+    0 <= m < 1 (at m = 0 the chain is empty, so phi = u and dn = 1); the
+    only special case is m = 1, where K is infinite: (tanh, sech, sech).
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"jacobi_sn_cn_dn requires 0 <= m <= 1, got m={m!r}")
@@ -88,14 +85,10 @@ def jacobi_sn_cn_dn(u, m: float):
     scalar = u_arr.ndim == 0
     u_arr = np.atleast_1d(u_arr)
 
-    if m > M_ONE_CUTOFF:
+    if m == 1.0:
         sn = np.tanh(u_arr)
         cn = sech(u_arr)
         dn = cn.copy()
-    elif m == 0.0:
-        sn = np.sin(u_arr)
-        cn = np.cos(u_arr)
-        dn = np.ones_like(u_arr)
     else:
         a, _, c = _agm_chain(m)
         n_steps = len(a) - 1
@@ -105,9 +98,11 @@ def jacobi_sn_cn_dn(u, m: float):
             phi = 0.5 * (phi + np.arcsin(np.clip(c[i] / a[i] * np.sin(phi), -1.0, 1.0)))
         sn = np.sin(phi)
         cn = np.cos(phi)
-        # cos(phi)/cos(phi1 - phi) is 0/0 at quarter periods; this form is
-        # uniformly stable and exact at the endpoints of dn's range
-        dn = np.sqrt(np.maximum(1.0 - m * sn * sn, 0.0))
+        # cos(phi)/cos(phi1 - phi) is 0/0 at quarter periods.  Both terms
+        # of (1 - m) + m cn^2 are >= 0, so this sum never cancels (unlike
+        # 1 - m sn^2, which loses every digit of dn near sn = 1 as m -> 1)
+        # and gives dn(K) = sqrt(1 - m) exactly where cn = 0.
+        dn = np.sqrt((1.0 - m) + m * cn * cn)
 
     if scalar:
         return float(sn[0]), float(cn[0]), float(dn[0])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import elliptic_K, jacobi_sn_cn_dn, sech
+from .elliptic import elliptic_K, jacobi_sn_cn_dn
 from .equations import EquationKind, equation_terms, sum_terms
 from .waves import (Frame, MediumParams, TravellingWave, WaveFamily,
                     make_fifth_order_soliton, make_gardner_soliton,
@@ -162,12 +162,7 @@ def _elliptic_profile_derivs(shape: str, sign: int, xi: np.ndarray,
     m = 1.0 if shape in ("sech2", "sech4") else vals["m"]
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"modulus m must lie in [0, 1], got {m!r}")
-    w = B * xi
-    if m == 1.0:
-        sn, cn = np.tanh(w), sech(w)
-        dn = cn
-    else:
-        sn, cn, dn = jacobi_sn_cn_dn(w, m)
+    sn, cn, dn = jacobi_sn_cn_dn(B * xi, m)
     exponents, coefficients = _derivative_chain(shape, sign, m)
     # one power table: powers[e, j] = (sn, cn, dn)[j] ** e
     powers = np.stack([sn, cn, dn]) ** np.arange(exponents.max() + 1)[:, None, None]
@@ -409,16 +404,12 @@ class FitBasin:
 def amplitude_starts(params: MediumParams, n: int = 8,
                      span: tuple[float, float] = (0.05, 3.0)) -> list[dict[str, float]]:
     """Geometric ladder of amplitudes, with B and v warm-started from the
-    single-soliton relations (B = sqrt(3 a A / 4 b), v = 1 + a A / 2)."""
+    kdv soliton of each amplitude (make_kdv_soliton)."""
     sign = 1.0 if params.alpha > 0 else -1.0
     out = []
     for mag in np.geomspace(span[0], span[1], n):
-        A = sign * mag
-        out.append({
-            "A": A,
-            "B": math.sqrt(3.0 * params.alpha * A / (4.0 * params.beta)),
-            "v": 1.0 + params.alpha * A / 2.0,
-        })
+        sol = make_kdv_soliton(params, sign * mag)
+        out.append({"A": sol.A, "B": sol.B, "v": sol.v})
     return out
 
 
@@ -469,8 +460,8 @@ def _on_manifold_values(kind: EquationKind, params: MediumParams,
     elif kind is EquationKind.KDV and shape == "dn2_pm_cndn":
         m = ansatz.fixed.get("m", 0.5)
         A = 1.0 if params.alpha > 0 else -1.0
-        B = math.sqrt(3.0 * params.alpha * A / (4.0 * params.beta))
-        w = make_kdv_superposition(params, A, m, B, sign=ansatz.sign)
+        w = make_kdv_superposition(params, A, m, make_kdv_soliton(params, A).B,
+                                   sign=ansatz.sign)
     elif kind is EquationKind.KDV2 and shape == "sech2":
         w = make_kdv2_soliton(params)
     elif kind is EquationKind.FIFTH_ORDER and shape == "sech4":

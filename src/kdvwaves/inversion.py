@@ -96,25 +96,28 @@ class InversionCase:
     is_solution: bool
 
 
+def _inversion_pair(u: Field, ut: Field, eq: EquationId, params: MediumParams,
+                    tolerance: float, backend: str,
+                    ) -> tuple[InversionDefect, ResidualReport, ResidualReport]:
+    """(algebraic defect, upright report, mirrored report), one residual a
+    side; the two reports test SOLUTION_TOL."""
+    rep_p, res_p = residual(u, ut, eq, params, tolerance=SOLUTION_TOL, backend=backend)
+    rep_m, res_m = residual(Field(u.grid, -u.values, u.time),
+                            Field(ut.grid, -ut.values, ut.time),
+                            eq, params.flipped(), tolerance=SOLUTION_TOL, backend=backend)
+    defect = float(np.max(np.abs(res_p.values + res_m.values)))
+    scale = max(rep_p.scale, rep_m.scale)
+    relative = defect / scale if scale > 0.0 else 0.0
+    alg = InversionDefect(equation=eq.label(), defect=defect, scale=scale, relative=relative,
+                          passed=bool(relative <= tolerance), tolerance=tolerance)
+    return alg, rep_p, rep_m
+
+
 def algebraic_defect(u: Field, ut: Field, eq: EquationId, params: MediumParams,
                      tolerance: float = ALGEBRAIC_TOL,
                      backend: str = "spectral") -> InversionDefect:
     """max|r(u, u_t; alpha) + r(-u, -u_t; -alpha)| over the grid."""
-    rep_p, res_p = residual(u, ut, eq, params, backend=backend)
-    rep_m, res_m = residual(Field(u.grid, -u.values, u.time),
-                            Field(ut.grid, -ut.values, ut.time),
-                            eq, params.flipped(), backend=backend)
-    defect = float(np.max(np.abs(res_p.values + res_m.values)))
-    scale = max(rep_p.scale, rep_m.scale)
-    relative = defect / scale if scale > 0.0 else 0.0
-    return InversionDefect(
-        equation=eq.label(),
-        defect=defect,
-        scale=scale,
-        relative=relative,
-        passed=bool(relative <= tolerance),
-        tolerance=tolerance,
-    )
+    return _inversion_pair(u, ut, eq, params, tolerance, backend)[0]
 
 
 def mirrored_residual(u: Field, ut: Field, eq: EquationId, params: MediumParams,
@@ -177,12 +180,11 @@ def catalog(params: MediumParams) -> list[tuple]:
     p5 = MediumParams(params.alpha, params.beta, tau=0.35)
     pg = MediumParams(params.alpha, params.beta, tau=0.0)
     cn = make_kdv_cnoidal(params, sign, 0.9)
-    sup = make_kdv_superposition(
-        params, sign, 0.5, math.sqrt(3.0 * params.alpha * sign / (4.0 * params.beta)))
+    sol = make_kdv_soliton(params, sign)
+    sup = make_kdv_superposition(params, sign, 0.5, sol.B)
     kdv = EquationKind.KDV
     return [
-        ("soliton/kdv", kdv, params, make_kdv_soliton(params, sign),
-         Grid(-50.0, 100.0, 1024)),
+        ("soliton/kdv", kdv, params, sol, Grid(-50.0, 100.0, 1024)),
         ("cnoidal/kdv", kdv, params, cn, Grid(0.0, cn.wavelength(), 1024)),
         ("superposition/kdv", kdv, params, sup, Grid(0.0, sup.wavelength(), 1024)),
         ("soliton/kdv2", EquationKind.KDV2, params, make_kdv2_soliton(params),
@@ -243,15 +245,12 @@ def run_case(case: InversionCase, backend: str = "spectral") -> dict:
     """All applicable checks for one case, as a flat JSON-friendly dict."""
     row: dict = {"label": case.label, "equation": case.eq.label(),
                  "kind": "solution" if case.is_solution else "random"}
-    alg = algebraic_defect(case.u, case.ut, case.eq, case.params, backend=backend)
+    alg, upright, mirrored = _inversion_pair(case.u, case.ut, case.eq, case.params,
+                                             ALGEBRAIC_TOL, backend)
     row.update(algebraic_defect_value=alg.relative, algebraic_pass=alg.passed,
                algebraic_tol=alg.tolerance)
     passed = alg.passed
     if case.is_solution:
-        upright, _ = residual(case.u, case.ut, case.eq, case.params,
-                              tolerance=SOLUTION_TOL, backend=backend)
-        mirrored = mirrored_residual(case.u, case.ut, case.eq, case.params,
-                                     backend=backend)
         control = negative_control(case.u, case.ut, case.eq, case.params,
                                    backend=backend)
         control_ok = control.relative >= CONTROL_MIN

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .elliptic import M_ONE_CUTOFF, elliptic_E, elliptic_K, jacobi_sn_cn_dn, sech
+from .elliptic import elliptic_E, elliptic_K, jacobi_sn_cn_dn, sech
 
 __all__ = [
     "Frame",
@@ -113,10 +113,10 @@ class TravellingWave:
     def wavelength(self) -> float | None:
         """Spatial period for the periodic families, None for solitary ones."""
         if self.family is WaveFamily.KDV_CNOIDAL:
-            return 2.0 * elliptic_K(min(self.m, M_ONE_CUTOFF)) / self.B
+            return 2.0 * elliptic_K(self.m) / self.B
         if self.family in (WaveFamily.KDV_SUPERPOSITION_PLUS,
                            WaveFamily.KDV_SUPERPOSITION_MINUS):
-            return 4.0 * elliptic_K(min(self.m, M_ONE_CUTOFF)) / self.B
+            return 4.0 * elliptic_K(self.m) / self.B
         return None
 
     def profile(self, xi):
@@ -200,19 +200,13 @@ def make_kdv_cnoidal(params: MediumParams, A: float, m: float) -> TravellingWave
     """Cnoidal wave A cn^2(B(x - vt), m) + D with zero spatial mean.
 
     B = sqrt(3 alpha A/(4 beta m)), D = -(A/m)(E/K + m - 1),
-    v = 1 + (alpha/2)(A/m)(2 - m - 3E/K).  For m above the hyperbolic
-    cutoff the analytic m -> 1 limit is used (E/K -> 0), which is the
-    soliton's coefficient set.
+    v = 1 + (alpha/2)(A/m)(2 - m - 3E/K).
     """
     if params.alpha * A <= 0.0:
         raise ValueError(
             f"cnoidal wave requires alpha*A > 0, got alpha={params.alpha!r}, A={A!r}")
     if not 0.0 < m < 1.0:
         raise ValueError(f"cnoidal parameter m must be in (0, 1), got {m!r}")
-    if m > M_ONE_CUTOFF:
-        B = math.sqrt(3.0 * params.alpha * A / (4.0 * params.beta))
-        return TravellingWave(WaveFamily.KDV_CNOIDAL, A=A, B=B,
-                              v=1.0 + params.alpha * A / 2.0, D=0.0, m=m)
     ek = elliptic_E(m) / elliptic_K(m)
     B = math.sqrt(3.0 * params.alpha * A / (4.0 * params.beta * m))
     v = 1.0 + 0.5 * params.alpha * (A / m) * (2.0 - m - 3.0 * ek)
@@ -235,10 +229,7 @@ def make_kdv_superposition(params: MediumParams, A: float, m: float, B: float,
         raise ValueError(f"superposition B must be positive, got {B!r}")
     if not 0.0 < m < 1.0:
         raise ValueError(f"superposition parameter m must be in (0, 1), got {m!r}")
-    if m > M_ONE_CUTOFF:
-        ek = 0.0
-    else:
-        ek = elliptic_E(m) / elliptic_K(m)
+    ek = elliptic_E(m) / elliptic_K(m)
     v = 1.0 + params.alpha * A / 8.0 * (5.0 - m - 6.0 * ek)
     D = -0.5 * A * ek
     family = (WaveFamily.KDV_SUPERPOSITION_PLUS if sign > 0
@@ -318,11 +309,8 @@ def make_gardner_soliton(params: MediumParams, Delta: float,
 
 def soliton_phase(x, t: float, A: float, params: MediumParams):
     """Phase Theta = B (x - v t) of the amplitude-A soliton within a ladder."""
-    if params.alpha * A <= 0.0:
-        raise ValueError(
-            f"soliton phase requires alpha*A > 0, got alpha={params.alpha!r}, A={A!r}")
-    B = math.sqrt(3.0 * params.alpha * A / (4.0 * params.beta))
-    return B * (np.asarray(x, dtype=float) - t * (1.0 + params.alpha * A / 2.0))
+    sol = make_kdv_soliton(params, A)
+    return sol.B * (np.asarray(x, dtype=float) - t * sol.v)
 
 
 def _check_ladder_sign(ladder: SolitonLadder, params: MediumParams):

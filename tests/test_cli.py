@@ -128,6 +128,28 @@ def test_verify_inverted_case_checks_against_the_flipped_medium(capsys, tmp_path
     assert all(r["passed"] for r in _records(out))
 
 
+def test_verify_periodic_waves_next_to_m_one(capsys, tmp_path):
+    # no grid: each wave is checked over its own wavelength
+    wave = {"A": 1.0, "m": 1.0 - 5e-13}
+    doc = {
+        "medium": {"alpha": 0.1, "beta": 0.1},
+        "cases": [
+            {"label": "cnoidal", "equation": "kdv",
+             "wave": {"family": "kdv_cnoidal", **wave}},
+            {"label": "inverted cnoidal", "equation": "kdv", "inverted": True,
+             "wave": {"family": "kdv_cnoidal", **wave}},
+            {"label": "superposition minus", "equation": "kdv",
+             "wave": {"family": "kdv_superposition_minus", **wave}},
+        ],
+    }
+    cfg = _write(tmp_path, "vm1.yaml", doc)
+    code, out, _ = _run(capsys, ["verify", "--config", cfg])
+    recs = _records(out)
+    assert code == 0
+    assert len(recs) == 3
+    assert all(r["passed"] and r["relative"] <= 1e-8 for r in recs)
+
+
 def test_config_errors_exit_two(capsys, tmp_path):
     code, _, err = _run(capsys, ["verify", "--config", str(tmp_path / "nope.yaml")])
     assert code == 2

@@ -9,13 +9,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from kdvwaves.elliptic import M_ONE_CUTOFF, elliptic_E, elliptic_K, jacobi_sn_cn_dn, sech
+from kdvwaves.elliptic import elliptic_E, elliptic_K, jacobi_sn_cn_dn, sech
 
 # Frozen reference values (independent AGM implementation, cross-checked
 # against scipy.special.ellipk/ellipe/ellipj at build time).
 K_REF = {0.1: 1.6124413487202194, 0.5: 1.8540746773013719, 0.9: 2.5780921133481733}
 E_REF = {0.1: 1.5307576368977632, 0.5: 1.3506438810476755, 0.9: 1.1047747327040733}
 SN_CN_DN_REF = (0.8671832932902386, 0.4979890920876641, 0.6881825303557242)  # u=1.2, m=0.7
+
+# Parameters just below 1, down to the largest double below it: K is
+# finite there, so sn, cn, dn must stay 4K-periodic.
+NEXT_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+NEAR_ONE = (1.0 - 1e-9, 1.0 - 2e-12, 1.0 - 5e-13, 1.0 - 1e-15, NEXT_BELOW_ONE)
+# (m, u, (sn, cn, dn)) from mpmath.ellipfun at 40 digits, with m the exact
+# double written here.
+NEAR_ONE_REF = (
+    (1.0 - 1e-9, 11.5, (0.9999999999686311, 7.92071625733049e-06, 3.259965824490297e-05)),
+    (1.0 - 5e-13, 2.5, (0.9866142981515453, 0.16307123192928188, 0.16307123193077433)),
+    (1.0 - 5e-13, 15.5, (0.9999999999999994, 3.4192171048470935e-08, 7.079643739992697e-07)),
+    (1.0 - 5e-13, 40.0, (-0.9999999630433405, -0.0002718700380516257, 0.0002718709576887641)),
+    (NEXT_BELOW_ONE, 19.75, (1.0, 4.9466314709010013e-11, 1.0536828240927464e-08)),
+    (NEXT_BELOW_ONE, 50.0, (-0.999999998454741, -5.5592428875898424e-05, 5.559242987443639e-05)),
+)
 
 
 @pytest.mark.parametrize("m", sorted(K_REF))
@@ -147,7 +162,7 @@ def test_domain_validation():
         jacobi_sn_cn_dn(0.5, 1.5)
 
 
-@pytest.mark.parametrize("m", [1.0, 0.5 * (1.0 + M_ONE_CUTOFF)])
+@pytest.mark.parametrize("m", [1.0])
 def test_hyperbolic_limit_is_overflow_free(m):
     u = np.array([-1000.0, -800.0, 800.0, 1000.0])
     with warnings.catch_warnings():
@@ -156,3 +171,31 @@ def test_hyperbolic_limit_is_overflow_free(m):
     assert np.array_equal(sn, np.sign(u))
     assert np.array_equal(cn, sech(u)) and np.array_equal(dn, cn)
     assert np.all(cn == 0.0)
+
+
+def test_periodic_and_warning_free_up_to_m_one():
+    u = np.linspace(-60.0, 60.0, 2401)
+    for m in NEAR_ONE:
+        K = elliptic_K(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = jacobi_sn_cn_dn(np.array([-1000.0, -800.0, 800.0, 1000.0]), m)
+        assert all(np.all(np.isfinite(f)) for f in far)
+        sn, cn, dn = jacobi_sn_cn_dn(u, m)
+        sn4, cn4, dn4 = jacobi_sn_cn_dn(u + 4.0 * K, m)
+        sn2, _, dn2 = jacobi_sn_cn_dn(u + 2.0 * K, m)
+        for got, want in ((sn4, sn), (cn4, cn), (dn4, dn), (sn2, -sn), (dn2, dn)):
+            assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=f"m = {m!r}")
+
+
+def test_half_and_quarter_period_values_up_to_m_one():
+    for m in NEAR_ONE:
+        K = elliptic_K(m)
+        assert_allclose(jacobi_sn_cn_dn(2.0 * K, m)[1], -1.0, rtol=1e-12)
+        assert_allclose(jacobi_sn_cn_dn(K, m)[2], math.sqrt(1.0 - m), rtol=1e-12)
+
+
+def test_jacobi_frozen_points_near_m_one():
+    for m, u, ref in NEAR_ONE_REF:
+        assert_allclose(jacobi_sn_cn_dn(u, m), ref, rtol=0.0, atol=1e-11,
+                        err_msg=f"m = {m!r}, u = {u}")

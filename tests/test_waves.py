@@ -229,3 +229,18 @@ def test_speed_in_frames():
     w = make_kdv_soliton(P, 1.0)
     assert_allclose(w.speed_in(Frame.FIXED) - w.speed_in(Frame.MOVING), 1.0,
                     rtol=1e-15)
+
+
+def test_periodic_families_move_monotonically_towards_m_one():
+    # v and D climb towards the soliton's (1 + alpha A/2, 0) and the
+    # wavelength grows like ln(16/(1-m)), with no jump at any m < 1
+    ms = (1.0 - 2e-12, 1.0 - 1e-12, 1.0 - 5e-13)
+    B = make_kdv_soliton(P, 1.0).B
+    for make in (lambda m: make_kdv_cnoidal(P, 1.0, m),
+                 lambda m: make_kdv_superposition(P, 1.0, m, B, sign=-1)):
+        waves = [make(m) for m in ms]
+        for name, value in (("v", lambda w: w.v), ("D", lambda w: w.D),
+                            ("wavelength", lambda w: w.wavelength())):
+            vals = [value(w) for w in waves]
+            assert vals[0] < vals[1] < vals[2], (waves[0].family, name, vals)
+        assert waves[-1].v < 1.05 and waves[-1].D < 0.0
