@@ -6,7 +6,7 @@ The package provides, in layers:
   (arithmetic-geometric mean), the kernel under the periodic waves;
 - ``waves``: a catalog of closed-form travelling waves — single solitons,
   cnoidal and cn·dn superposition waves, higher-order and Gardner
-  solitons, and interacting 2-/3-soliton states;
+  solitons, and N-soliton ladders from one τ-function, exact u_t;
 - ``equations``: residual operators for the four long-wave equations
   (KdV, its second-order extension, the fifth-order surface-tension
   variant, Gardner), flat or piecewise-linear bottom, spectral or

@@ -274,7 +274,7 @@ def cmd_profile(args) -> int:
     rows = []
     for t in times:
         if isinstance(built, SolitonLadder):
-            u = built.evaluate(x, t, eff)
+            u = built.evaluate(x, t, eff, frame)
         else:
             u = built.evaluate(x, t, frame)
         if len(times) == 1:
@@ -331,7 +331,7 @@ def cmd_verify(args) -> int:
     rows = []
     for label, eq, params, solution, grid, t in _verify_cases(doc):
         if isinstance(solution, SolitonLadder):
-            u, ut = solution_fields(solution, params, grid)
+            u, ut = solution_fields(solution, params, grid, t, eq.frame)
             report, _ = residual(u, ut, eq, params,
                                  tolerance=tolerance, backend=args.backend)
         else:

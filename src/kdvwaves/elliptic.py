@@ -35,6 +35,19 @@ def _agm_chain(m: float) -> tuple[list[float], list[float], list[float]]:
     return a, b, c
 
 
+def _complete(m: float) -> tuple[float, float, float]:
+    """(K, E/K, E/K + m - 1) for 0 <= m < 1 from one AGM chain.
+
+    K = pi / (2 a_N) and E/K = 1 - sum_i 2^(i-1) c_i^2 with c_0^2 = m, so
+    E/K + m - 1 = m/2 - sum_{i>=1} 2^(i-1) c_i^2.  That tail is O(m^2):
+    the difference keeps full relative precision as m -> 0, where forming
+    E/K first and then adding m - 1 would cancel every digit.
+    """
+    a, _, c = _agm_chain(m)
+    excess = 0.5 * m - sum(2.0 ** (i - 1) * ci * ci for i, ci in enumerate(c) if i > 0)
+    return math.pi / (2.0 * a[-1]), excess + (1.0 - m), excess
+
+
 def elliptic_K(m: float) -> float:
     """Complete elliptic integral of the first kind, K(m).
 
@@ -43,8 +56,7 @@ def elliptic_K(m: float) -> float:
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"elliptic_K requires 0 <= m < 1, got m={m!r}")
-    a, _, _ = _agm_chain(m)
-    return math.pi / (2.0 * a[-1])
+    return _complete(m)[0]
 
 
 def elliptic_E(m: float) -> float:
@@ -57,13 +69,8 @@ def elliptic_E(m: float) -> float:
         raise ValueError(f"elliptic_E requires 0 <= m <= 1, got m={m!r}")
     if m == 1.0:
         return 1.0
-    a, _, c = _agm_chain(m)
-    csum = 0.0
-    p = 0.5
-    for ci in c:
-        csum += p * ci * ci
-        p *= 2.0
-    return math.pi / (2.0 * a[-1]) * (1.0 - csum)
+    K, e_over_k, _ = _complete(m)
+    return K * e_over_k
 
 
 def jacobi_sn_cn_dn(u, m: float):

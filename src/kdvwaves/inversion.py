@@ -28,7 +28,7 @@ from .equations import (BottomProfile, EquationId, EquationKind, Field, Grid,
 from .waves import (Frame, MediumParams, SolitonLadder, TravellingWave,
                     make_fifth_order_soliton, make_gardner_soliton,
                     make_kdv2_soliton, make_kdv_cnoidal, make_kdv_soliton,
-                    make_kdv_superposition, time_derivative)
+                    make_kdv_superposition)
 
 __all__ = [
     "RandomField",
@@ -201,15 +201,15 @@ def catalog(params: MediumParams) -> list[tuple]:
 
 
 def solution_fields(solution: TravellingWave | SolitonLadder, params: MediumParams,
-                    grid: Grid) -> tuple[Field, Field]:
-    """(u, u_t) at t = 0: u_t is -v u_x (spectral) for a travelling wave,
-    an eighth-order time difference for a ladder."""
+                    grid: Grid, t: float = 0.0, frame: Frame = Frame.FIXED,
+                    ) -> tuple[Field, Field]:
+    """(u, u_t) at time t in `frame`: u_t is -v u_x (spectral) for a
+    travelling wave, the exact tau-function derivative for a ladder."""
     if isinstance(solution, SolitonLadder):
-        u = Field(grid, solution.evaluate(grid.x, 0.0, params))
-        return u, Field(grid, time_derivative(
-            lambda x, t: solution.evaluate(x, t, params), grid.x, 0.0))
-    u = Field(grid, solution.evaluate(grid.x, 0.0, Frame.FIXED))
-    return u, Field(grid, -solution.speed_in(Frame.FIXED) * spectral_derivative(u, 1).values)
+        u, ut = solution.fields(grid.x, t, params, frame)
+        return Field(grid, u, t), Field(grid, ut, t)
+    u = Field(grid, solution.evaluate(grid.x, t, frame), t)
+    return u, Field(grid, -solution.speed_in(frame) * spectral_derivative(u, 1).values, t)
 
 
 def default_matrix(params: MediumParams | None = None,

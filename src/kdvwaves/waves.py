@@ -1,10 +1,11 @@
-"""Closed-form travelling waves and multi-soliton profiles.
+"""Closed-form travelling waves and N-soliton ladders.
 
 Everything is written in the scaled long-wave variables in which the
 linear wave speed is 1: alpha measures the amplitude/depth ratio, beta
 the squared depth/length ratio.  A profile is stored as coefficients
 (A, B, v, D, ...) plus a family tag; the inversion u -> -u is realised
 by flipping the sign of alpha together with A (B and v are invariant).
+N-soliton ladders come from one tau-function, with exact u and u_t.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .elliptic import elliptic_E, elliptic_K, jacobi_sn_cn_dn, sech
+from .elliptic import _complete, elliptic_K, jacobi_sn_cn_dn, sech
 
 __all__ = [
     "Frame",
@@ -28,7 +29,6 @@ __all__ = [
     "make_kdv2_soliton",
     "make_fifth_order_soliton",
     "make_gardner_soliton",
-    "soliton_phase",
     "two_soliton",
     "three_soliton",
     "time_derivative",
@@ -147,12 +147,12 @@ class TravellingWave:
 
 @dataclass(frozen=True)
 class SolitonLadder:
-    """Amplitudes of an interacting 2- or 3-soliton state.
+    """Amplitudes of an interacting N-soliton state, 2 <= N <= 8.
 
     Amplitudes are strictly ordered by magnitude and share one sign; an
     all-negative ladder is the inverted state, evaluated by negating the
     upright profile (magnitudes + global flag, so the two are exact
-    pointwise mirrors).
+    pointwise mirrors).  The tau-function sums 2^N terms, hence the cap.
     """
 
     amplitudes: tuple[float, ...]
@@ -160,8 +160,9 @@ class SolitonLadder:
     def __post_init__(self):
         amps = tuple(float(a) for a in self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
-        if len(amps) not in (2, 3):
-            raise ValueError(f"SolitonLadder needs 2 or 3 amplitudes, got {len(amps)}")
+        if not 2 <= len(amps) <= 8:
+            raise ValueError("SolitonLadder amplitudes must number 2 to 8 "
+                             f"(the tau-function sums 2^N terms), got {len(amps)}")
         if any(a == 0.0 for a in amps):
             raise ValueError("SolitonLadder amplitudes must be nonzero")
         if len({a > 0 for a in amps}) != 1:
@@ -178,10 +179,61 @@ class SolitonLadder:
     def magnitudes(self) -> tuple[float, ...]:
         return tuple(abs(a) for a in self.amplitudes)
 
-    def evaluate(self, x, t: float, params: MediumParams):
-        """The interacting profile at time t: two_soliton or three_soliton."""
-        fn = two_soliton if len(self.amplitudes) == 2 else three_soliton
-        return fn(x, t, self, params)
+    def fields(self, x, t: float, params: MediumParams, frame: Frame = Frame.FIXED):
+        """(u, u_t) at time t from Hirota's N-soliton tau-function.
+
+        F = sum over subsets S of the ladder of exp(theta_S), with
+        theta_S = sum_{i in S} eta_i + sum_{i<j in S} ln a_ij,
+        eta_i = k_i (x - v_i t) + phi_i, k_i = 2 B_i and
+        a_ij = ((k_i - k_j)/(k_i + k_j))^2 (Hirota, Phys. Rev. Lett. 27,
+        1192, 1971).  The phases phi_i = -(1/2) sum_{j != i} ln a_ij centre
+        the interaction at x = t = 0.  With p_S the softmax of theta_S,
+        which cannot overflow, K_S = sum k_i and W_S = sum k_i v_i:
+
+            u = c Var_p(K),   u_t = -c E_p[(K - mean K)^2 (W - mean W)],
+
+        c = 4 beta/(3|alpha|), both exact.  v_i is the speed in `frame`.
+        The sign of the ladder is applied last, so the inverted state is
+        the bitwise negation of the upright one.
+        """
+        if self.inverted != (params.alpha < 0.0):
+            raise ValueError("ladder amplitudes and alpha must share one sign "
+                             f"(amplitudes {self.amplitudes}, alpha {params.alpha!r})")
+        upright = params.flipped() if self.inverted else params
+        waves = [make_kdv_soliton(upright, a) for a in self.magnitudes]
+        k = np.array([2.0 * w.B for w in waves])
+        v = np.array([w.speed_in(frame) for w in waves])
+        n = len(k)
+        # ln a_ij, with ln 1 = 0 on the diagonal
+        log_a = np.log(((k[:, None] - k) / (k[:, None] + k)) ** 2 + np.eye(n))
+        # row s of `member` flags the solitons of subset S = s; K, W and
+        # shift are columns over the subsets
+        member = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+        K = (member * k).sum(axis=1, keepdims=True)
+        W = (member * (k * v)).sum(axis=1, keepdims=True)
+        # theta_S = K_S x - W_S t + shift_S, where the pair terms and the
+        # phases of S add up to -(1/2) sum_{i in S, j not in S} ln a_ij
+        shift = -0.5 * (member * ((1 - member) @ log_a)).sum(axis=1, keepdims=True)
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        var, mixed = np.empty(flat.size), np.empty(flat.size)
+        # blocks of x keep the 2^N-row temporaries small
+        for lo in range(0, flat.size, 1024):
+            block = slice(lo, lo + 1024)
+            p = K * flat[block] - (W * t - shift)
+            p -= p.max(axis=0)
+            np.exp(p, out=p)
+            p /= p.sum(axis=0)
+            p_dK2 = p * (K - (p * K).sum(axis=0)) ** 2
+            var[block] = p_dK2.sum(axis=0)
+            mixed[block] = (p_dK2 * (W - (p * W).sum(axis=0))).sum(axis=0)
+        c = 4.0 * upright.beta / (3.0 * upright.alpha)
+        u, u_t = c * var.reshape(x.shape), -c * mixed.reshape(x.shape)
+        return (-u, -u_t) if self.inverted else (u, u_t)
+
+    def evaluate(self, x, t: float, params: MediumParams, frame: Frame = Frame.FIXED):
+        """The interacting profile u at time t (see fields)."""
+        return self.fields(x, t, params, frame)[0]
 
 
 def make_kdv_soliton(params: MediumParams, A: float) -> TravellingWave:
@@ -207,10 +259,10 @@ def make_kdv_cnoidal(params: MediumParams, A: float, m: float) -> TravellingWave
             f"cnoidal wave requires alpha*A > 0, got alpha={params.alpha!r}, A={A!r}")
     if not 0.0 < m < 1.0:
         raise ValueError(f"cnoidal parameter m must be in (0, 1), got {m!r}")
-    ek = elliptic_E(m) / elliptic_K(m)
+    _, ek, excess = _complete(m)
     B = math.sqrt(3.0 * params.alpha * A / (4.0 * params.beta * m))
     v = 1.0 + 0.5 * params.alpha * (A / m) * (2.0 - m - 3.0 * ek)
-    D = -(A / m) * (ek + m - 1.0)
+    D = -(A / m) * excess
     return TravellingWave(WaveFamily.KDV_CNOIDAL, A=A, B=B, v=v, D=D, m=m)
 
 
@@ -229,7 +281,7 @@ def make_kdv_superposition(params: MediumParams, A: float, m: float, B: float,
         raise ValueError(f"superposition B must be positive, got {B!r}")
     if not 0.0 < m < 1.0:
         raise ValueError(f"superposition parameter m must be in (0, 1), got {m!r}")
-    ek = elliptic_E(m) / elliptic_K(m)
+    _, ek, _ = _complete(m)
     v = 1.0 + params.alpha * A / 8.0 * (5.0 - m - 6.0 * ek)
     D = -0.5 * A * ek
     family = (WaveFamily.KDV_SUPERPOSITION_PLUS if sign > 0
@@ -307,79 +359,18 @@ def make_gardner_soliton(params: MediumParams, Delta: float,
     return TravellingWave(WaveFamily.GARDNER_SOLITON, A=A, B=B, v=v, Delta=Delta)
 
 
-def soliton_phase(x, t: float, A: float, params: MediumParams):
-    """Phase Theta = B (x - v t) of the amplitude-A soliton within a ladder."""
-    sol = make_kdv_soliton(params, A)
-    return sol.B * (np.asarray(x, dtype=float) - t * sol.v)
-
-
-def _check_ladder_sign(ladder: SolitonLadder, params: MediumParams):
-    if ladder.inverted != (params.alpha < 0.0):
-        raise ValueError(
-            "ladder amplitudes and alpha must share one sign "
-            f"(amplitudes {ladder.amplitudes}, alpha {params.alpha!r})")
-
-
-def _scaled_sinh_cosh(th):
-    """(sinh, cosh) scaled by exp(-|th|): bounded for any real th."""
-    e2 = np.exp(-2.0 * np.abs(th))
-    sh = 0.5 * np.sign(th) * (1.0 - e2)
-    ch = 0.5 * (1.0 + e2)
-    return sh, ch, e2
-
-
 def two_soliton(x, t: float, ladder: SolitonLadder, params: MediumParams):
-    """Interacting two-soliton profile.
-
-    The textbook form has coth/csch poles on the Theta_2 = 0 locus;
-    multiplying numerator and denominator by sinh^2(Theta_2) (and here
-    additionally by exp(-2|Theta_2|)) gives an equivalent expression
-    that is finite and overflow-free everywhere.
-    """
+    """Interacting two-soliton profile: SolitonLadder.evaluate of a 2-ladder."""
     if len(ladder.amplitudes) != 2:
         raise ValueError("two_soliton needs a 2-amplitude ladder")
-    _check_ladder_sign(ladder, params)
-    a1, a2 = ladder.magnitudes
-    pos = MediumParams(abs(params.alpha), params.beta, params.tau, params.delta)
-    th1 = soliton_phase(x, t, a1, pos)
-    th2 = soliton_phase(x, t, a2, pos)
-    sh, ch, e2 = _scaled_sinh_cosh(th2)
-    num = (a2 - a1) * (a1 * sech(th1) ** 2 * sh * sh + a2 * e2)
-    den = (math.sqrt(a1) * np.tanh(th1) * sh - math.sqrt(a2) * ch) ** 2
-    u = num / den
-    return -u if ladder.inverted else u
+    return ladder.evaluate(x, t, params)
 
 
 def three_soliton(x, t: float, ladder: SolitonLadder, params: MediumParams):
-    """Interacting three-soliton profile, regularised like two_soliton.
-
-    The four partial fractions X1..X4 share the denominators
-    d2 = sqrt(2A1) tanh Theta1 - sqrt(2A2) coth Theta2 and
-    d3 = -sqrt(2A1) tanh Theta1 + sqrt(2A3) tanh Theta3; combining them
-    over a common denominator removes both the Theta_2 poles and the
-    d3 = 0 crossings (all removable), leaving a globally finite ratio.
-    """
+    """Interacting three-soliton profile: SolitonLadder.evaluate of a 3-ladder."""
     if len(ladder.amplitudes) != 3:
         raise ValueError("three_soliton needs a 3-amplitude ladder")
-    _check_ladder_sign(ladder, params)
-    a1, a2, a3 = ladder.magnitudes
-    pos = MediumParams(abs(params.alpha), params.beta, params.tau, params.delta)
-    th1 = soliton_phase(x, t, a1, pos)
-    th2 = soliton_phase(x, t, a2, pos)
-    th3 = soliton_phase(x, t, a3, pos)
-    t1 = np.tanh(th1)
-    t3 = np.tanh(th3)
-    s1 = sech(th1) ** 2
-    s3 = sech(th3) ** 2
-    sh, ch, e2 = _scaled_sinh_cosh(th2)
-    d2 = math.sqrt(2 * a1) * t1 * sh - math.sqrt(2 * a2) * ch   # x exp(-|th2|)
-    d3 = -math.sqrt(2 * a1) * t1 + math.sqrt(2 * a3) * t3
-    n1 = a1 * s1 * sh * sh + a2 * e2                            # x exp(-2|th2|)
-    n2 = -a1 * s1 + a3 * s3
-    num = (a2 - a1) * n1 * d3 * d3 + (a3 - a1) * n2 * d2 * d2
-    den = ((a1 - a2) * d3 * sh - (a3 - a1) * d2) ** 2
-    u = a1 * s1 - (a2 - a3) * num / den
-    return -u if ladder.inverted else u
+    return ladder.evaluate(x, t, params)
 
 
 # 8th-order centred stencil; with h = 0.01 truncation and roundoff balance
@@ -391,9 +382,9 @@ _FD8_WEIGHTS = (1 / 280, -4 / 105, 1 / 5, -4 / 5, 4 / 5, -1 / 5, 4 / 105, -1 / 2
 def time_derivative(profile_fn, x, t: float, h: float = 0.01):
     """d/dt of profile_fn(x, t) by an 8th-order centred difference.
 
-    Used for the multi-soliton states, whose closed forms are awkward to
-    differentiate in t analytically.  The stencil is sign-symmetric, so
-    a negated profile yields the exactly negated derivative.
+    The reference that the ladders' exact u_t is tested against.  The
+    stencil is sign-symmetric, so a negated profile yields the exactly
+    negated derivative.
     """
     acc = _FD8_WEIGHTS[0] * profile_fn(x, t + _FD8_OFFSETS[0] * h)
     for k, w in zip(_FD8_OFFSETS[1:], _FD8_WEIGHTS[1:]):

@@ -150,6 +150,69 @@ def test_verify_periodic_waves_next_to_m_one(capsys, tmp_path):
     assert all(r["passed"] and r["relative"] <= 1e-8 for r in recs)
 
 
+def test_verify_ladders_honour_time_and_frame(capsys, tmp_path):
+    # each window tracks its ladder; u_t takes the frame's speeds
+    three = {"family": "three_soliton", "amplitudes": [1.0, 2.0, 3.0]}
+    doc = {
+        "medium": {"alpha": 0.1, "beta": 0.1},
+        "equation": "kdv",
+        "cases": [
+            {"label": "t0", "grid": {"x0": -48.0, "length": 96.0, "n": 1024},
+             "wave": three},
+            {"label": "t30", "t": 30.0, "wave": three,
+             "grid": {"x0": -15.0, "length": 96.0, "n": 1024}},
+            {"label": "moving pair", "frame": "moving",
+             "grid": {"x0": -64.0, "length": 128.0, "n": 1024},
+             "wave": {"family": "two_soliton", "amplitudes": [1.0, 2.0]}},
+            {"label": "moving t30", "frame": "moving", "t": 30.0, "wave": three,
+             "grid": {"x0": -45.0, "length": 96.0, "n": 1024}},
+        ],
+    }
+    cfg = _write(tmp_path, "vl.yaml", doc)
+    code, out, _ = _run(capsys, ["verify", "--config", cfg])
+    recs = _records(out)
+    assert code == 0
+    assert [r["equation"] for r in recs] == ["kdv/fixed"] * 2 + ["kdv/moving"] * 2
+    assert all(r["passed"] and r["relative"] <= 1e-8 for r in recs)
+    t0, t30 = ({k: v for k, v in r.items() if k != "label"} for r in recs[:2])
+    assert t0 != t30
+
+
+@pytest.mark.parametrize("family,amplitudes", [("two_soliton", [4.0, 8.0]),
+                                               ("three_soliton", [2.0, 4.0, 6.0])])
+def test_verify_fast_ladders_pass(capsys, tmp_path, family, amplitudes):
+    doc = {
+        "medium": {"alpha": 0.5, "beta": 0.1},
+        "grid": {"x0": -24.0, "length": 48.0, "n": 2048},
+        "cases": [{"equation": "kdv",
+                   "wave": {"family": family, "amplitudes": amplitudes}}],
+    }
+    cfg = _write(tmp_path, "vf.yaml", doc)
+    code, out, _ = _run(capsys, ["verify", "--config", cfg])
+    (rec,) = _records(out)
+    assert code == 0
+    assert rec["relative"] <= 1e-8
+
+
+def test_profile_moving_ladder_is_the_fixed_one_shifted(capsys, tmp_path):
+    t = 8.0
+    base = {"medium": {"alpha": 0.1, "beta": 0.1}, "times": [t],
+            "wave": {"family": "three_soliton", "amplitudes": [1.0, 2.0, 3.0]}}
+    moving = _write(tmp_path, "pm.yaml", {
+        **base, "frame": "moving", "grid": {"x0": -40.0, "length": 80.0, "n": 512}})
+    fixed = _write(tmp_path, "pf.yaml", {
+        **base, "grid": {"x0": -40.0 + t, "length": 80.0, "n": 512}})
+    rows = []
+    for cfg in (moving, fixed):
+        code, out, _ = _run(capsys, ["profile", "--config", cfg])
+        assert code == 0
+        rows.append(np.array([[float(v) for v in ln.split(",")]
+                              for ln in out.splitlines()[1:]]))
+    (x_m, u_m), (x_f, u_f) = rows[0].T, rows[1].T
+    np.testing.assert_allclose(x_m + t, x_f, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(u_m, u_f, rtol=0, atol=1e-12 * np.max(u_f))
+
+
 def test_config_errors_exit_two(capsys, tmp_path):
     code, _, err = _run(capsys, ["verify", "--config", str(tmp_path / "nope.yaml")])
     assert code == 2

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kdvwaves.elliptic import elliptic_E, elliptic_K
+from kdvwaves.equations import EquationId, EquationKind, Field, Grid, residual
+from kdvwaves.inversion import catalog
 from kdvwaves.waves import (
     Frame,
     MediumParams,
@@ -60,6 +62,23 @@ def test_cnoidal_zero_mean_over_period():
     lam = w.wavelength()
     xi = lam * np.arange(4096) / 4096
     assert abs(np.mean(w.profile(xi))) < 1e-12
+
+
+# D = -(A/m)(E/K + m - 1) at A = 1, from mpmath at 40 digits
+SMALL_M_PEDESTALS = (
+    (1e-4, -0.49999374968748),
+    (1e-6, -0.49999993749996874),
+    (1e-8, -0.499999999375),
+    (1e-10, -0.49999999999375),
+    (1e-12, -0.4999999999999375),
+    (1e-14, -0.4999999999999994),
+)
+
+
+@pytest.mark.parametrize("m,D", SMALL_M_PEDESTALS)
+def test_cnoidal_pedestal_keeps_its_digits_as_m_vanishes(m, D):
+    # E/K + m - 1 ~ m/2 cancels if formed from E/K; the AGM tail keeps it
+    assert_allclose(make_kdv_cnoidal(P, 1.0, m).D, D, rtol=4e-16, atol=0)
 
 
 def test_superposition_coefficients():
@@ -195,6 +214,29 @@ def test_three_soliton_trails_tallest_peak():
     u = three_soliton(x, 60.0, ladder, P)
     peak = _dense_peak(lambda xx: three_soliton(xx, 60.0, ladder, P), x, u)
     assert_allclose(peak, 3.0, atol=5e-3)
+
+
+def test_ladder_cap_names_amplitudes():
+    SolitonLadder(tuple(range(1, 9)))
+    with pytest.raises(ValueError, match="amplitudes"):
+        SolitonLadder(tuple(range(1, 10)))
+
+
+def test_four_soliton_ladder_solves_kdv_and_mirrors_bitwise():
+    grid = Grid(-48.0, 96.0, 1024)
+    u, ut = SolitonLadder((1.0, 2.0, 3.0, 4.0)).fields(grid.x, 0.0, P)
+    report, _ = residual(Field(grid, u), Field(grid, ut), EquationId(EquationKind.KDV), P)
+    assert report.relative <= 1e-10
+    u_dn, ut_dn = SolitonLadder((-1.0, -2.0, -3.0, -4.0)).fields(grid.x, 0.0, P.flipped())
+    assert np.all(u_dn == -u) and np.all(ut_dn == -ut)
+
+
+def test_ladder_time_derivative_matches_the_time_difference():
+    for label, _, params, ladder, grid in catalog(P):
+        if isinstance(ladder, SolitonLadder):
+            _, ut = ladder.fields(grid.x, 0.0, params)
+            ref = time_derivative(lambda x, t: ladder.evaluate(x, t, params), grid.x, 0.0)
+            assert np.max(np.abs(ut - ref)) <= 1e-9 * np.max(np.abs(ut)), label
 
 
 def test_time_derivative_matches_travelling_translation():
