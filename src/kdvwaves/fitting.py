@@ -8,22 +8,17 @@ of the Jacobian at a solution counts how many independent constraints
 the equation puts on the free parameters (n_free - rank is the local
 dimension of the solution family).
 
-Profile derivatives are exact, not finite differences in xi.  The
-elliptic shapes live in the algebra of sn^a cn^b dn^c monomials, closed
-under d/dxi; the hyperbolic shapes are the m = 1 case of the same
-algebra; the rational-cosh shape differentiates through the product
-rule applied to u * (1 + B cosh(xi/Delta)) = A.
+Profile derivatives are exact, not finite differences in xi: the fits
+read them from TravellingWave.derivatives.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elliptic import elliptic_K, jacobi_sn_cn_dn
 from .equations import EquationKind, equation_terms, sum_terms
 from .waves import (Frame, MediumParams, TravellingWave, WaveFamily,
                     make_fifth_order_soliton, make_gardner_soliton,
@@ -40,20 +35,15 @@ __all__ = [
     "count_constraints",
 ]
 
-SHAPE_PARAMS: dict[str, tuple[str, ...]] = {
-    "sech2": ("A", "B", "v", "D"),
-    "sech4": ("A", "B", "v", "D"),
-    "cn2": ("A", "B", "v", "D", "m"),
-    "dn2_pm_cndn": ("A", "B", "v", "D", "m"),
-    "gardner": ("A", "B", "v", "Delta"),
+# config shape -> (catalog family, parameter names)
+_SHAPES: dict[str, tuple[WaveFamily, tuple[str, ...]]] = {
+    "sech2": (WaveFamily.KDV_SOLITON, ("A", "B", "v", "D")),
+    "sech4": (WaveFamily.FIFTH_ORDER_SOLITON, ("A", "B", "v", "D")),
+    "cn2": (WaveFamily.KDV_CNOIDAL, ("A", "B", "v", "D", "m")),
+    "dn2_pm_cndn": (WaveFamily.KDV_SUPERPOSITION_PLUS, ("A", "B", "v", "D", "m")),
+    "gardner": (WaveFamily.GARDNER_SOLITON, ("A", "B", "v", "Delta")),
 }
-
-_SHAPE_FAMILY = {
-    "sech2": WaveFamily.KDV_SOLITON,
-    "sech4": WaveFamily.FIFTH_ORDER_SOLITON,
-    "cn2": WaveFamily.KDV_CNOIDAL,
-    "gardner": WaveFamily.GARDNER_SOLITON,
-}
+SHAPE_PARAMS = {shape: names for shape, (_, names) in _SHAPES.items()}
 
 
 @dataclass(frozen=True)
@@ -80,16 +70,18 @@ class AnsatzFamily:
         if self.shape not in SHAPE_PARAMS:
             raise ValueError(f"unknown shape {self.shape!r}; "
                              f"options: {sorted(SHAPE_PARAMS)}")
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+        if self.sign not in ((+1, -1) if self.shape == "dn2_pm_cndn" else (+1,)):
+            raise ValueError("sign must be +1, or -1 for the dn2_pm_cndn shape; "
+                             f"got sign={self.sign!r} for shape {self.shape!r}")
         if self.zero_mean and self.shape not in ("cn2", "dn2_pm_cndn"):
             raise ValueError("zero_mean applies to the periodic shapes only")
         names = SHAPE_PARAMS[self.shape]
         object.__setattr__(self, "free", tuple(self.free))
-        unknown = [p for p in self.free if p not in names]
-        if unknown:
-            raise ValueError(f"free parameters {unknown} not in shape "
-                             f"{self.shape!r} parameters {names}")
+        for role, given in (("free", self.free), ("fixed", self.fixed)):
+            unknown = [p for p in given if p not in names]
+            if unknown:
+                raise ValueError(f"{role} parameters {unknown} not in shape "
+                                 f"{self.shape!r} parameters {names}")
         if len(set(self.free)) != len(self.free):
             raise ValueError("free parameter names must be unique")
         missing = [p for p in names
@@ -104,102 +96,25 @@ class AnsatzFamily:
 
     def wave(self, values: dict[str, float]) -> TravellingWave:
         """The fitted parameters as a catalog profile."""
-        if self.shape == "dn2_pm_cndn":
-            family = (WaveFamily.KDV_SUPERPOSITION_PLUS if self.sign > 0
-                      else WaveFamily.KDV_SUPERPOSITION_MINUS)
-        else:
-            family = _SHAPE_FAMILY[self.shape]
+        family = (_SHAPES[self.shape][0] if self.sign > 0
+                  else WaveFamily.KDV_SUPERPOSITION_MINUS)
         return TravellingWave(
             family, A=values["A"], B=values["B"], v=values["v"],
             D=values.get("D", 0.0), m=values.get("m"),
             Delta=values.get("Delta"))
 
 
-# --- exact profile derivatives ---------------------------------------------
-
-def _monomial_derivative(poly: dict[tuple[int, int, int], float],
-                         m: float) -> dict[tuple[int, int, int], float]:
-    # d/dw (sn^a cn^b dn^c) = a sn^{a-1} cn^{b+1} dn^{c+1}
-    #                       - b sn^{a+1} cn^{b-1} dn^{c+1}
-    #                       - m c sn^{a+1} cn^{b+1} dn^{c-1}
-    out: dict[tuple[int, int, int], float] = {}
-
-    def add(key, coef):
-        if coef != 0.0:
-            out[key] = out.get(key, 0.0) + coef
-
-    for (a, b, c), coef in poly.items():
-        if a:
-            add((a - 1, b + 1, c + 1), coef * a)
-        if b:
-            add((a + 1, b - 1, c + 1), -coef * b)
-        if c:
-            add((a + 1, b + 1, c - 1), -coef * m * c)
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _derivative_chain(shape: str, sign: int, m: float) -> tuple[np.ndarray, np.ndarray]:
-    """d^k f/dw^k, k = 0..5, at A = 1 and D = 0: monomial exponents (a, b, c)
-    of sn^a cn^b dn^c by row, and their coefficients, one column per k."""
-    if shape == "dn2_pm_cndn":
-        chain = [{(0, 0, 2): 0.5, (0, 1, 1): 0.5 * sign * math.sqrt(m)}]
-    else:
-        chain = [{"sech2": {(0, 1, 1): 1.0}, "sech4": {(0, 2, 2): 1.0},
-                  "cn2": {(0, 2, 0): 1.0}}[shape]]
-    for _ in range(5):
-        chain.append(_monomial_derivative(chain[-1], m))
-    monomials = sorted(set().union(*chain))
-    exponents = np.array(monomials)
-    coefficients = np.array([[poly.get(e, 0.0) for poly in chain] for e in monomials])
-    exponents.flags.writeable = coefficients.flags.writeable = False   # shared
-    return exponents, coefficients
-
-
-def _elliptic_profile_derivs(shape: str, sign: int, xi: np.ndarray,
-                             vals: dict[str, float]) -> dict[int, np.ndarray]:
-    A, B, D = vals["A"], vals["B"], vals.get("D", 0.0)
-    m = 1.0 if shape in ("sech2", "sech4") else vals["m"]
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"modulus m must lie in [0, 1], got {m!r}")
-    sn, cn, dn = jacobi_sn_cn_dn(B * xi, m)
-    exponents, coefficients = _derivative_chain(shape, sign, m)
-    # one power table: powers[e, j] = (sn, cn, dn)[j] ** e
-    powers = np.stack([sn, cn, dn]) ** np.arange(exponents.max() + 1)[:, None, None]
-    monomials = (powers[exponents[:, 0], 0] * powers[exponents[:, 1], 1]
-                 * powers[exponents[:, 2], 2])
-    derivs = (coefficients.T @ monomials) * (A * B ** np.arange(6))[:, None]
-    derivs[0] += D
-    return dict(enumerate(derivs))
-
-
-def _gardner_profile_derivs(xi: np.ndarray,
-                            vals: dict[str, float]) -> dict[int, np.ndarray]:
-    # u (1 + B cosh(xi/Delta)) = A, so Leibniz gives a recursion for u^(k)
-    A, B, Delta = vals["A"], vals["B"], vals["Delta"]
-    if Delta == 0.0:
-        raise ValueError("Delta must be nonzero")
-    z = xi / Delta
-    ch, sh = np.cosh(z), np.sinh(z)
-    w0 = 1.0 + B * ch
-    if np.any(np.abs(w0) < 1e-12):
-        raise ValueError("gardner denominator vanishes on the window")
-    w = {j: B * (ch if j % 2 == 0 else sh) / Delta**j for j in range(1, 6)}
-    derivs = {0: A / w0}
-    for k in range(1, 6):
-        acc = np.zeros_like(xi)
-        for j in range(1, k + 1):
-            acc += math.comb(k, j) * w[j] * derivs[k - j]
-        derivs[k] = -acc / w0
-    return derivs
-
-
 def profile_derivatives(ansatz: AnsatzFamily, xi: np.ndarray,
                         values: dict[str, float]) -> dict[int, np.ndarray]:
     """f, f', ..., f''''' of the ansatz at the given xi, exactly."""
-    if ansatz.shape == "gardner":
-        return _gardner_profile_derivs(xi, values)
-    return _elliptic_profile_derivs(ansatz.shape, ansatz.sign, xi, values)
+    wave = ansatz.wave(values)
+    if ansatz.shape == "gardner" and wave.Delta == 0.0:
+        raise ValueError("Delta must be nonzero")
+    rows = wave.derivatives(xi)
+    # a fit must not sample the unbounded branch's poles: A/f = 1 + B cosh(xi/Delta)
+    if ansatz.shape == "gardner" and np.any(np.abs(rows[0]) > 1e12 * abs(wave.A)):
+        raise ValueError("gardner denominator vanishes on the window")
+    return dict(enumerate(rows))
 
 
 # --- collocation residual ---------------------------------------------------
@@ -226,20 +141,14 @@ def _fit_residual(kind: EquationKind, params: MediumParams,
     terms = equation_terms(kind, params, Frame.FIXED, d[0], d, u_t=-values["v"] * d[1])
     res, scale = sum_terms(terms)
     if ansatz.zero_mean:
-        res = np.append(res, _period_mean(ansatz, values))
+        res = np.append(res, _period_mean(ansatz.wave(values)))
     return res, scale
 
 
-def _period_mean(ansatz: AnsatzFamily, values: dict[str, float],
-                 n_samples: int = 256) -> float:
+def _period_mean(wave: TravellingWave, n_samples: int = 256) -> float:
     """Profile mean over one period (rectangle rule is spectrally exact)."""
-    m, B = values["m"], values["B"]
-    if not 0.0 < m < 1.0 or B == 0.0:
-        raise ValueError("period requires 0 < m < 1 and B != 0")
-    periods = 2.0 if ansatz.shape == "cn2" else 4.0
-    lam = periods * elliptic_K(m) / abs(B)
-    xi = lam * np.arange(n_samples) / n_samples
-    return float(np.mean(profile_derivatives(ansatz, xi, values)[0]))
+    xi = wave.wavelength() * np.arange(n_samples) / n_samples
+    return float(np.mean(wave.profile(xi)))
 
 
 @dataclass(frozen=True)
@@ -262,7 +171,7 @@ class FitResult:
 def _try_eval(kind, params, ansatz, xi, values):
     try:
         return _fit_residual(kind, params, ansatz, xi, values)
-    except (ValueError, FloatingPointError):
+    except (ValueError, ArithmeticError):
         return None
 
 
@@ -425,59 +334,46 @@ def multi_start_fit(kind: EquationKind, params: MediumParams,
     """
     results = [fit_travelling_wave(kind, params, ansatz, s, **fit_kwargs)
                for s in starts]
-    basins: list[list[dict[str, float]]] = []
-    residuals: list[float] = []
+    basins: list[FitBasin] = []
     for r in results:
         if not r.converged:
             continue
         if "A" in r.values and abs(r.values["A"]) < merge_tol:
             continue
-        for group, _ in zip(basins, residuals):
-            ref = group[0]
-            if all(abs(r.values[p] - ref[p]) <= merge_tol * (1.0 + abs(ref[p]))
+        for i, b in enumerate(basins):
+            if all(abs(r.values[p] - b.values[p]) <= merge_tol * (1.0 + abs(b.values[p]))
                    for p in ansatz.free):
-                group.append(r.values)
+                basins[i] = replace(b, count=b.count + 1)
                 break
         else:
-            basins.append([r.values])
-            residuals.append(r.residual)
-    out = [FitBasin(values=g[0], residual=res, count=len(g))
-           for g, res in zip(basins, residuals)]
-    out.sort(key=lambda b: -b.count)
-    return out, results
+            basins.append(FitBasin(values=r.values, residual=r.residual, count=1))
+    basins.sort(key=lambda b: -b.count)
+    return basins, results
 
 
 # --- constraint counting ------------------------------------------------------
 
 def _on_manifold_values(kind: EquationKind, params: MediumParams,
                         ansatz: AnsatzFamily) -> dict[str, float]:
-    shape = ansatz.shape
-    if kind is EquationKind.KDV and shape == "sech2":
-        w = make_kdv_soliton(params, 1.0 if params.alpha > 0 else -1.0)
-    elif kind is EquationKind.KDV and shape == "cn2":
-        m = ansatz.fixed.get("m", 0.9)
-        w = make_kdv_cnoidal(params, 1.0 if params.alpha > 0 else -1.0, m)
-    elif kind is EquationKind.KDV and shape == "dn2_pm_cndn":
-        m = ansatz.fixed.get("m", 0.5)
-        A = 1.0 if params.alpha > 0 else -1.0
-        w = make_kdv_superposition(params, A, m, make_kdv_soliton(params, A).B,
-                                   sign=ansatz.sign)
-    elif kind is EquationKind.KDV2 and shape == "sech2":
-        w = make_kdv2_soliton(params)
-    elif kind is EquationKind.FIFTH_ORDER and shape == "sech4":
-        w = make_fifth_order_soliton(params)
-    elif kind is EquationKind.GARDNER and shape == "gardner":
-        w = make_gardner_soliton(params, ansatz.fixed.get("Delta", 1.0))
-    else:
+    A = 1.0 if params.alpha > 0 else -1.0
+    fixed = ansatz.fixed
+    catalog = {
+        (EquationKind.KDV, "sech2"): lambda: make_kdv_soliton(params, A),
+        (EquationKind.KDV, "cn2"): lambda: make_kdv_cnoidal(params, A, fixed.get("m", 0.9)),
+        (EquationKind.KDV, "dn2_pm_cndn"): lambda: make_kdv_superposition(
+            params, A, fixed.get("m", 0.5), make_kdv_soliton(params, A).B, sign=ansatz.sign),
+        (EquationKind.KDV2, "sech2"): lambda: make_kdv2_soliton(params),
+        (EquationKind.FIFTH_ORDER, "sech4"): lambda: make_fifth_order_soliton(params),
+        (EquationKind.GARDNER, "gardner"):
+            lambda: make_gardner_soliton(params, fixed.get("Delta", 1.0)),
+    }
+    if (kind, ansatz.shape) not in catalog:
         raise ValueError(
-            f"no catalog solution for ({kind.value}, {shape}); "
+            f"no catalog solution for ({kind.value}, {ansatz.shape}); "
             "pass the on-manifold point explicitly via `at`")
-    vals = {"A": w.A, "B": w.B, "v": w.v, "D": w.D}
-    if w.m is not None:
-        vals["m"] = w.m
-    if w.Delta is not None:
-        vals["Delta"] = w.Delta
-    return vals
+    w = catalog[kind, ansatz.shape]()
+    vals = {"A": w.A, "B": w.B, "v": w.v, "D": w.D, "m": w.m, "Delta": w.Delta}
+    return {name: x for name, x in vals.items() if x is not None}
 
 
 def count_constraints(kind: EquationKind, params: MediumParams,
@@ -490,9 +386,8 @@ def count_constraints(kind: EquationKind, params: MediumParams,
     one-parameter family (amplitude), while the second-order equation
     pins every parameter.
     """
-    values = dict(at) if at is not None else _on_manifold_values(kind, params, ansatz)
-    for p in ansatz.fixed:
-        values.setdefault(p, ansatz.fixed[p])
+    values = {**ansatz.fixed,
+              **(at if at is not None else _on_manifold_values(kind, params, ansatz))}
     missing = [p for p in SHAPE_PARAMS[ansatz.shape] if p not in values]
     if missing:
         raise ValueError(f"on-manifold point is missing parameters {missing}")

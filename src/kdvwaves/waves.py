@@ -6,16 +6,22 @@ the squared depth/length ratio.  A profile is stored as coefficients
 (A, B, v, D, ...) plus a family tag; the inversion u -> -u is realised
 by flipping the sign of alpha together with A (B and v are invariant).
 N-soliton ladders come from one tau-function, with exact u and u_t.
+
+Profile derivatives are exact.  The elliptic shapes live in the algebra of
+sn^a cn^b dn^c monomials, closed under d/dxi; the hyperbolic shapes are the
+m = 1 case of the same algebra; the rational-cosh shape differentiates
+through the product rule applied to u * (1 + B cosh(xi/Delta)) = A.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .elliptic import _complete, elliptic_K, jacobi_sn_cn_dn, sech
+from .elliptic import _complete, elliptic_K, jacobi_sn_cn_dn
 
 __all__ = [
     "Frame",
@@ -112,34 +118,67 @@ class TravellingWave:
 
     def wavelength(self) -> float | None:
         """Spatial period for the periodic families, None for solitary ones."""
-        if self.family is WaveFamily.KDV_CNOIDAL:
-            return 2.0 * elliptic_K(self.m) / self.B
-        if self.family in (WaveFamily.KDV_SUPERPOSITION_PLUS,
-                           WaveFamily.KDV_SUPERPOSITION_MINUS):
-            return 4.0 * elliptic_K(self.m) / self.B
-        return None
+        periods = {WaveFamily.KDV_CNOIDAL: 2.0, WaveFamily.KDV_SUPERPOSITION_PLUS: 4.0,
+                   WaveFamily.KDV_SUPERPOSITION_MINUS: 4.0}.get(self.family)
+        return None if periods is None else periods * elliptic_K(self.m) / abs(self.B)
+
+    def derivatives(self, xi, order: int = 5) -> np.ndarray:
+        """f, f', ..., f^(order) at xi, exactly, stacked as rows.
+
+        Every row is linear in A, and D (added to row 0) is proportional
+        to A, so the mirrored wave's rows are the exact negations.
+        """
+        xi = np.asarray(xi, dtype=float)
+        gardner = self.family is WaveFamily.GARDNER_SOLITON
+        rows = (self._gardner_rows if gardner else self._monomial_rows)(xi.reshape(-1), order)
+        rows[0] += self.D
+        return rows.reshape((order + 1,) + xi.shape)
+
+    def _monomial_rows(self, xi: np.ndarray, order: int) -> np.ndarray:
+        m, seed = _seed(self.family, self.m)
+        sn, cn, dn = jacobi_sn_cn_dn(self.B * xi, m)
+        # row 0 from the seed's own monomials, so a profile costs no chain
+        f = None
+        for exps, coef in seed.items():
+            term = coef
+            for x, e in zip((sn, cn, dn), exps):
+                if e:
+                    term = term * (x if e == 1 else x**e)
+            f = term if f is None else f + term
+        if order == 0:
+            return (f * self.A)[None]
+        exponents, coefficients = _derivative_chain(self.family, m, order)
+        # one power table: powers[e, j] = (sn, cn, dn)[j] ** e
+        powers = np.stack([sn, cn, dn]) ** np.arange(exponents.max() + 1)[:, None, None]
+        monomials = (powers[exponents[:, 0], 0] * powers[exponents[:, 1], 1]
+                     * powers[exponents[:, 2], 2])
+        rows = (coefficients.T @ monomials) * (self.A * self.B ** np.arange(order + 1))[:, None]
+        # row 0 as a profile has it: the power table may round it otherwise
+        rows[0] = f * self.A
+        return rows
+
+    def _gardner_rows(self, xi: np.ndarray, order: int) -> np.ndarray:
+        # u (1 + B cosh(xi/Delta)) = A, so Leibniz gives a recursion for u^(k);
+        # cosh overflows to inf far out in the tail, where every row's limit is 0
+        B, Delta = self.B, self.Delta
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = xi / Delta
+            ch, sh = np.cosh(z), (np.sinh(z) if order else None)
+            w0 = 1.0 + B * ch
+            w = {j: B * (ch if j % 2 == 0 else sh) / Delta**j for j in range(1, order + 1)}
+            rows = [self.A / w0]
+            for k in range(1, order + 1):
+                acc = np.zeros_like(xi)
+                for j in range(1, k + 1):
+                    acc += math.comb(k, j) * w[j] * rows[k - j]
+                rows.append(-acc / w0)
+        rows = np.array(rows)
+        rows[1:, np.isinf(w0)] = 0.0    # A/inf is 0 already; inf * 0 is not
+        return rows
 
     def profile(self, xi):
         """Profile f(xi) as a function of the co-moving coordinate."""
-        xi = np.asarray(xi, dtype=float)
-        fam = self.family
-        if fam in (WaveFamily.KDV_SOLITON, WaveFamily.KDV2_SOLITON):
-            return self.A * sech(self.B * xi) ** 2 + self.D
-        if fam is WaveFamily.FIFTH_ORDER_SOLITON:
-            return self.A * (sech(self.B * xi) ** 2) ** 2 + self.D
-        if fam is WaveFamily.KDV_CNOIDAL:
-            _, cn, _ = jacobi_sn_cn_dn(self.B * xi, self.m)
-            return self.A * cn * cn + self.D
-        if fam in (WaveFamily.KDV_SUPERPOSITION_PLUS,
-                   WaveFamily.KDV_SUPERPOSITION_MINUS):
-            sgn = 1.0 if fam is WaveFamily.KDV_SUPERPOSITION_PLUS else -1.0
-            _, cn, dn = jacobi_sn_cn_dn(self.B * xi, self.m)
-            return 0.5 * self.A * (dn * dn + sgn * math.sqrt(self.m) * cn * dn) + self.D
-        if fam is WaveFamily.GARDNER_SOLITON:
-            # cosh overflows to inf far out in the tail, where A/inf = 0 is the limit
-            with np.errstate(over="ignore"):
-                return self.A / (1.0 + self.B * np.cosh(xi / self.Delta))
-        raise ValueError(f"unknown family {fam!r}")
+        return self.derivatives(xi, 0)[0]
 
     def evaluate(self, x, t: float = 0.0, frame: Frame = Frame.FIXED):
         return self.profile(np.asarray(x, dtype=float) - self.speed_in(frame) * t)
@@ -234,6 +273,56 @@ class SolitonLadder:
     def evaluate(self, x, t: float, params: MediumParams, frame: Frame = Frame.FIXED):
         """The interacting profile u at time t (see fields)."""
         return self.fields(x, t, params, frame)[0]
+
+
+# --- exact profile derivatives -----------------------------------------------
+
+def _seed(family: WaveFamily, m: float | None) -> tuple[float, dict[tuple[int, int, int], float]]:
+    """(m, f at A = 1 and D = 0 as {(a, b, c): coefficient of sn^a cn^b dn^c})."""
+    if family in (WaveFamily.KDV_SOLITON, WaveFamily.KDV2_SOLITON):
+        return 1.0, {(0, 1, 1): 1.0}
+    if family is WaveFamily.FIFTH_ORDER_SOLITON:
+        return 1.0, {(0, 2, 2): 1.0}
+    if family is WaveFamily.KDV_CNOIDAL:
+        return m, {(0, 2, 0): 1.0}
+    sign = 1.0 if family is WaveFamily.KDV_SUPERPOSITION_PLUS else -1.0
+    return m, {(0, 0, 2): 0.5, (0, 1, 1): 0.5 * sign * math.sqrt(m)}
+
+
+def _monomial_derivative(poly: dict[tuple[int, int, int], float],
+                         m: float) -> dict[tuple[int, int, int], float]:
+    # d/dw (sn^a cn^b dn^c) = a sn^{a-1} cn^{b+1} dn^{c+1}
+    #                       - b sn^{a+1} cn^{b-1} dn^{c+1}
+    #                       - m c sn^{a+1} cn^{b+1} dn^{c-1}
+    out: dict[tuple[int, int, int], float] = {}
+
+    def add(key, coef):
+        if coef != 0.0:
+            out[key] = out.get(key, 0.0) + coef
+
+    for (a, b, c), coef in poly.items():
+        if a:
+            add((a - 1, b + 1, c + 1), coef * a)
+        if b:
+            add((a + 1, b - 1, c + 1), -coef * b)
+        if c:
+            add((a + 1, b + 1, c - 1), -coef * m * c)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _derivative_chain(family: WaveFamily, m: float,
+                      order: int) -> tuple[np.ndarray, np.ndarray]:
+    """d^k f/dw^k, k = 0..order, at A = 1 and D = 0: exponents (a, b, c) of
+    sn^a cn^b dn^c by row, and their coefficients, one column per k."""
+    chain = [_seed(family, m)[1]]
+    for _ in range(order):
+        chain.append(_monomial_derivative(chain[-1], m))
+    monomials = sorted(set().union(*chain))
+    exponents = np.array(monomials)
+    coefficients = np.array([[poly.get(e, 0.0) for poly in chain] for e in monomials])
+    exponents.flags.writeable = coefficients.flags.writeable = False   # shared
+    return exponents, coefficients
 
 
 def make_kdv_soliton(params: MediumParams, A: float) -> TravellingWave:

@@ -8,7 +8,7 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from kdvwaves import fitting
+from kdvwaves import fitting, waves
 from kdvwaves.cli import main
 from kdvwaves.elliptic import jacobi_sn_cn_dn, sech
 from kdvwaves.equations import EquationId, EquationKind, Grid, travelling_residual
@@ -43,6 +43,33 @@ def test_ansatz_validation():
         AnsatzFamily("sech2", ("A", "B"), {})               # v, D unaccounted
     with pytest.raises(ValueError):
         AnsatzFamily("sech2", ("A", "B", "v", "D"), zero_mean=True)  # not periodic
+
+
+@pytest.mark.parametrize("shape,free,fixed,stray", [
+    ("gardner", ("A", "B", "v"), {"Delta": 1.0, "D": 0.3}, "'D'"),
+    ("sech2", ("A", "B", "v"), {"D": 0.0, "m": 0.5, "typo": 2.0}, "'m', 'typo'"),
+])
+def test_ansatz_rejects_fixed_parameters_its_shape_lacks(shape, free, fixed, stray):
+    with pytest.raises(ValueError, match=f"fixed parameters \\[{stray}\\]"):
+        AnsatzFamily(shape, free, fixed)
+
+
+@pytest.mark.parametrize("shape", ["sech2", "sech4", "cn2", "gardner"])
+def test_ansatz_rejects_a_branch_sign_its_shape_lacks(shape):
+    with pytest.raises(ValueError, match="sign=-1"):
+        AnsatzFamily(shape, fitting.SHAPE_PARAMS[shape], sign=-1)
+    assert AnsatzFamily("dn2_pm_cndn", fitting.SHAPE_PARAMS["dn2_pm_cndn"], sign=-1).sign == -1
+
+
+def test_cli_fit_with_a_stray_fixed_parameter_exits_two(capsys, tmp_path):
+    cfg = tmp_path / "fit.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "equation": "gardner", "medium": {"alpha": 0.1, "beta": 0.3},
+        "ansatz": {"shape": "gardner", "free": ["A", "B", "v"],
+                   "fixed": {"Delta": 1.0, "D": 0.3}},
+        "start": {"A": 2.0, "B": 0.9, "v": 1.05}}))
+    assert main(["fit", "--config", str(cfg)]) == 2
+    assert "fixed parameters ['D']" in capsys.readouterr().err
 
 
 def test_ansatz_value_assembly():
@@ -104,7 +131,7 @@ def _loop_derivatives(shape, sign, xi, values):
         if k == 0:
             terms.append(np.full_like(xi, D))
         out.append((sum(terms), sum(np.abs(t) for t in terms)))
-        poly = fitting._monomial_derivative(poly, m)
+        poly = waves._monomial_derivative(poly, m)
     return out
 
 
@@ -342,7 +369,7 @@ def test_derivative_chain_cache_does_not_mix_keys():
 
     warm = [derivs(*call) for call in calls]
     for call, got in zip(calls, warm):
-        fitting._derivative_chain.cache_clear()
+        waves._derivative_chain.cache_clear()
         cold = derivs(*call)
         for k in range(6):
             assert np.array_equal(got[k], cold[k]), (call, k)

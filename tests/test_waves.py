@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,11 +152,78 @@ def test_gardner_tail_is_overflow_free():
     assert np.array_equal(u[1:-1], w.A / (1.0 + w.B * np.cosh(xi[1:-1])))
 
 
+def test_gardner_derivatives_vanish_in_the_overflowing_tail():
+    # beyond |xi|/Delta ~ 710 cosh and sinh are inf; every derivative's limit is 0
+    w = make_gardner_soliton(MediumParams(alpha=0.1, beta=0.3), Delta=1.0)
+    xi = np.array([-2000.0, -5.0, 0.0, 3.0, 2000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = w.derivatives(xi)
+    assert np.all(d[:, [0, -1]] == 0.0)
+    assert np.array_equal(d[:, 1:-1], w.derivatives(xi[1:-1]))
+
+
 def test_gardner_width_floor():
     # Delta^2 >= beta' keeps B real
     p = MediumParams(alpha=0.1, beta=0.3, tau=0.0)
     with pytest.raises(ValueError):
         make_gardner_soliton(p, Delta=0.1)
+
+
+def _one_wave_per_family():
+    sol = make_kdv_soliton(P, 1.0)
+    return [
+        sol,
+        make_kdv_cnoidal(P, 1.0, 0.9),
+        make_kdv_superposition(P, 1.0, 0.5, sol.B),
+        make_kdv_superposition(P, 1.0, 0.5, sol.B, sign=-1),
+        make_kdv2_soliton(P),
+        make_fifth_order_soliton(MediumParams(alpha=0.1, beta=0.1, tau=0.35)),
+        make_gardner_soliton(MediumParams(alpha=0.1, beta=0.3), Delta=1.0),
+    ]
+
+
+def test_one_wave_per_family_covers_every_family():
+    assert [w.family for w in _one_wave_per_family()] == list(WaveFamily)
+
+
+@pytest.mark.parametrize("wave", _one_wave_per_family(), ids=lambda w: w.family.value)
+def test_derivatives_row_zero_is_the_profile(wave):
+    for xi in (np.linspace(-20.0, 20.0, 257), np.linspace(0.3, 6.0, 7), 1.5):
+        rows = wave.derivatives(xi)
+        assert rows.shape == (6,) + np.shape(xi)
+        assert np.array_equal(rows[0], wave.profile(xi))
+
+
+@pytest.mark.parametrize("wave", _one_wave_per_family(), ids=lambda w: w.family.value)
+def test_derivatives_match_finite_differences_of_the_profile(wave):
+    xi = np.linspace(0.3, 6.0, 7)
+    d = wave.derivatives(xi)
+    # the stencils and tolerances of the fitting module's derivative test
+    h = 1e-6
+    fd1 = (wave.profile(xi + h) - wave.profile(xi - h)) / (2 * h)
+    assert_allclose(d[1], fd1, rtol=2e-6, atol=2e-9)
+    h = 1e-4
+    fd2 = (wave.profile(xi + h) - 2 * wave.profile(xi) + wave.profile(xi - h)) / h**2
+    assert_allclose(d[2], fd2, rtol=2e-6, atol=2e-7)
+
+
+def test_catalog_mirror_derivatives_are_exact_negations():
+    mirrored = {label: sol for label, _, _, sol, _ in catalog(P.flipped())}
+    checked = 0
+    for label, _, _, up, grid in catalog(P):
+        if isinstance(up, SolitonLadder):
+            continue
+        down = mirrored[label]
+        assert np.array_equal(down.derivatives(grid.x), -up.derivatives(grid.x)), label
+        checked += 1
+    assert checked == 6
+
+
+def test_gardner_profile_adds_its_pedestal():
+    w = make_gardner_soliton(MediumParams(alpha=0.1, beta=0.3), Delta=1.0)
+    xi = np.linspace(-30.0, 30.0, 121)
+    assert np.array_equal(replace(w, D=0.25).profile(xi), 0.25 + w.profile(xi))
 
 
 @settings(max_examples=50, deadline=None)
