@@ -46,6 +46,7 @@ __all__ = [
     "residual",
     "travelling_residual",
     "equation_terms",
+    "linearised_terms",
 ]
 
 DERIVATIVE_ORDERS = (1, 2, 3, 5)
@@ -319,6 +320,28 @@ def equation_terms(kind: EquationKind, params: MediumParams, frame: Frame,
     if bottom_pair is not None:
         terms.append(("bottom", bottom_term(params, bottom_pair, u, derivs[1])))
     return terms
+
+
+def linearised_terms(kind: EquationKind, params: MediumParams, frame: Frame,
+                     derivs: np.ndarray, perturbation: np.ndarray,
+                     perturbation_t: np.ndarray) -> np.ndarray:
+    """The residual's derivative along a perturbation of u: perturbation_t,
+    the perturbation of u_t, plus sum over terms of
+    c sum_j prod_{i != j} u^(o_i) du^(o_j).
+
+    derivs[o] and perturbation[o] are the o-th derivatives of u and of the
+    perturbation, order 0 the fields themselves; the perturbation rows may
+    carry a leading axis of directions, which the result keeps.
+    """
+    out = perturbation_t
+    for _, coefficient, orders in equation_table(kind, frame):
+        c = coefficient(params)
+        for j in range(len(orders)):
+            value = c
+            for i, o in enumerate(orders):
+                value = value * (perturbation[o] if i == j else derivs[o])
+            out = out + value
+    return out
 
 
 def sum_terms(terms: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, float]:

@@ -9,17 +9,21 @@ the equation puts on the free parameters (n_free - rank is the local
 dimension of the solution family).
 
 Profile derivatives are exact, not finite differences in xi: the fits
-read them from TravellingWave.derivatives.
+read them from TravellingWave.derivatives.  So is the residual Jacobian,
+except for a central difference in m: its columns for A, B, v, D and
+Delta apply the term table's linearisation to the parameter derivatives
+of the rows that the residual evaluation already holds.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .equations import EquationKind, equation_terms, sum_terms
+from .equations import EquationKind, equation_terms, linearised_terms, sum_terms
 from .waves import (Frame, MediumParams, TravellingWave, WaveFamily,
                     make_fifth_order_soliton, make_gardner_soliton,
                     make_kdv2_soliton, make_kdv_cnoidal, make_kdv_soliton,
@@ -104,17 +108,33 @@ class AnsatzFamily:
             Delta=values.get("Delta"))
 
 
+def _unit_rows(ansatz: AnsatzFamily, xi: np.ndarray,
+               values: dict[str, float]) -> tuple[TravellingWave, np.ndarray]:
+    """The ansatz's wave at A = 1 and D = 0, and its rows f ... f^(6) at xi.
+
+    Every row is linear in A, so the rows at the values are A times these
+    (plus D on row 0), and these are the rows' derivative in A.
+    """
+    unit = ansatz.wave({**values, "A": 1.0, "D": 0.0})
+    if ansatz.shape == "gardner" and unit.Delta == 0.0:
+        raise ValueError("Delta must be nonzero")
+    rows = unit.derivatives(xi, 6)
+    # a fit must not sample the unbounded branch's poles: 1/f = 1 + B cosh(xi/Delta)
+    if ansatz.shape == "gardner" and np.any(np.abs(rows[0]) > 1e12):
+        raise ValueError("gardner denominator vanishes on the window")
+    return unit, rows
+
+
+def _scaled(values: dict[str, float], unit_rows: np.ndarray) -> np.ndarray:
+    rows = values["A"] * unit_rows
+    rows[0] += values.get("D", 0.0)
+    return rows
+
+
 def profile_derivatives(ansatz: AnsatzFamily, xi: np.ndarray,
                         values: dict[str, float]) -> dict[int, np.ndarray]:
-    """f, f', ..., f''''' of the ansatz at the given xi, exactly."""
-    wave = ansatz.wave(values)
-    if ansatz.shape == "gardner" and wave.Delta == 0.0:
-        raise ValueError("Delta must be nonzero")
-    rows = wave.derivatives(xi)
-    # a fit must not sample the unbounded branch's poles: A/f = 1 + B cosh(xi/Delta)
-    if ansatz.shape == "gardner" and np.any(np.abs(rows[0]) > 1e12 * abs(wave.A)):
-        raise ValueError("gardner denominator vanishes on the window")
-    return dict(enumerate(rows))
+    """f, f', ..., f^(6) of the ansatz at the given xi, exactly."""
+    return dict(enumerate(_scaled(values, _unit_rows(ansatz, xi, values)[1])))
 
 
 # --- collocation residual ---------------------------------------------------
@@ -133,22 +153,96 @@ def collocation_points(ansatz: AnsatzFamily, values: dict[str, float],
     return 0.5 * width * (1.0 - np.cos(math.pi * (2 * i + 1) / (2 * n_points)))
 
 
+class _Point(NamedTuple):
+    """A residual evaluation and the rows it read, which the Jacobian reuses."""
+
+    res: np.ndarray
+    scale: float
+    rows: np.ndarray            # f ... f^(6) at the nodes
+    unit: TravellingWave        # the wave at A = 1 and D = 0
+    unit_rows: np.ndarray       # its rows
+    unit_mean: float | None     # its period mean (zero_mean only)
+
+
 def _fit_residual(kind: EquationKind, params: MediumParams,
                   ansatz: AnsatzFamily, xi: np.ndarray,
-                  values: dict[str, float]) -> tuple[np.ndarray, float]:
-    """(residual vector, scale) of the travelling ODE at the nodes."""
-    d = profile_derivatives(ansatz, xi, values)
-    terms = equation_terms(kind, params, Frame.FIXED, d[0], d, u_t=-values["v"] * d[1])
+                  values: dict[str, float]) -> _Point:
+    """The travelling ODE's residual vector and scale at the nodes."""
+    unit, unit_rows = _unit_rows(ansatz, xi, values)
+    rows = _scaled(values, unit_rows)
+    terms = equation_terms(kind, params, Frame.FIXED, rows[0], rows,
+                           u_t=-values["v"] * rows[1])
     res, scale = sum_terms(terms)
+    unit_mean = None
     if ansatz.zero_mean:
-        res = np.append(res, _period_mean(ansatz.wave(values)))
-    return res, scale
+        unit_mean = _period_mean(unit)
+        res = np.append(res, values["A"] * unit_mean + values.get("D", 0.0))
+    return _Point(res, scale, rows, unit, unit_rows, unit_mean)
 
 
 def _period_mean(wave: TravellingWave, n_samples: int = 256) -> float:
     """Profile mean over one period (rectangle rule is spectrally exact)."""
     xi = wave.wavelength() * np.arange(n_samples) / n_samples
     return float(np.mean(wave.profile(xi)))
+
+
+def _jacobian(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
+              xi: np.ndarray, values: dict[str, float], point: _Point) -> np.ndarray:
+    """d(residual)/d(free parameters) at a point _fit_residual evaluated.
+
+    The columns for A, B, v, D and Delta are exact: the term table's
+    linearisation applied to each parameter's derivative of the rows, which
+    come from the point's own rows without a new profile evaluation.  Only
+    m, on which the Jacobi functions depend through K(m), takes a central
+    difference.  Under the mirror (A, D, alpha) -> -(A, D, alpha) the A and
+    D columns stay bitwise and every other column is negated exactly.
+    """
+    exact = [p for p in ansatz.free if p != "m"]
+    # each parameter's derivative of rows 0..5 (the orders the terms read)
+    unit_rows = point.unit_rows[:-1]
+    deltas = {"A": unit_rows, "D": np.zeros_like(unit_rows), "v": np.zeros_like(unit_rows)}
+    deltas["D"][0] = 1.0
+    if "B" in exact or "Delta" in exact:
+        widths = point.unit.width_derivatives(xi, point.unit_rows)
+        deltas.update((p, values["A"] * rows) for p, rows in widths.items())
+    jac = np.empty((len(point.res), len(ansatz.free)))
+    if exact:
+        delta = np.stack([deltas[p] for p in exact], axis=1)
+        # u_t = -v f' moves with f' and, in v alone, with v
+        delta_t = -values["v"] * delta[1]
+        if "v" in exact:
+            delta_t[exact.index("v")] = -point.rows[1]
+        columns = linearised_terms(kind, params, Frame.FIXED, point.rows, delta, delta_t)
+        if ansatz.zero_mean:
+            # the period mean A <g> + D: B rescales the period, v does not enter
+            mean = {"A": point.unit_mean, "D": 1.0}
+            columns = np.hstack([columns, [[mean.get(p, 0.0)] for p in exact]])
+        jac[:, [ansatz.free.index(p) for p in exact]] = columns.T
+    if "m" in ansatz.free:
+        jac[:, ansatz.free.index("m")] = _m_column(kind, params, ansatz, xi, values, point)
+    return jac
+
+
+def _m_column(kind, params, ansatz, xi, values, point) -> np.ndarray:
+    """d(residual)/dm by a central difference, h = 1e-6 (1 + |m|): K(m)
+    varies steeply, and this step beats eps^(1/3) on the cn2 null space.
+    Where one side cannot be evaluated (m near 0 or 1), the one-sided
+    second-order three-point formula on the other."""
+    m = values["m"]
+    h = 1e-6 * (1.0 + abs(m))
+
+    def at(step):
+        trial = _try_eval(kind, params, ansatz, xi, {**values, "m": m + step})
+        return None if trial is None else trial.res
+
+    up, down = at(h), at(-h)
+    if up is not None and down is not None:
+        return (up - down) / (2.0 * h)
+    for near, step in ((up, h), (down, -h)):
+        far = at(2.0 * step) if near is not None else None
+        if far is not None:
+            return (4.0 * near - 3.0 * point.res - far) / (2.0 * step)
+    raise ValueError("cannot perturb parameter 'm' at the base point")
 
 
 @dataclass(frozen=True)
@@ -175,23 +269,6 @@ def _try_eval(kind, params, ansatz, xi, values):
         return None
 
 
-def _fd_jacobian(kind, params, ansatz, xi, values, base) -> np.ndarray:
-    """One-sided differences of the residual in each free parameter, bumped
-    away from zero (so mirrored fits stay exact negations), and the other
-    way where that bump cannot be evaluated (e.g. m + h > 1)."""
-    jac = np.empty((len(base), len(ansatz.free)))
-    for j, p in enumerate(ansatz.free):
-        h = math.copysign(1e-7 * (1.0 + abs(values[p])), values[p])
-        for step in (h, -h):
-            trial = _try_eval(kind, params, ansatz, xi, {**values, p: values[p] + step})
-            if trial is not None:
-                jac[:, j] = (trial[0] - base) / step
-                break
-        else:
-            raise ValueError(f"cannot perturb parameter {p!r} at the base point")
-    return jac
-
-
 # the collapse rule of fit_travelling_wave (see its docstring)
 TRIVIAL_WINDOW = 8
 TRIVIAL_MIN_GAIN = 2.0
@@ -209,13 +286,15 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
 
     Statuses: converged (relative residual <= rtol), trivial, stalled (no
     trial lowers the residual), max_iterations, singular_jacobian (dead
-    end at deficient rank, or no Jacobian).  A free amplitude can slide
-    along a solution family toward u = 0, which solves every equation.
-    The fit stops as trivial once, over the last TRIVIAL_WINDOW (8)
-    accepted steps, |A| fell each time, the damping rejected a trial, and
-    the relative residual gained less than TRIVIAL_MIN_GAIN (2x).  The
-    rejection clause spares fits that shrink |A| with full steps on their
-    way to a real solution.  Reading |A| only, fits and mirrors stop alike.
+    end at deficient rank, or where the residual cannot be evaluated next
+    to the iterate: at no trial step, or not to difference in m).  A free
+    amplitude can slide along a solution family toward u = 0, which
+    solves every equation.  The fit stops as trivial once, over the last
+    TRIVIAL_WINDOW (8) accepted steps, |A| fell each time, the damping
+    rejected a trial, and the relative residual gained less than
+    TRIVIAL_MIN_GAIN (2x).  The rejection clause spares fits that shrink
+    |A| with full steps on their way to a real solution.  Reading |A|
+    only, fits and mirrors stop alike.
     """
     missing = [p for p in ansatz.free if p not in start]
     if missing:
@@ -227,10 +306,9 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
     c = np.array([float(start[p]) for p in ansatz.free])
     xi = collocation_points(ansatz, ansatz.values(c), n_pts)
 
-    def rel(res_scale):
-        res, scale = res_scale
-        a = float(np.max(np.abs(res)))
-        return a / scale if scale > 0.0 else a
+    def rel(point):
+        a = float(np.max(np.abs(point.res)))
+        return a / point.scale if point.scale > 0.0 else a
 
     def finish(status, n_iterations):
         return FitResult(ansatz, _canonical(ansatz, c), rel(cur), status,
@@ -248,9 +326,9 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
     for it in range(1, max_iterations + 1):
         if rel(cur) <= rtol:
             return finish("converged", it - 1)
-        res, _ = cur
+        res = cur.res
         try:
-            jac = _fd_jacobian(kind, params, ansatz, xi, ansatz.values(c), res)
+            jac = _jacobian(kind, params, ansatz, xi, ansatz.values(c), cur)
         except ValueError:
             return finish("singular_jacobian", it)
         sigma = np.linalg.svd(jac, compute_uv=False)
@@ -260,14 +338,15 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
         col = np.sqrt(np.sum(jac * jac, axis=0))
         col[col == 0.0] = 1.0
         best = float(np.linalg.norm(res))
-        accepted = False
+        accepted = evaluable = False
         for n_trial in range(12):
             aug = np.vstack([jac, math.sqrt(mu) * np.diag(col)])
             rhs = np.concatenate([-res, np.zeros(n_free)])
             step, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
             trial_c = c + step
             trial = _try_eval(kind, params, ansatz, xi, ansatz.values(trial_c))
-            if trial is not None and float(np.linalg.norm(trial[0])) < best:
+            evaluable = evaluable or trial is not None
+            if trial is not None and float(np.linalg.norm(trial.res)) < best:
                 c, cur, accepted = trial_c, trial, True
                 mu = max(mu / 3.0, 1e-14)
                 break
@@ -276,7 +355,8 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
                 break
         if not accepted:
             return finish("converged" if rel(cur) <= 10.0 * rtol else
-                          "singular_jacobian" if rank < n_free else "stalled", it)
+                          "singular_jacobian" if rank < n_free or not evaluable
+                          else "stalled", it)
         if np.max(np.abs(step) / (1.0 + np.abs(c))) < 1e-13:
             # the iteration has stopped moving; only a small residual
             # makes that convergence rather than a dead end
@@ -386,19 +466,24 @@ def count_constraints(kind: EquationKind, params: MediumParams,
     one-parameter family (amplitude), while the second-order equation
     pins every parameter.
     """
+    jac = _manifold_jacobian(kind, params, ansatz, at, n_points)
+    sigma = np.linalg.svd(jac, compute_uv=False)
+    return int(np.sum(sigma > sigma[0] * 1e-6)) if sigma[0] > 0.0 else 0
+
+
+def _manifold_jacobian(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
+                       at: dict[str, float] | None, n_points: int | None) -> np.ndarray:
+    """The Jacobian whose rank count_constraints reads, at `at` or the catalog solution."""
     values = {**ansatz.fixed,
               **(at if at is not None else _on_manifold_values(kind, params, ansatz))}
     missing = [p for p in SHAPE_PARAMS[ansatz.shape] if p not in values]
     if missing:
         raise ValueError(f"on-manifold point is missing parameters {missing}")
-    n_free = len(ansatz.free)
-    n_pts = n_points if n_points is not None else max(4 * n_free, 12)
+    n_pts = n_points if n_points is not None else max(4 * len(ansatz.free), 12)
     xi = collocation_points(ansatz, values, n_pts)
-    base, scale = _fit_residual(kind, params, ansatz, xi, values)
-    if float(np.max(np.abs(base))) > 1e-6 * scale:
-        raise ValueError(
-            "`at` is not on the solution manifold "
-            f"(relative residual {float(np.max(np.abs(base))) / scale:.3e})")
-    jac = _fd_jacobian(kind, params, ansatz, xi, values, base)
-    sigma = np.linalg.svd(jac, compute_uv=False)
-    return int(np.sum(sigma > sigma[0] * 1e-6)) if sigma[0] > 0.0 else 0
+    point = _fit_residual(kind, params, ansatz, xi, values)
+    worst = float(np.max(np.abs(point.res)))
+    if worst > 1e-6 * point.scale:
+        raise ValueError("`at` is not on the solution manifold "
+                         f"(relative residual {worst / point.scale:.3e})")
+    return _jacobian(kind, params, ansatz, xi, values, point)

@@ -148,33 +148,64 @@ class TravellingWave:
         if order == 0:
             return (f * self.A)[None]
         exponents, coefficients = _derivative_chain(self.family, m, order)
-        # one power table: powers[e, j] = (sn, cn, dn)[j] ** e
-        powers = np.stack([sn, cn, dn]) ** np.arange(exponents.max() + 1)[:, None, None]
+        # every row at a point must not depend on how many points are
+        # evaluated with it, so the power table, powers[e, j] = (sn, cn, dn)[j]
+        # ** e, is built by repeated multiplication (an array-exponent pow
+        # rounds some entries by the array's size), and the sum over monomials
+        # is a sequential accumulate (a matrix product is not, in BLAS)
+        powers = [np.ones((3, xi.size)), np.stack([sn, cn, dn])]
+        for _ in range(2, exponents.max() + 1):
+            powers.append(powers[-1] * powers[1])
+        powers = np.stack(powers)
         monomials = (powers[exponents[:, 0], 0] * powers[exponents[:, 1], 1]
                      * powers[exponents[:, 2], 2])
-        rows = (coefficients.T @ monomials) * (self.A * self.B ** np.arange(order + 1))[:, None]
-        # row 0 as a profile has it: the power table may round it otherwise
+        terms = coefficients.T[:, :, None] * monomials
+        rows = (np.add.accumulate(terms, axis=1)[:, -1]
+                * (self.A * self.B ** np.arange(order + 1))[:, None])
+        # row 0 as a profile has it: the chain may round it otherwise
         rows[0] = f * self.A
         return rows
 
     def _gardner_rows(self, xi: np.ndarray, order: int) -> np.ndarray:
-        # u (1 + B cosh(xi/Delta)) = A, so Leibniz gives a recursion for u^(k);
-        # cosh overflows to inf far out in the tail, where every row's limit is 0
+        # u w = A with w = 1 + B cosh(xi/Delta): Leibniz gives a recursion for u^(k)
+        _, w = self._gardner_weights(xi, order)
+        return _leibniz_quotient(w, [self.A] + [0.0] * order)
+
+    def _gardner_weights(self, xi: np.ndarray, order: int):
+        """(cosh, sinh) of xi/Delta and the derivatives w^(j), j = 0..order,
+        of w = 1 + B cosh(xi/Delta); inf far out in the tail, where cosh
+        overflows."""
         B, Delta = self.B, self.Delta
         with np.errstate(over="ignore", invalid="ignore"):
             z = xi / Delta
-            ch, sh = np.cosh(z), (np.sinh(z) if order else None)
-            w0 = 1.0 + B * ch
-            w = {j: B * (ch if j % 2 == 0 else sh) / Delta**j for j in range(1, order + 1)}
-            rows = [self.A / w0]
-            for k in range(1, order + 1):
-                acc = np.zeros_like(xi)
-                for j in range(1, k + 1):
-                    acc += math.comb(k, j) * w[j] * rows[k - j]
-                rows.append(-acc / w0)
-        rows = np.array(rows)
-        rows[1:, np.isinf(w0)] = 0.0    # A/inf is 0 already; inf * 0 is not
-        return rows
+            hyp = (np.cosh(z), np.sinh(z) if order else None)
+            w = [1.0 + B * hyp[0]] + [B * hyp[j % 2] / Delta**j for j in range(1, order + 1)]
+        return hyp, w
+
+    def width_derivatives(self, xi, rows: np.ndarray) -> dict[str, np.ndarray]:
+        """d/dB, and for the Gardner shape d/dDelta, of rows[:-1], exactly.
+
+        rows are this wave's derivatives f ... f^(K) at the 1-D xi.  The
+        monomial shapes are functions of B xi and the Gardner shape of
+        xi/Delta, so d f^(k)/dB = (k f^(k) + xi f^(k+1))/B, and d/dDelta is
+        minus the same over Delta.  The Gardner B sits in the denominator:
+        differentiating u w = A in B gives d u/dB w = -cosh(xi/Delta) u,
+        which the Leibniz recursion of the rows solves for every order.
+        """
+        xi = np.asarray(xi, dtype=float)
+        k = np.arange(len(rows) - 1)[:, None]
+        stretch = k * rows[:-1] + xi * rows[1:]
+        if self.family is not WaveFamily.GARDNER_SOLITON:
+            return {"B": stretch / self.B}
+        order = len(rows) - 2
+        hyp, w = self._gardner_weights(xi, order)
+        ch = [hyp[j % 2] / self.Delta**j for j in range(order + 1)]
+        u = np.concatenate([rows[:1] - self.D, rows[1:-1]])
+        with np.errstate(invalid="ignore"):
+            source = -np.array([sum(math.comb(n, j) * ch[j] * u[n - j] for j in range(n + 1))
+                                for n in range(order + 1)])
+        source[:, np.isinf(w[0])] = 0.0     # inf * 0 in the tail, where the limit is 0
+        return {"B": _leibniz_quotient(w, source), "Delta": -stretch / self.Delta}
 
     def profile(self, xi):
         """Profile f(xi) as a function of the co-moving coordinate."""
@@ -276,6 +307,22 @@ class SolitonLadder:
 
 
 # --- exact profile derivatives -----------------------------------------------
+
+def _leibniz_quotient(w: list[np.ndarray], source) -> np.ndarray:
+    """Rows y^(k) with sum_{j<=k} C(k, j) w^(j) y^(k-j) = source_k: the
+    derivatives of y = s / w, from w's derivatives and those of s.  Where
+    w is inf (cosh overflowed) the rows past 0 read their limit 0."""
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, acc in enumerate(source):
+            for j in range(1, k + 1):
+                acc = acc - math.comb(k, j) * w[j] * rows[k - j]
+            rows.append(acc / w[0])
+    rows = np.array(rows)
+    if len(rows) > 1:
+        rows[1:, np.isinf(w[0])] = 0.0      # s/inf is 0 already; inf * 0 is not
+    return rows
+
 
 def _seed(family: WaveFamily, m: float | None) -> tuple[float, dict[tuple[int, int, int], float]]:
     """(m, f at A = 1 and D = 0 as {(a, b, c): coefficient of sn^a cn^b dn^c})."""

@@ -384,3 +384,105 @@ def test_cli_single_start_reports_trivial(capsys, tmp_path):
     code = main(["fit", "--config", str(cfg)])
     assert code == 1
     assert '"status": "trivial"' in capsys.readouterr().out
+
+
+# --- exact Jacobian columns --------------------------------------------------------
+
+PG = MediumParams(alpha=0.1, beta=0.3, tau=0.0)
+P5 = MediumParams(alpha=0.1, beta=0.1, tau=0.35)
+CN2 = {"A": 1.0, "B": 0.91, "v": 0.99, "D": -0.36, "m": 0.9}
+DN2 = {"A": 1.0, "B": 0.87, "v": 1.0, "D": -0.36, "m": 0.5}
+
+# every shape with every parameter free, off the solution manifold; the
+# second-order equation reads every product the term tables hold
+COLUMN_CASES = [
+    pytest.param(EquationKind.KDV2, P, "sech2", 1, False,
+                 {"A": 1.3, "B": 0.8, "v": 1.05, "D": 0.1}, id="sech2"),
+    pytest.param(EquationKind.FIFTH_ORDER, P5, "sech4", 1, False,
+                 {"A": -0.03, "B": 0.44, "v": 0.998, "D": 0.01}, id="sech4"),
+    pytest.param(EquationKind.KDV2, P, "cn2", 1, False, CN2, id="cn2"),
+    pytest.param(EquationKind.KDV2, P, "cn2", 1, True, CN2, id="cn2-zero_mean"),
+    pytest.param(EquationKind.KDV2, P, "dn2_pm_cndn", 1, False, DN2, id="dn2+cndn"),
+    pytest.param(EquationKind.KDV2, P, "dn2_pm_cndn", -1, False, DN2, id="dn2-cndn"),
+    pytest.param(EquationKind.KDV, P, "dn2_pm_cndn", 1, True, DN2, id="dn2+cndn-zero_mean"),
+    pytest.param(EquationKind.KDV, P, "dn2_pm_cndn", -1, True, DN2, id="dn2-cndn-zero_mean"),
+    pytest.param(EquationKind.GARDNER, PG, "gardner", 1, False,
+                 {"A": 2.0, "B": 0.97, "v": 1.05, "Delta": 1.0}, id="gardner"),
+    pytest.param(EquationKind.GARDNER, PG, "gardner", 1, False,
+                 {"A": 1.5, "B": 0.3, "v": 1.02, "Delta": -1.4}, id="gardner-table-top"),
+]
+
+
+def _jacobian_at(kind, params, ansatz, values):
+    xi = fitting.collocation_points(ansatz, values, 12)
+    point = fitting._fit_residual(kind, params, ansatz, xi, values)
+    return xi, fitting._jacobian(kind, params, ansatz, xi, values, point)
+
+
+@pytest.mark.parametrize("kind,params,shape,sign,zero_mean,values", COLUMN_CASES)
+def test_jacobian_columns_match_central_differences(kind, params, shape, sign,
+                                                    zero_mean, values):
+    ansatz = AnsatzFamily(shape, tuple(values), {}, sign=sign, zero_mean=zero_mean)
+    xi, jac = _jacobian_at(kind, params, ansatz, values)
+    for j, p in enumerate(ansatz.free):
+        h = 1e-5 * (1.0 + abs(values[p]))
+        up, down = (fitting._fit_residual(kind, params, ansatz, xi,
+                                          {**values, p: values[p] + s}).res
+                    for s in (h, -h))
+        column = jac[:, j]
+        assert np.max(np.abs(column - (up - down) / (2 * h))) <= \
+            1e-6 * np.max(np.abs(column)), p
+
+
+@pytest.mark.parametrize("kind,params,shape,sign,zero_mean,values", COLUMN_CASES)
+def test_jacobian_columns_mirror_exactly(kind, params, shape, sign, zero_mean, values):
+    # at (-A, -D, -alpha) the residual is negated: its A and D columns stay
+    # bit for bit, every other column is negated exactly
+    ansatz = AnsatzFamily(shape, tuple(values), {}, sign=sign, zero_mean=zero_mean)
+    mirrored = {p: -x if p in ("A", "D") else x for p, x in values.items()}
+    _, up = _jacobian_at(kind, params, ansatz, values)
+    _, down = _jacobian_at(kind, params.flipped(), ansatz, mirrored)
+    for j, p in enumerate(ansatz.free):
+        assert np.array_equal(down[:, j], up[:, j] if p in ("A", "D") else -up[:, j]), p
+
+
+@pytest.mark.parametrize("kind,params,ansatz,rank,null_bound", [
+    # every column exact: the null singular values are roundoff
+    (EquationKind.KDV, P, AnsatzFamily("sech2", ("A", "B", "v"), {"D": 0.0}), 2, 1e-11),
+    (EquationKind.KDV, P, AnsatzFamily("sech2", ("A", "B", "v", "D"), {}), 2, 1e-11),
+    (EquationKind.GARDNER, PG, AnsatzFamily("gardner", ("A", "B", "v", "Delta"), {}),
+     3, 1e-11),
+    # the m column is a central difference
+    (EquationKind.KDV, P, AnsatzFamily("cn2", ("A", "B", "v", "m"), {"D": 0.0}), 2, 1e-10),
+    (EquationKind.KDV, P, AnsatzFamily("cn2", ("A", "B", "v", "D", "m"), {}), 2, 1e-10),
+    # rigid solutions: no null space
+    (EquationKind.KDV2, P, KDV2_SECH2, 3, None),
+    (EquationKind.FIFTH_ORDER, P5, AnsatzFamily("sech4", ("A", "B", "v"), {"D": 0.0}),
+     3, None),
+    (EquationKind.GARDNER, PG, AnsatzFamily("gardner", ("A", "B", "v"), {"Delta": 1.0}),
+     3, None),
+])
+@pytest.mark.parametrize("flip", [False, True])
+def test_constraint_jacobian_separates_null_from_genuine(kind, params, ansatz, rank,
+                                                         null_bound, flip):
+    params = params.flipped() if flip else params
+    jac = fitting._manifold_jacobian(kind, params, ansatz, None, None)
+    sigma = np.linalg.svd(jac, compute_uv=False)
+    assert np.all(sigma[:rank] >= 1e-4 * sigma[0])
+    if null_bound is not None:
+        assert np.all(sigma[rank:] <= null_bound * sigma[0])
+    assert count_constraints(kind, params, ansatz) == rank
+
+
+def test_m_column_is_one_sided_where_one_side_cannot_be_evaluated():
+    # m - h < 0 cannot be evaluated: the column takes the three-point
+    # formula above m, which matches a central difference of a smaller step
+    values = {"A": 1.0, "B": 0.91, "v": 0.99, "D": -0.36, "m": 5e-7}
+    ansatz = AnsatzFamily("cn2", ("m",), {k: x for k, x in values.items() if k != "m"})
+    xi, jac = _jacobian_at(EquationKind.KDV, P, ansatz, values)
+    h = 1e-7
+    up, down = (fitting._fit_residual(EquationKind.KDV, P, ansatz, xi,
+                                      {**values, "m": values["m"] + s}).res
+                for s in (h, -h))
+    column = jac[:, 0]
+    assert np.max(np.abs(column - (up - down) / (2 * h))) <= 1e-6 * np.max(np.abs(column))

@@ -220,6 +220,44 @@ def test_catalog_mirror_derivatives_are_exact_negations():
     assert checked == 6
 
 
+@pytest.mark.parametrize("wave", _one_wave_per_family(), ids=lambda w: w.family.value)
+def test_derivative_rows_at_a_point_do_not_depend_on_the_point_count(wave):
+    xi = np.linspace(-11.0, 13.0, 256)
+    full = wave.derivatives(xi, 6)
+    for i in (0, 3, 100, 255):
+        assert np.array_equal(wave.derivatives(xi[i], 6), full[:, i]), i
+    for n in (9, 12):
+        for lo in range(0, 256 - n, 17):
+            part = wave.derivatives(xi[lo:lo + n], 6)
+            assert np.array_equal(part, full[:, lo:lo + n]), (n, lo)
+
+
+@pytest.mark.parametrize("wave", _one_wave_per_family(), ids=lambda w: w.family.value)
+def test_width_derivatives_match_central_differences(wave):
+    xi = np.linspace(0.3, 6.0, 7)
+    exact = wave.width_derivatives(xi, wave.derivatives(xi, 6))
+    assert set(exact) == ({"B", "Delta"} if wave.family is WaveFamily.GARDNER_SOLITON
+                          else {"B"})
+    for name, rows in exact.items():
+        value = getattr(wave, name)
+        h = 1e-5 * (1.0 + abs(value))
+        up, down = (replace(wave, **{name: value + s}).derivatives(xi, 5) for s in (h, -h))
+        assert rows.shape == (6, 7)
+        assert np.max(np.abs(rows - (up - down) / (2 * h))) <= 1e-6 * np.max(np.abs(rows))
+
+
+def test_gardner_width_derivatives_vanish_in_the_overflowing_tail():
+    w = make_gardner_soliton(MediumParams(alpha=0.1, beta=0.3), Delta=1.0)
+    xi = np.array([-2000.0, -5.0, 0.0, 3.0, 2000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = w.width_derivatives(xi, w.derivatives(xi, 6))
+    for name, rows in exact.items():
+        assert np.all(rows[:, [0, -1]] == 0.0), name
+        inner = w.width_derivatives(xi[1:-1], w.derivatives(xi[1:-1], 6))[name]
+        assert np.array_equal(rows[:, 1:-1], inner), name
+
+
 def test_gardner_profile_adds_its_pedestal():
     w = make_gardner_soliton(MediumParams(alpha=0.1, beta=0.3), Delta=1.0)
     xi = np.linspace(-30.0, 30.0, 121)
