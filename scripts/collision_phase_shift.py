@@ -30,17 +30,16 @@ from kdvwaves import (
     SolitonLadder,
     evolve,
     make_kdv_soliton,
-    two_soliton,
 )
 
 
 def crest(ladder, params, t: float, near: float) -> tuple[float, float]:
     """Location and height of the crest nearest `near`, by dense sampling."""
     x = np.linspace(near - 10.0, near + 10.0, 8001)
-    u = two_soliton(x, t, ladder, params)
+    u = ladder.evaluate(x, t, params)
     i = int(np.argmax(u))
     x = np.linspace(x[i] - 0.01, x[i] + 0.01, 2001)
-    u = two_soliton(x, t, ladder, params)
+    u = ladder.evaluate(x, t, params)
     i = int(np.argmax(u))
     return float(x[i]), float(u[i])
 
@@ -63,7 +62,7 @@ def main():
 
     # --- through the collision: integrator vs closed form ---
     T = args.t_collision
-    u0 = two_soliton(grid.x, -T, ladder, params)
+    u0 = ladder.evaluate(grid.x, -T, params)
     cfg = EvolveConfig(eq=EquationId(EquationKind.KDV), params=params,
                        grid=grid, dt=args.dt, t_end=2.0 * T,
                        output_stride=max(1, round(5.0 / args.dt)))
@@ -76,7 +75,7 @@ def main():
     for t_run, snap in zip(traj.times, traj.snapshots):
         t = t_run - T
         gap = float(np.max(np.abs(snap.values
-                                  - two_soliton(grid.x, t, ladder, params))))
+                                  - ladder.evaluate(grid.x, t, params))))
         worst = max(worst, gap)
         print(f"{t:8.1f} {gap:28.3e}")
     print(f"worst gap over the run: {worst:.3e}\n")

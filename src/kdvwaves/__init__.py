@@ -30,6 +30,7 @@ from .equations import (
     ResidualReport,
     fd8_derivative,
     residual,
+    solution_fields,
     spectral_derivative,
     travelling_residual,
 )
@@ -74,8 +75,6 @@ from .waves import (
     make_kdv_cnoidal,
     make_kdv_soliton,
     make_kdv_superposition,
-    three_soliton,
-    two_soliton,
 )
 
 __version__ = "0.1.0"
@@ -126,8 +125,7 @@ __all__ = [
     "ramp_bottom",
     "residual",
     "run_case",
+    "solution_fields",
     "spectral_derivative",
-    "three_soliton",
     "travelling_residual",
-    "two_soliton",
 ]

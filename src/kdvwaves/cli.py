@@ -2,11 +2,13 @@
 
 Subcommands
 -----------
-profile    sample a catalog wave onto (x, t) points, write a CSV table
-verify     residual reports for (wave, equation) pairs
+profile    sample a catalog wave or ladder onto (x, t) points, write a CSV table
+verify     residual reports for (wave or ladder, equation) pairs
 symmetry   sign-inversion sweep: max|R_a(u, u_t) + R_{-a}(-u, -u_t)|
 fit        collocation fit of a travelling ansatz, single- or multi-start
 evolve     ETDRK4 time integration with snapshot and monitor export
+
+profile, verify and evolve read (u, u_t) from equations.solution_fields.
 
 Configs are YAML documents (see scripts/ for worked examples).  Reports
 go to stdout as one JSON object per line; human-readable summaries go to
@@ -34,7 +36,7 @@ from .equations import (
     EquationKind,
     Field,
     Grid,
-    residual,
+    solution_fields,
     travelling_residual,
 )
 from .evolve import EvolveConfig, NumericalAbort, estimate_speed, evolve, monitors
@@ -51,7 +53,6 @@ from .inversion import (
     catalog,
     default_matrix,
     run_case,
-    solution_fields,
 )
 from .waves import (
     Frame,
@@ -273,10 +274,7 @@ def cmd_profile(args) -> int:
     x = grid.x
     rows = []
     for t in times:
-        if isinstance(built, SolitonLadder):
-            u = built.evaluate(x, t, eff, frame)
-        else:
-            u = built.evaluate(x, t, frame)
+        u = solution_fields(built, eff, grid, t, frame)[0].values
         if len(times) == 1:
             rows.extend(zip(x, u))
         else:
@@ -313,7 +311,7 @@ def _verify_cases(doc: dict):
         params = _medium(merged)
         eq = EquationId(_equation_kind(merged), _frame(merged))
         built, eff = _wave_or_ladder(merged, params)
-        wavelength = None if isinstance(built, SolitonLadder) else built.wavelength()
+        wavelength = built.wavelength()
         grid = _grid(merged, required=wavelength is None)
         if grid is None:
             # one full period of the periodic families
@@ -330,14 +328,8 @@ def cmd_verify(args) -> int:
     any_fail = False
     rows = []
     for label, eq, params, solution, grid, t in _verify_cases(doc):
-        if isinstance(solution, SolitonLadder):
-            u, ut = solution_fields(solution, params, grid, t, eq.frame)
-            report, _ = residual(u, ut, eq, params,
-                                 tolerance=tolerance, backend=args.backend)
-        else:
-            report, _ = travelling_residual(solution, eq, params, grid, t=t,
-                                            tolerance=tolerance, backend=args.backend)
-
+        report, _ = travelling_residual(solution, eq, params, grid, t=t,
+                                        tolerance=tolerance, backend=args.backend)
         _emit(_report_record(label, report))
         rows.append((label, report))
         any_fail = any_fail or not report.passed
@@ -490,11 +482,7 @@ def cmd_evolve(args) -> int:
                     output_stride=int(doc.get("output_stride", 1)),
                     dealias=doc.get("dealias"))
 
-    if isinstance(built, SolitonLadder):
-        u0 = built.evaluate(grid.x, 0.0, eff)
-    else:
-        u0 = built.evaluate(grid.x, 0.0, eq.frame)
-
+    u0, _ = solution_fields(built, eff, grid, 0.0, eq.frame)
     aborted = None
     try:
         traj = evolve(config, u0)

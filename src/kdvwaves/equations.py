@@ -18,6 +18,9 @@ term is absent.
 Every term of every residual is assembled from sign-symmetric primitives,
 so negating (u, u_t, alpha) negates the residual bitwise.  That exactness
 is what the inversion harness measures.
+
+`solution_fields` is the one path from a catalog solution (wave or ladder)
+to its (u, u_t), so every command that checks a case checks the same pair.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .waves import Frame, MediumParams, TravellingWave
+from .waves import Frame, MediumParams, SolitonLadder, TravellingWave
 
 __all__ = [
     "EquationKind",
@@ -44,6 +47,7 @@ __all__ = [
     "fd8_derivative",
     "bottom_eval",
     "residual",
+    "solution_fields",
     "travelling_residual",
     "equation_terms",
     "linearised_terms",
@@ -393,20 +397,39 @@ def residual(u: Field, u_t: Field, eq: EquationId, params: MediumParams,
     return report, Field(u.grid, res, u.time)
 
 
-def travelling_residual(spec: TravellingWave, eq: EquationId, params: MediumParams,
-                        grid: Grid, t: float = 0.0, tolerance: float = 1e-8,
-                        backend: str = "spectral") -> tuple[ResidualReport, Field]:
-    """Residual of a travelling profile, with u_t supplied by -v u_x.
+def solution_fields(solution: TravellingWave | SolitonLadder, params: MediumParams,
+                    grid: Grid, t: float = 0.0, frame: Frame = Frame.FIXED,
+                    ) -> tuple[Field, Field]:
+    """(u, u_t) of a catalog solution at time t in `frame`.
 
-    Any profile may be checked against any flat-bottom equation (a
+    A ladder's u_t is its exact tau-function derivative.  A travelling
+    wave's is -v u_x with the spectral u_x, whatever backend the residual
+    then takes, so every command that checks a wave checks the same pair.
+    """
+    if isinstance(solution, SolitonLadder):
+        u, ut = solution.fields(grid.x, t, params, frame)
+        return Field(grid, u, t), Field(grid, ut, t)
+    u = Field(grid, solution.evaluate(grid.x, t, frame), t)
+    # The exact profile rows would give u_x as well, with residuals within
+    # 0.5% of these on every catalog case, but at n = 8192 their derivative
+    # chain's temporaries cost more time and peak memory than one FFT pair.
+    ux = _spectral_diff(u.values, grid, 1)
+    return u, Field(grid, -solution.speed_in(frame) * ux, t)
+
+
+def travelling_residual(solution: TravellingWave | SolitonLadder, eq: EquationId,
+                        params: MediumParams, grid: Grid, t: float = 0.0,
+                        tolerance: float = 1e-8, backend: str = "spectral",
+                        ) -> tuple[ResidualReport, Field]:
+    """Residual of a catalog solution's (u, u_t) from solution_fields.
+
+    Any solution may be checked against any flat-bottom equation (a
     mismatched pair is simply reported as failing); a bottom profile is
-    rejected because no uniformly travelling profile solves the
-    variable-depth equations.
+    rejected because neither a uniformly travelling profile nor a ladder
+    solves the variable-depth equations.
     """
     if eq.bottom is not None:
-        raise ValueError("travelling profiles assume a flat bottom; "
+        raise ValueError("catalog solutions assume a flat bottom; "
                          "evaluate residual() directly for bottom terms")
-    u = Field(grid, spec.evaluate(grid.x, t, eq.frame), t)
-    ux = _BACKENDS[backend](u.values, grid, 1)
-    u_t = Field(grid, -spec.speed_in(eq.frame) * ux, t)
-    return residual(u, u_t, eq, params, tolerance=tolerance, backend=backend)
+    return residual(*solution_fields(solution, params, grid, t, eq.frame), eq, params,
+                    tolerance=tolerance, backend=backend)

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import (BottomProfile, EquationId, EquationKind, Field, Grid,
-                        ResidualReport, residual, spectral_derivative)
-from .waves import (Frame, MediumParams, SolitonLadder, TravellingWave,
-                    make_fifth_order_soliton, make_gardner_soliton,
-                    make_kdv2_soliton, make_kdv_cnoidal, make_kdv_soliton,
-                    make_kdv_superposition)
+                        ResidualReport, residual, solution_fields)
+from .waves import (Frame, MediumParams, SolitonLadder, make_fifth_order_soliton,
+                    make_gardner_soliton, make_kdv2_soliton, make_kdv_cnoidal,
+                    make_kdv_soliton, make_kdv_superposition)
 
 __all__ = [
     "RandomField",
@@ -96,15 +95,19 @@ class InversionCase:
     is_solution: bool
 
 
+def _negated(u: Field, ut: Field) -> tuple[Field, Field]:
+    """The mirrored pair (-u, -u_t)."""
+    return Field(u.grid, -u.values, u.time), Field(ut.grid, -ut.values, ut.time)
+
+
 def _inversion_pair(u: Field, ut: Field, eq: EquationId, params: MediumParams,
                     tolerance: float, backend: str,
                     ) -> tuple[InversionDefect, ResidualReport, ResidualReport]:
     """(algebraic defect, upright report, mirrored report), one residual a
     side; the two reports test SOLUTION_TOL."""
     rep_p, res_p = residual(u, ut, eq, params, tolerance=SOLUTION_TOL, backend=backend)
-    rep_m, res_m = residual(Field(u.grid, -u.values, u.time),
-                            Field(ut.grid, -ut.values, ut.time),
-                            eq, params.flipped(), tolerance=SOLUTION_TOL, backend=backend)
+    rep_m, res_m = residual(*_negated(u, ut), eq, params.flipped(),
+                            tolerance=SOLUTION_TOL, backend=backend)
     defect = float(np.max(np.abs(res_p.values + res_m.values)))
     scale = max(rep_p.scale, rep_m.scale)
     relative = defect / scale if scale > 0.0 else 0.0
@@ -124,9 +127,7 @@ def mirrored_residual(u: Field, ut: Field, eq: EquationId, params: MediumParams,
                       tolerance: float = SOLUTION_TOL,
                       backend: str = "spectral") -> ResidualReport:
     """Residual of the negated pair under the alpha-negated equation."""
-    report, _ = residual(Field(u.grid, -u.values, u.time),
-                         Field(ut.grid, -ut.values, ut.time),
-                         eq, params.flipped(), tolerance=tolerance,
+    report, _ = residual(*_negated(u, ut), eq, params.flipped(), tolerance=tolerance,
                          backend=backend)
     return report
 
@@ -140,9 +141,7 @@ def negative_control(u: Field, ut: Field, eq: EquationId, params: MediumParams,
     is of the order of the quadratic term itself.  A small value here
     would mean the inversion checks were passing vacuously.
     """
-    report, _ = residual(Field(u.grid, -u.values, u.time),
-                         Field(ut.grid, -ut.values, ut.time),
-                         eq, params, backend=backend)
+    report, _ = residual(*_negated(u, ut), eq, params, backend=backend)
     return report
 
 
@@ -198,18 +197,6 @@ def catalog(params: MediumParams) -> list[tuple]:
         ("three_soliton/kdv", kdv, params, SolitonLadder((sign, 2.0 * sign, 3.0 * sign)),
          Grid(-48.0, 96.0, 1024)),
     ]
-
-
-def solution_fields(solution: TravellingWave | SolitonLadder, params: MediumParams,
-                    grid: Grid, t: float = 0.0, frame: Frame = Frame.FIXED,
-                    ) -> tuple[Field, Field]:
-    """(u, u_t) at time t in `frame`: u_t is -v u_x (spectral) for a
-    travelling wave, the exact tau-function derivative for a ladder."""
-    if isinstance(solution, SolitonLadder):
-        u, ut = solution.fields(grid.x, t, params, frame)
-        return Field(grid, u, t), Field(grid, ut, t)
-    u = Field(grid, solution.evaluate(grid.x, t, frame), t)
-    return u, Field(grid, -solution.speed_in(frame) * spectral_derivative(u, 1).values, t)
 
 
 def default_matrix(params: MediumParams | None = None,

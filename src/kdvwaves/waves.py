@@ -35,8 +35,6 @@ __all__ = [
     "make_kdv2_soliton",
     "make_fifth_order_soliton",
     "make_gardner_soliton",
-    "two_soliton",
-    "three_soliton",
     "time_derivative",
 ]
 
@@ -199,12 +197,15 @@ class TravellingWave:
             return {"B": stretch / self.B}
         order = len(rows) - 2
         hyp, w = self._gardner_weights(xi, order)
-        ch = [hyp[j % 2] / self.Delta**j for j in range(order + 1)]
         u = np.concatenate([rows[:1] - self.D, rows[1:-1]])
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ch = [hyp[j % 2] / self.Delta**j for j in range(order + 1)]
             source = -np.array([sum(math.comb(n, j) * ch[j] * u[n - j] for j in range(n + 1))
                                 for n in range(order + 1)])
-        source[:, np.isinf(w[0])] = 0.0     # inf * 0 in the tail, where the limit is 0
+        # inf * 0 in the tail, where the limit is 0
+        bad = ~np.isfinite(source)
+        if bad.any():
+            source[bad & _overflow_band(ch, order)] = 0.0
         return {"B": _leibniz_quotient(w, source), "Delta": -stretch / self.Delta}
 
     def profile(self, xi):
@@ -305,13 +306,18 @@ class SolitonLadder:
         """The interacting profile u at time t (see fields)."""
         return self.fields(x, t, params, frame)[0]
 
+    def wavelength(self) -> None:
+        """None: a ladder is solitary, not periodic."""
+        return None
+
 
 # --- exact profile derivatives -----------------------------------------------
 
 def _leibniz_quotient(w: list[np.ndarray], source) -> np.ndarray:
     """Rows y^(k) with sum_{j<=k} C(k, j) w^(j) y^(k-j) = source_k: the
     derivatives of y = s / w, from w's derivatives and those of s.  Where
-    w is inf (cosh overflowed) the rows past 0 read their limit 0."""
+    w is inf (cosh overflowed), or a product C(k, j) w^(j) overflows just
+    short of that, the rows past 0 read their limit 0."""
     rows = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k, acc in enumerate(source):
@@ -321,7 +327,16 @@ def _leibniz_quotient(w: list[np.ndarray], source) -> np.ndarray:
     rows = np.array(rows)
     if len(rows) > 1:
         rows[1:, np.isinf(w[0])] = 0.0      # s/inf is 0 already; inf * 0 is not
+        bad = ~np.isfinite(rows[1:])
+        if bad.any():
+            rows[1:][bad & _overflow_band(w, len(rows) - 1)] = 0.0
     return rows
+
+
+def _overflow_band(w: list[np.ndarray], order: int) -> np.ndarray:
+    """Where some C(k, j) w[j], k <= order, overflows; C(order, j) is the largest."""
+    with np.errstate(over="ignore"):
+        return np.any([np.isinf(math.comb(order, j) * w[j]) for j in range(order + 1)], 0)
 
 
 def _seed(family: WaveFamily, m: float | None) -> tuple[float, dict[tuple[int, int, int], float]]:
@@ -493,20 +508,6 @@ def make_gardner_soliton(params: MediumParams, Delta: float,
     B = sign_B * math.sqrt(disc)
     v = 1.0 + bp / Delta**2
     return TravellingWave(WaveFamily.GARDNER_SOLITON, A=A, B=B, v=v, Delta=Delta)
-
-
-def two_soliton(x, t: float, ladder: SolitonLadder, params: MediumParams):
-    """Interacting two-soliton profile: SolitonLadder.evaluate of a 2-ladder."""
-    if len(ladder.amplitudes) != 2:
-        raise ValueError("two_soliton needs a 2-amplitude ladder")
-    return ladder.evaluate(x, t, params)
-
-
-def three_soliton(x, t: float, ladder: SolitonLadder, params: MediumParams):
-    """Interacting three-soliton profile: SolitonLadder.evaluate of a 3-ladder."""
-    if len(ladder.amplitudes) != 3:
-        raise ValueError("three_soliton needs a 3-amplitude ladder")
-    return ladder.evaluate(x, t, params)
 
 
 # 8th-order centred stencil; with h = 0.01 truncation and roundoff balance

@@ -46,9 +46,7 @@ from kdvwaves.waves import (
     make_kdv_cnoidal,
     make_kdv_soliton,
     make_kdv_superposition,
-    three_soliton,
     time_derivative,
-    two_soliton,
 )
 
 P = MediumParams(alpha=0.1, beta=0.1)
@@ -83,11 +81,10 @@ def _catalog():
 def _ladder_residual(amplitudes, params, grid_span, t, kind=EquationKind.KDV):
     """Residual of an interacting state at time t, window tracking it."""
     ladder = SolitonLadder(amplitudes)
-    fn = two_soliton if len(amplitudes) == 2 else three_soliton
     x0, length = grid_span
     grid = Grid(x0, length, 1024)
-    u = Field(grid, fn(grid.x, t, ladder, params), t)
-    ut = Field(grid, time_derivative(lambda x, tt: fn(x, tt, ladder, params),
+    u = Field(grid, ladder.evaluate(grid.x, t, params), t)
+    ut = Field(grid, time_derivative(lambda x, tt: ladder.evaluate(x, tt, params),
                                      grid.x, t), t)
     report, _ = residual(u, ut, EquationId(kind), params)
     return report

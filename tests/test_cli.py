@@ -394,3 +394,18 @@ def test_symmetry_with_negative_alpha_runs_the_mirror_catalog(capsys, tmp_path):
         up, dn = rows[0.1][label], rows[-0.1][label]
         assert dn["upright_residual"] == up["mirrored_residual"]
         assert dn["mirrored_residual"] == up["upright_residual"]
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd8"])
+@pytest.mark.parametrize("alpha", [0.1, -0.1])
+def test_verify_and_symmetry_check_the_same_catalog_pairs(capsys, tmp_path, backend, alpha):
+    # verify's residual of each catalog case is symmetry's upright residual
+    vcfg = _write(tmp_path, "v.yaml", {"inverted": alpha < 0.0})
+    _, out, _ = _run(capsys, ["verify", "--config", vcfg, "--backend", backend])
+    verified = {r["label"]: r["relative"] for r in _records(out)}
+    scfg = _write(tmp_path, "s.yaml", {"medium": {"alpha": alpha, "beta": 0.1},
+                                       "n_seeds": 0})
+    _, out, _ = _run(capsys, ["symmetry", "--config", scfg, "--backend", backend])
+    upright = {r["label"]: r["upright_residual"] for r in _records(out)}
+    assert len(verified) == 8
+    assert verified == upright

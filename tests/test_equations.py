@@ -19,6 +19,7 @@ from kdvwaves.equations import (
     bottom_eval,
     fd8_derivative,
     residual,
+    solution_fields,
     spectral_derivative,
     travelling_residual,
 )
@@ -26,6 +27,7 @@ from kdvwaves.inversion import RandomField
 from kdvwaves.waves import (
     Frame,
     MediumParams,
+    SolitonLadder,
     make_gardner_soliton,
     make_kdv2_soliton,
     make_kdv_cnoidal,
@@ -184,6 +186,23 @@ def test_travelling_residual_rejects_bottom():
     bottom = BottomProfile(((10.05, 0.0), (30.05, 0.2), (60.05, 0.2), (80.05, 0.0)))
     with pytest.raises(ValueError, match="flat bottom"):
         travelling_residual(w, EquationId(EquationKind.KDV, bottom=bottom), P, grid)
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd8"])
+@pytest.mark.parametrize("amplitudes", [(1.0, 2.0), (-1.0, -2.0, -3.0)])
+def test_travelling_residual_of_a_ladder_is_the_residual_of_its_fields(backend, amplitudes):
+    ladder = SolitonLadder(amplitudes)
+    p = P if amplitudes[0] > 0 else P.flipped()
+    grid = Grid(-64.0, 128.0, 1024)
+    eq = EquationId(EquationKind.KDV, Frame.MOVING)
+    report, res = travelling_residual(ladder, eq, p, grid, t=3.0, backend=backend)
+    expected, expected_res = residual(*solution_fields(ladder, p, grid, 3.0, Frame.MOVING),
+                                      eq, p, backend=backend)
+    assert report == expected
+    assert np.array_equal(res.values, expected_res.values)
+    bottom = BottomProfile(((10.05, 0.0), (30.05, 0.2)))
+    with pytest.raises(ValueError, match="flat bottom"):
+        travelling_residual(ladder, EquationId(EquationKind.KDV, bottom=bottom), p, grid)
 
 
 def test_residual_report_flags_reversed_dispersion():

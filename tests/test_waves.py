@@ -24,9 +24,7 @@ from kdvwaves.waves import (
     make_kdv_cnoidal,
     make_kdv_soliton,
     make_kdv_superposition,
-    three_soliton,
     time_derivative,
-    two_soliton,
 )
 
 P = MediumParams(alpha=0.1, beta=0.1)
@@ -258,6 +256,29 @@ def test_gardner_width_derivatives_vanish_in_the_overflowing_tail():
         assert np.array_equal(rows[:, 1:-1], inner), name
 
 
+@pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+def test_gardner_rows_reach_their_limit_just_short_of_the_cosh_overflow(delta):
+    # for |xi|/Delta in [690, 711] cosh is still finite, but its multiples
+    # C(k, j) w^(j) in the Leibniz sums overflow; every row's limit is 0
+    w = make_gardner_soliton(MediumParams(alpha=0.1, beta=0.3), Delta=delta)
+    band = delta * np.linspace(690.0, 711.0, 2101)
+    inner = np.linspace(-30.0, 30.0, 61)
+    xi = np.concatenate([-band, inner, band])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = w.derivatives(xi, 6)
+        width = w.width_derivatives(xi, rows)
+    for name, r in [("rows", rows)] + sorted(width.items()):
+        assert np.all(np.isfinite(r)), name
+        tails = np.delete(r, np.s_[band.size:band.size + inner.size], axis=1)
+        assert np.max(np.abs(tails)) <= 1e-290, name
+    # points where nothing overflowed keep their rows bit for bit
+    at = np.s_[:, band.size:band.size + inner.size]
+    assert np.array_equal(rows[at], w.derivatives(inner, 6))
+    for name, r in w.width_derivatives(inner, w.derivatives(inner, 6)).items():
+        assert np.array_equal(width[name][at], r), name
+
+
 def test_gardner_profile_adds_its_pedestal():
     w = make_gardner_soliton(MediumParams(alpha=0.1, beta=0.3), Delta=1.0)
     xi = np.linspace(-30.0, 30.0, 121)
@@ -297,11 +318,11 @@ def test_two_soliton_asymptotic_separation():
     # the constant phase shifts produced by the collision)
     ladder = SolitonLadder((1.0, 2.0))
     x = np.linspace(-400.0, 400.0, 4001)
-    u = two_soliton(x, -150.0, ladder, P)
+    u = ladder.evaluate(x, -150.0, P)
     peaks = [x[i] for i in range(1, len(x) - 1)
              if u[i] >= u[i - 1] and u[i] >= u[i + 1] and u[i] > 0.1]
     assert len(peaks) == 2
-    peak = _dense_peak(lambda xx: two_soliton(xx, -150.0, ladder, P), x, u)
+    peak = _dense_peak(lambda xx: ladder.evaluate(xx, -150.0, P), x, u)
     assert_allclose(peak, 2.0, atol=5e-4)
 
 
@@ -310,15 +331,15 @@ def test_two_soliton_negated_solves_flipped_medium():
     ladder_dn = SolitonLadder((-1.0, -2.0))
     x = np.linspace(-40, 40, 201)
     for t in (-7.0, 0.0, 3.0):
-        assert np.all(two_soliton(x, t, ladder_dn, P.flipped())
-                      == -two_soliton(x, t, ladder_up, P))
+        assert np.all(ladder_dn.evaluate(x, t, P.flipped())
+                      == -ladder_up.evaluate(x, t, P))
 
 
 def test_three_soliton_trails_tallest_peak():
     ladder = SolitonLadder((1.0, 2.0, 3.0))
     x = np.linspace(-300.0, 300.0, 6001)
-    u = three_soliton(x, 60.0, ladder, P)
-    peak = _dense_peak(lambda xx: three_soliton(xx, 60.0, ladder, P), x, u)
+    u = ladder.evaluate(x, 60.0, P)
+    peak = _dense_peak(lambda xx: ladder.evaluate(xx, 60.0, P), x, u)
     assert_allclose(peak, 3.0, atol=5e-3)
 
 
