@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -231,10 +232,6 @@ def _wave_or_ladder(doc: dict, params: MediumParams, key: str = "wave"):
 
 # --- output helpers -----------------------------------------------------------
 
-def _g17(x: float) -> str:
-    return "%.17g" % x
-
-
 def _emit(record: dict):
     sys.stdout.write(json.dumps(record) + "\n")
 
@@ -243,12 +240,19 @@ def _say(msg: str):
     sys.stderr.write(msg + "\n")
 
 
+def _csv_lines(header: list[str], rows):
+    """The CSV text: the header, then one '%' of %.17g fields per block of rows."""
+    yield ",".join(header) + "\n"
+    rows = iter(rows)
+    while block := list(islice(rows, 4096)):
+        line = ",".join(["%.17g"] * len(block[0])) + "\n"
+        yield line * len(block) % tuple(chain.from_iterable(block))
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_g17(v) for v in row) + "\n")
+        fh.writelines(_csv_lines(header, rows))
 
 
 def _report_record(label: str, report) -> dict:
@@ -286,9 +290,7 @@ def cmd_profile(args) -> int:
         _write_csv(path, header, rows)
         _say(f"profile: {len(rows)} rows -> {path}")
     else:
-        sys.stdout.write(",".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_g17(v) for v in row) + "\n")
+        sys.stdout.writelines(_csv_lines(header, rows))
     return 0
 
 
@@ -494,7 +496,7 @@ def cmd_evolve(args) -> int:
     if args.out:
         out = Path(args.out)
         rows = [(t, x, u) for snap, t in zip(traj.snapshots, traj.times)
-                for x, u in zip(grid.x, snap.values)]
+                for x, u in zip(grid.x.tolist(), snap.values.tolist())]
         _write_csv(out / "trajectory.csv", ["t", "x", "u"], rows)
         _write_csv(out / "monitors.csv",
                    ["time", "mass", "momentum", "min", "max"],

@@ -300,11 +300,10 @@ def _required_orders(kind: EquationKind) -> list[int]:
     return sorted({o for _, _, orders in TERMS[kind] for o in orders if o})
 
 
-def bottom_term(params: MediumParams, bottom_pair: tuple[np.ndarray, np.ndarray],
-                u: np.ndarray, ux: np.ndarray) -> np.ndarray:
-    """The uneven-bottom term -(delta/4)(2 h u_x + h_x u) of every equation."""
+def bottom_coefficients(params: MediumParams, bottom_pair) -> tuple[np.ndarray, np.ndarray]:
+    """(c_ux, c_u) = ((delta/2) h, (delta/4) h_x): the bottom term is -(c_ux u_x + c_u u)."""
     h, hx = bottom_pair
-    return -0.25 * params.delta * (2.0 * h * ux + hx * u)
+    return 0.5 * params.delta * h, 0.25 * params.delta * hx
 
 
 def equation_terms(kind: EquationKind, params: MediumParams, frame: Frame,
@@ -322,7 +321,8 @@ def equation_terms(kind: EquationKind, params: MediumParams, frame: Frame,
             value = value * (derivs[o] if o else u)
         terms.append((name, value))
     if bottom_pair is not None:
-        terms.append(("bottom", bottom_term(params, bottom_pair, u, derivs[1])))
+        c_ux, c_u = bottom_coefficients(params, bottom_pair)
+        terms.append(("bottom", -(c_ux * derivs[1] + c_u * u)))
     return terms
 
 

@@ -3,9 +3,9 @@
 The linear part (advection plus all constant-coefficient dispersion) is
 integrated exactly in Fourier space; the nonlinear and bottom terms go
 through the fourth-order exponential time differencing scheme of Cox &
-Matthews with the contour-integral coefficient evaluation of Kassam &
-Trefethen (SIAM J. Sci. Comput. 26, 2005), which is what keeps the
-stiff k^3/k^5 symbols from poisoning the coefficients at small dt.
+Matthews; its phi-function coefficients are closed forms away from
+z = dt L = 0 and Taylor sums near it (Schmelzer & Trefethen, ETNA 29,
+2007), so the stiff k^3/k^5 symbols cannot poison them at small dt.
 
 Both parts are read from the equation's term table (`equations.TERMS`).
 On a flat bottom every nonlinear monomial is an exact x-derivative
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equations import (FLUXES, TERMS, BottomProfile, EquationId, Field, Grid,
-                        bottom_eval, bottom_term, equation_table)
+                        bottom_coefficients, bottom_eval, equation_table)
 from .waves import MediumParams
 
 __all__ = [
@@ -118,22 +118,26 @@ def _linear_symbol(eq: EquationId, params: MediumParams, grid: Grid) -> np.ndarr
     return L
 
 
-def _etdrk4_coefficients(L: np.ndarray, dt: float, n_contour: int = 32):
-    """Contour-integral evaluation of the ETDRK4 phi-function combinations.
+# z^j coefficients, j < 20, of Q/dt and of f1, f2, f3 over dt (phi1 - 3 phi2
+# + 4 phi3, phi2 - 2 phi3, 4 phi3 - phi2); on |z| <= 1 the tail is < 1e-17
+_TAYLOR = np.array([[0.5 ** (j + 1) * (j + 2) * (j + 3), (j + 1) ** 2, j + 1, 1 - j]
+                    for j in range(20)]).T / [float(math.factorial(j + 3)) for j in range(20)]
 
-    The mean over a full circle of unit radius centred at each dt*L equals
-    the phi-function there (mean-value property); the half-circle shortcut
-    seen in real-spectrum codes does not apply to these imaginary symbols.
-    """
-    E = np.exp(dt * L)
-    E2 = np.exp(0.5 * dt * L)
-    r = np.exp(2j * math.pi * (np.arange(1, n_contour + 1) - 0.5) / n_contour)
-    LR = dt * L[:, None] + r[None, :]
-    Q = dt * np.mean((np.exp(LR / 2.0) - 1.0) / LR, axis=1)
-    f1 = dt * np.mean((-4.0 - LR + np.exp(LR) * (4.0 - 3.0 * LR + LR**2)) / LR**3, axis=1)
-    f2 = dt * np.mean((2.0 + LR + np.exp(LR) * (-2.0 + LR)) / LR**3, axis=1)
-    f3 = dt * np.mean((-4.0 - 3.0 * LR - LR**2 + np.exp(LR) * (4.0 - LR)) / LR**3, axis=1)
-    return E, E2, Q, f1, f2, f3
+
+def _etdrk4_coefficients(L: np.ndarray, dt: float):
+    """E, E2, Q, f1, f2, f3 of ETDRK4 at z = dt L: their closed forms
+    cancel as z -> 0, so on |z| <= 1 their Taylor series is summed instead."""
+    z = dt * L
+    E, E2 = np.exp(z), np.exp(0.5 * z)
+    near = np.abs(z) <= 1.0
+    taylor_z, z = z[near], np.where(near, 1.0, z)   # closed forms off `near`
+    z3 = z ** 3
+    phis = [np.expm1(0.5 * z) / z, (-4.0 - z + E * (4.0 - 3.0 * z + z * z)) / z3,
+            (2.0 + z + E * (z - 2.0)) / z3, (-4.0 - 3.0 * z - z * z + E * (4.0 - z)) / z3]
+    for phi, taylor in zip(phis, _TAYLOR):
+        phi[near] = np.polyval(taylor[::-1], taylor_z)
+        phi *= dt
+    return (E, E2, *phis)
 
 
 class ETDRK4:
@@ -143,45 +147,48 @@ class ETDRK4:
         self.config = config
         grid, params, eq = config.grid, config.params, config.eq
         L = _linear_symbol(eq, params, grid)
-        self.E, self.E2, self.Q, self.f1, self.f2, self.f3 = \
-            _etdrk4_coefficients(L, config.dt)
-        self._f2x2 = 2.0 * self.f2
-        self._params = params
-        self._bottom = bottom_eval(eq.bottom, grid) if eq.bottom is not None else None
+        self.E, self.E2, self.Q, self.f1, f2, self.f3 = _etdrk4_coefficients(L, config.dt)
+        self._f2x2 = 2.0 * f2
         self._n = grid.n
         # coefficients carry the sign of du/dt, so no term is negated per call
         terms = [(orders, -c(params)) for _, c, orders in TERMS[eq.kind] if len(orders) > 1]
-        if self._bottom is None:
+        if eq.bottom is None:
             # conservative form: du/dt gets ik times the rfft of the merged fluxes
-            fluxes: dict[tuple[int, ...], float] = {}
-            for orders, c in terms:
-                for w, flux_orders in FLUXES[orders]:
-                    fluxes[flux_orders] = fluxes.get(flux_orders, 0.0) + w * c
-            terms = list(fluxes.items())
-            sampled, outer = set(), grid.derivative_multiplier(1)
+            terms = [(flux, w * c) for orders, c in terms for w, flux in FLUXES[orders]]
+            outer = grid.derivative_multiplier(1)
         else:
-            # product form: the bottom term reads u and u_x, which are sampled anyway
-            sampled, outer = {0, 1}, None
+            # product form, where the bottom adds (delta/2) h u_x + (delta/4) h_x u
+            c_ux, c_u = bottom_coefficients(params, bottom_eval(eq.bottom, grid))
+            terms += [((1,), c_ux), ((0,), c_u)]
+            outer = None
         if config.dealias_active():
             mask = (np.arange(grid.n // 2 + 1) <= grid.n // 3).astype(float)
             outer = mask if outer is None else outer * mask
         self._outer = outer
-        orders = sorted(sampled.union(*(t for t, _ in terms)))
+        # terms with the same derivative factors merge into one polynomial in u
+        groups: dict[tuple[int, ...], dict[int, float | np.ndarray]] = {}
+        for orders, c in terms:
+            powers = groups.setdefault(tuple(o for o in orders if o), {})
+            powers[orders.count(0)] = powers.get(orders.count(0), 0.0) + c
+        orders = sorted({0}.union(*groups))
         # one row of (ik)^o per sampled order, so one irfft call samples them all
         self._multipliers = np.array([grid.derivative_multiplier(o) for o in orders])
-        self._terms = [(c, [orders.index(o) for o in t]) for t, c in terms]
+        # Horner in u, then the factors: adds[0] f[rows[0]], then (term + adds[j]) f[rows[j]]
+        self._groups = [([powers.get(p) for p in range(max(powers), -len(factors), -1)],
+                         [0] * max(powers) + [orders.index(o) for o in factors])
+                        for factors, powers in groups.items()]
 
     def nonlinear(self, v: np.ndarray) -> np.ndarray:
         """rfft of the nonlinear (and bottom) part of du/dt."""
         f = np.fft.irfft(self._multipliers * v, self._n)
         out = None
-        for c, factors in self._terms:
-            term = c * f[factors[0]]
-            for i in factors[1:]:
-                term *= f[i]
-            out = term if out is None else out + term
-        if self._bottom is not None:
-            out -= bottom_term(self._params, self._bottom, f[0], f[1])
+        for adds, rows in self._groups:
+            term = adds[0] * f[rows[0]]
+            for c, row in zip(adds[1:], rows[1:]):
+                if c is not None:
+                    term += c
+                term *= f[row]
+            out = term if out is None else np.add(out, term, out=out)
         nv = np.fft.rfft(out)
         if self._outer is not None:
             nv *= self._outer
@@ -190,13 +197,24 @@ class ETDRK4:
     def step(self, v: np.ndarray) -> np.ndarray:
         Nv = self.nonlinear(v)
         E2v = self.E2 * v
-        a = E2v + self.Q * Nv
+        a = self.Q * Nv
+        a += E2v
         Na = self.nonlinear(a)
-        b = E2v + self.Q * Na
+        b = self.Q * Na
+        b += E2v
         Nb = self.nonlinear(b)
-        c = self.E2 * a + self.Q * (2.0 * Nb - Nv)
+        c = np.multiply(Nb, 2.0, out=b)      # in place: c = E2 a + Q (2 Nb - Nv)
+        c -= Nv
+        c *= self.Q
+        a *= self.E2
+        c += a
         Nc = self.nonlinear(c)
-        return self.E * v + self.f1 * Nv + self._f2x2 * (Na + Nb) + self.f3 * Nc
+        Na += Nb
+        out = self.E * v
+        for coefficient, N in ((self.f1, Nv), (self._f2x2, Na), (self.f3, Nc)):
+            N *= coefficient
+            out += N
+        return out
 
 
 def evolve(config: EvolveConfig, u0) -> Trajectory:
@@ -219,17 +237,17 @@ def evolve(config: EvolveConfig, u0) -> Trajectory:
     traj = Trajectory(config)
     traj.append(0.0, values)
     v = np.fft.rfft(values)
-    stride = config.output_stride
+    stride, n_steps = config.output_stride, config.n_steps
     # blowup is detected and reported below, so the transient overflow
     # on the final doomed step is not worth a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, config.n_steps + 1):
+        for i in range(1, n_steps + 1):
             v = stepper.step(v)
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise NumericalAbort(
                     f"non-finite spectrum at step {i} (t = {i * config.dt!r}); "
                     "reduce dt or check the configuration", traj)
-            if (stride and i % stride == 0) or i == config.n_steps:
+            if (stride and i % stride == 0) or i == n_steps:
                 traj.append(i * config.dt, np.fft.irfft(v, config.grid.n))
     return traj
 

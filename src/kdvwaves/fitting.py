@@ -269,9 +269,10 @@ def _try_eval(kind, params, ansatz, xi, values):
         return None
 
 
-# the collapse rule of fit_travelling_wave (see its docstring)
+# the collapse rules of fit_travelling_wave (see its docstring)
 TRIVIAL_WINDOW = 8
 TRIVIAL_MIN_GAIN = 2.0
+FLAT_TOL = 1e-6
 
 
 def fit_travelling_wave(kind: EquationKind, params: MediumParams,
@@ -294,7 +295,9 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
     rejected a trial, and the relative residual gained less than
     TRIVIAL_MIN_GAIN (2x).  The rejection clause spares fits that shrink
     |A| with full steps on their way to a real solution.  Reading |A|
-    only, fits and mirrors stop alike.
+    only, fits and mirrors stop alike.  A constant solves every equation too,
+    so a converged profile whose spread over the nodes is at most FLAT_TOL
+    (1e-6) of its size (B -> 0) is reported as trivial.
     """
     missing = [p for p in ansatz.free if p not in start]
     if missing:
@@ -311,6 +314,8 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
         return a / point.scale if point.scale > 0.0 else a
 
     def finish(status, n_iterations):
+        flat = np.ptp(cur.rows[0]) <= FLAT_TOL * np.max(np.abs(cur.rows[0]))
+        status = "trivial" if status == "converged" and flat else status
         return FitResult(ansatz, _canonical(ansatz, c), rel(cur), status,
                          n_iterations, rank)
 

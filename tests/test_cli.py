@@ -409,3 +409,24 @@ def test_verify_and_symmetry_check_the_same_catalog_pairs(capsys, tmp_path, back
     upright = {r["label"]: r["upright_residual"] for r in _records(out)}
     assert len(verified) == 8
     assert verified == upright
+
+
+def test_csv_rows_format_like_the_per_value_join(capsys, tmp_path):
+    # one '%' per block of rows gives the bytes of "%.17g" value by value,
+    # also on a block boundary and on the values with special spellings
+    from kdvwaves.cli import _csv_lines, _write_csv
+
+    specials = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, math.inf, -math.inf, math.nan,
+                0.1, -2.5, 1.0 / 3.0, 1e300, 7, np.float64(-0.0), np.float64(np.nan)]
+    rows = [(specials[i % len(specials)], float(i), specials[(7 * i) % len(specials)])
+            for i in range(5000)]
+    want = "t,x,u\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+    assert "".join(_csv_lines(["t", "x", "u"], iter(rows))) == want
+    _write_csv(tmp_path / "rows.csv", ["t", "x", "u"], rows)
+    assert (tmp_path / "rows.csv").read_bytes() == want.encode()
+    assert "".join(_csv_lines(["a"], [])) == "a\n"
+    # profile's stdout rows take the same formatter
+    cfg = _write(tmp_path, "p.yaml", PROFILE_DOC)
+    _, out, _ = _run(capsys, ["profile", "--config", cfg, "--out", str(tmp_path / "p")])
+    _, stdout, _ = _run(capsys, ["profile", "--config", cfg])
+    assert (tmp_path / "p" / "profile.csv").read_text() == stdout

@@ -229,3 +229,56 @@ def test_flat_bottom_nonlinearity_conserves_mass_exactly(kind):
                        grid=grid, dt=0.01, t_end=0.01)
     v = np.fft.rfft(RandomField(seed=8, amplitude=0.5).build(grid)[0].values + 0.3)
     assert ETDRK4(cfg).nonlinear(v)[0] == 0.0
+
+
+# Q/dt, f1/dt, f2/dt and f3/dt of ETDRK4 at z = iy, from their closed forms
+# in mpmath at 40 digits (the limits 1/2 and 1/6 at y = 0), rounded to 20
+PHI_REFERENCE = {
+        0: (5.0e-1+0.0j,
+              1.6666666666666666667e-1+0.0j,
+              1.6666666666666666667e-1+0.0j,
+              1.6666666666666666667e-1+0.0j),
+        1e-8: (4.9999999999999999792e-1+1.2499999999999999974e-9j,
+              1.6666666666666665917e-1+1.6666666666666666444e-9j,
+              1.6666666666666666417e-1+8.3333333333333332778e-10j,
+              1.666666666666666675e-1+2.7777777777777777679e-27j),
+        0.25: (4.9869893354091075983e-1+3.1209331082683787404e-2j,
+              1.6199850997117138053e-1+4.1320315299586225087e-2j,
+              1.6510803720861844208e-1+2.0746672965100755942e-2j,
+              1.6718517821244656952e-1+4.3305997431614566014e-5j),
+        0.5: (4.9480791850904585919e-1+6.2175156578710431711e-2j,
+              1.482245845583825852e-1+8.0583319961617486768e-2j,
+              1.6047837010575713991e-1+4.0976855337224541046e-2j,
+              1.6871301222699485572e-1+3.4413490873891681416e-4j),
+        1: (4.7942553860420300027e-1+1.2241743810962728388e-1j,
+              9.6493963180729632245e-2+1.4531987202810867216e-1j,
+              1.426396637476532959e-1+7.7924403455824058546e-2j,
+              1.7441836663655369079e-1+2.6802082804553762562e-3j),
+        3: (3.3249832886801814365e-1+3.0975426611076569664e-1j,
+              -1.9275305292980270389e-1+8.2223798353371566121e-2j,
+              9.3413891081878080006e-3+1.3172685070449219438e-1j,
+              2.0242749918367387925e-1+5.4199631028808142119e-2j),
+        100: (-2.6237485370392878591e-3+3.5033971507886725931e-4j,
+              -4.7029352868468437212e-3-8.7756491397206162434e-3j,
+              -1.87244618510987911e-4+5.0911926366400511497e-5j,
+              3.8825734979320742858e-4+9.9488127113781748564e-3j),
+        2.8e5: (-3.3371518616256749339e-6+4.8436390466505838452e-6j,
+              2.3774975520209973179e-6+2.665083128239531502e-6j,
+              -3.2369783356784406693e-12-8.4909600174972530628e-12j,
+              2.8747121766460297062e-11+3.5714370622294948894e-6j),
+}
+
+
+def test_etdrk4_coefficients_match_the_mpmath_values():
+    from kdvwaves.evolve import _etdrk4_coefficients
+
+    ys = np.array(sorted({s * y for y in PHI_REFERENCE for s in (1.0, -1.0)}))
+    E, E2, *phis = _etdrk4_coefficients(1j * ys, 1.0)
+    assert_allclose(E, np.exp(1j * ys), rtol=1e-15)
+    assert_allclose(E2, np.exp(0.5j * ys), rtol=1e-15)
+    for i, y in enumerate(ys):
+        # the coefficients are real on the real axis: their value at -iy is the conjugate
+        want = np.array(PHI_REFERENCE[abs(y)])
+        want = want.conj() if y < 0.0 else want
+        got = np.array([phi[i] for phi in phis])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (y, got - want)

@@ -386,6 +386,21 @@ def test_cli_single_start_reports_trivial(capsys, tmp_path):
     assert '"status": "trivial"' in capsys.readouterr().out
 
 
+def test_collapsed_width_reports_trivial():
+    # with A pinned, B can slide to 0: sech^2 then reads A on every node, a
+    # constant that solves the equation; 20% below the soliton the fit ends
+    # there (B ~ 2e-6), 20% above it finds the soliton, under both signs
+    for p in (MediumParams(alpha=0.3, beta=0.1), MediumParams(alpha=-0.3, beta=0.1)):
+        w = make_kdv_soliton(p, math.copysign(1.0, p.alpha))
+        ansatz = AnsatzFamily("sech2", ("B", "v"), {"A": w.A, "D": 0.0})
+        low, high = [fit_travelling_wave(EquationKind.KDV, p, ansatz,
+                                         {"B": f * w.B, "v": f * w.v}) for f in (0.8, 1.2)]
+        assert low.status == "trivial" and low.values["B"] < 1e-5
+        assert low.residual <= 1e-10          # it would pass the convergence test
+        assert high.status == "converged"
+        assert_allclose([high.values["B"], high.values["v"]], [w.B, w.v], rtol=1e-9)
+
+
 # --- exact Jacobian columns --------------------------------------------------------
 
 PG = MediumParams(alpha=0.1, beta=0.3, tau=0.0)
