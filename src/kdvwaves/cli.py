@@ -15,6 +15,13 @@ go to stdout as one JSON object per line; human-readable summaries go to
 stderr; tables are CSV with full-precision (%.17g) floats.  Identical
 config and seed give byte-identical output.
 
+Every config key is checked against the schema below: one table per
+section and per command maps each legal key to (type, default).  An
+unknown key (named with the nearest legal one), a missing required key or
+a malformed value exits 2 with the key's name.  Every subcommand takes
+--config and --out; fit adds --tolerance, verify --tolerance and
+--backend, symmetry --seed, --tolerance and --backend.
+
 Exit codes: 0 success, 1 verification/fit failure, 2 bad configuration,
 3 numerical abort.
 """
@@ -25,6 +32,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -35,7 +43,6 @@ from .equations import (
     BottomProfile,
     EquationId,
     EquationKind,
-    Field,
     Grid,
     solution_fields,
     travelling_residual,
@@ -74,7 +81,10 @@ class ConfigError(Exception):
     """A config value violates a precondition; message names the parameter."""
 
 
-# --- config parsing -----------------------------------------------------------
+# --- config schema -------------------------------------------------------------
+
+REQUIRED = object()
+
 
 def _load_config(path: str) -> dict:
     try:
@@ -91,23 +101,34 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _section(doc: dict, key: str, required: bool = True) -> dict | None:
-    val = doc.get(key)
-    if val is None:
-        if required:
-            raise ConfigError(f"config is missing required section '{key}'")
-        return None
-    if not isinstance(val, dict):
-        raise ConfigError(f"config section '{key}' must be a mapping")
-    return val
+def _read(section, table: dict, where: str) -> dict:
+    """Every key of the table, read from the section or filled in from its
+    default; a key given as null counts as absent.  A (table, constructor)
+    pair in place of a type marks a nested section, built from its keys.
+    The only code that takes values out of a config."""
+    for key in _dict(section, where):
+        if key not in table:
+            from difflib import get_close_matches
+            near = get_close_matches(str(key), list(table), n=1, cutoff=0.0)
+            hint = f"did you mean '{near[0]}'?" if near else "no key is legal here"
+            raise ConfigError(f"unknown key '{_path(where, key)}' ({hint})")
+    values = {}
+    for key, (kind, default) in table.items():
+        path, value = _path(where, key), section.get(key)
+        if value is None:
+            if default is REQUIRED:
+                raise ConfigError(f"missing required key '{path}'")
+            values[key] = default
+        elif isinstance(kind, tuple):
+            sub, ctor = kind
+            values[key] = _build(path, ctor, **_read(value, sub, path))
+        else:
+            values[key] = kind(value, path)
+    return values
 
 
-def _take(section: dict, name: str, where: str, default=None, required: bool = False):
-    if name not in section:
-        if required:
-            raise ConfigError(f"'{where}' is missing required key '{name}'")
-        return default
-    return section[name]
+def _path(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
 
 
 def _build(where: str, ctor, **kwargs):
@@ -118,61 +139,81 @@ def _build(where: str, ctor, **kwargs):
         raise ConfigError(f"invalid '{where}': {exc}")
 
 
-def _medium(doc: dict, required: bool = True) -> MediumParams | None:
-    sec = _section(doc, "medium", required)
-    if sec is None:
-        return None
-    return _build("medium", MediumParams,
-                  alpha=float(_take(sec, "alpha", "medium", required=True)),
-                  beta=float(_take(sec, "beta", "medium", required=True)),
-                  tau=float(_take(sec, "tau", "medium", 0.0)),
-                  delta=float(_take(sec, "delta", "medium", 0.0)))
+def _type(what: str, convert, accept=lambda value: True):
+    """A type: convert() of a value that accept() allows and convert() takes."""
+    def read(value, where: str):
+        try:
+            if accept(value):
+                return convert(value)
+        except (LookupError, TypeError, ValueError):
+            pass
+        raise ConfigError(f"'{where}' must be {what}, got {value!r}")
+    return read
 
 
-def _grid(doc: dict, key: str = "grid", required: bool = True) -> Grid | None:
-    sec = _section(doc, key, required)
-    if sec is None:
-        return None
-    return _build(key, Grid,
-                  x0=float(_take(sec, "x0", key, required=True)),
-                  length=float(_take(sec, "length", key, required=True)),
-                  n=int(_take(sec, "n", key, required=True)))
+# PyYAML reads 1e-8 (no dot) as a string, so a numeric string is a real too
+_float = _type("a real number", float, lambda v: not isinstance(v, bool))
+_int = _type("an integer", int, lambda v: type(v) is int)
+_bool = _type("true or false", bool, lambda v: isinstance(v, bool))
+_str = _type("a string", str, lambda v: isinstance(v, str))
+_dict = _type("a mapping", dict, lambda v: isinstance(v, dict))
+_frame = _type(f"one of {[f.value for f in Frame]}", Frame)
+_kind = _type(f"one of {[k.value for k in EquationKind]}", EquationKind)
 
 
-def _frame(doc: dict) -> Frame:
-    name = doc.get("frame", "fixed")
-    try:
-        return Frame(name)
-    except ValueError:
-        raise ConfigError(f"'frame' must be one of "
-                          f"{[f.value for f in Frame]}, got {name!r}")
+def _list(item, n: int | None = None):
+    """A list read item by item, as a tuple; n fixes its length."""
+    check = _type("a list" if n is None else f"a list of {n} values", list,
+                  lambda v: isinstance(v, list) and n in (None, len(v)))
+
+    def read(value, where: str) -> tuple:
+        return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(check(value, where)))
+    return read
 
 
-def _equation_kind(doc: dict, key: str = "equation") -> EquationKind:
-    name = _take(doc, key, "config", required=True)
-    try:
-        return EquationKind(name)
-    except ValueError:
-        raise ConfigError(f"'{key}' must be one of "
-                          f"{[k.value for k in EquationKind]}, got {name!r}")
+def _mapping(item):
+    """A mapping of names to values read by item."""
+    def read(value, where: str) -> dict:
+        return {k: item(v, _path(where, k)) for k, v in _dict(value, where).items()}
+    return read
 
 
-def _bottom(doc: dict) -> BottomProfile | None:
-    sec = _section(doc, "bottom", required=False)
-    if sec is None:
-        return None
-    knots = _take(sec, "knots", "bottom", required=True)
-    if not isinstance(knots, list) or not all(
-            isinstance(k, list) and len(k) == 2 for k in knots):
-        raise ConfigError("'bottom.knots' must be a list of [x, h] pairs")
-    return _build("bottom", BottomProfile,
-                  knots=tuple((float(x), float(h)) for x, h in knots))
+def _superposition(params, A, m, B, sign):
+    # B defaults to the width of the kdv soliton of amplitude A
+    if B is None:
+        B = make_kdv_soliton(params, A).B
+    return make_kdv_superposition(params, A, m, B, sign=sign)
 
 
-_LADDER_FAMILIES = ("two_soliton", "three_soliton")
+_SUPERPOSITION = {"A": (_float, REQUIRED), "m": (_float, REQUIRED), "B": (_float, None)}
+
+# family -> (its keys, its constructor from the medium and those keys)
+FAMILIES = {
+    "kdv_soliton": ({"A": (_float, REQUIRED)}, make_kdv_soliton),
+    "kdv_cnoidal": ({"A": (_float, REQUIRED), "m": (_float, REQUIRED)}, make_kdv_cnoidal),
+    "kdv_superposition_plus": (_SUPERPOSITION, partial(_superposition, sign=+1)),
+    "kdv_superposition_minus": (_SUPERPOSITION, partial(_superposition, sign=-1)),
+    "kdv2_soliton": ({}, make_kdv2_soliton),
+    "fifth_order_soliton": ({}, make_fifth_order_soliton),
+    "gardner_soliton": ({"Delta": (_float, REQUIRED), "sign_B": (_int, 1)},
+                        make_gardner_soliton),
+    "two_soliton": ({"amplitudes": (_list(_float, 2), REQUIRED)},
+                    lambda params, amplitudes: SolitonLadder(amplitudes)),
+    "three_soliton": ({"amplitudes": (_list(_float, 3), REQUIRED)},
+                      lambda params, amplitudes: SolitonLadder(amplitudes)),
+}
+
+_family = _type(f"one of {list(FAMILIES)}", FAMILIES.__getitem__)
 
 
-def _wave_or_ladder(doc: dict, params: MediumParams, key: str = "wave"):
+def _wave(spec, where: str):
+    """(where, constructor, keys) of a wave or ladder spec."""
+    keys = _dict(spec, where)
+    table, ctor = _family(keys.pop("family", None), f"{where}.family")
+    return where, ctor, _read(keys, table, where)
+
+
+def _solution(wave, params: MediumParams, inverted: bool):
     """Build (TravellingWave | SolitonLadder, effective params) from a wave spec.
 
     The 'inverted' flag flips alpha and negates the amplitude(s); for the
@@ -180,54 +221,60 @@ def _wave_or_ladder(doc: dict, params: MediumParams, key: str = "wave"):
     alone produces the negated profile.  Callers must use the returned
     params for anything downstream -- the flip is part of the state.
     """
-    sec = _section(doc, key, required=True)
-    family = _take(sec, "family", key, required=True)
-    inverted = bool(doc.get("inverted", False))
+    where, ctor, keys = wave
     if inverted:
         params = params.flipped()
+        keys = dict(keys)
+        if "A" in keys:
+            keys["A"] = -keys["A"]
+        if "amplitudes" in keys:
+            keys["amplitudes"] = tuple(-a for a in keys["amplitudes"])
+    return _build(where, ctor, params=params, **keys), params
 
-    def amp(default=None):
-        a = float(_take(sec, "A", key, default, required=default is None))
-        return -a if inverted else a
 
-    try:
-        if family == "kdv_soliton":
-            return make_kdv_soliton(params, amp()), params
-        if family == "kdv_cnoidal":
-            return make_kdv_cnoidal(params, amp(),
-                                    float(_take(sec, "m", key, required=True))), params
-        if family in ("kdv_superposition_plus", "kdv_superposition_minus"):
-            A = amp()
-            m = float(_take(sec, "m", key, required=True))
-            B = _take(sec, "B", key)
-            if B is None:
-                B = make_kdv_soliton(params, A).B
-            sign = +1 if family.endswith("plus") else -1
-            return make_kdv_superposition(params, A, m, float(B), sign=sign), params
-        if family == "kdv2_soliton":
-            return make_kdv2_soliton(params), params
-        if family == "fifth_order_soliton":
-            return make_fifth_order_soliton(params), params
-        if family == "gardner_soliton":
-            return make_gardner_soliton(params,
-                                        Delta=float(_take(sec, "Delta", key, required=True)),
-                                        sign_B=int(_take(sec, "sign_B", key, 1))), params
-        if family in _LADDER_FAMILIES:
-            amps = _take(sec, "amplitudes", key, required=True)
-            want = 2 if family == "two_soliton" else 3
-            if not isinstance(amps, list) or len(amps) != want:
-                raise ConfigError(
-                    f"'{key}.amplitudes' must list exactly {want} values for {family}")
-            amps = [float(a) for a in amps]
-            if inverted:
-                amps = [-a for a in amps]
-            return SolitonLadder(tuple(amps)), params
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid '{key}' ({family}): {exc}")
-    raise ConfigError(
-        f"'{key}.family' must be a catalog family or ladder, got {family!r}")
+def _starts(value, where: str):
+    """'starts', as a function of the medium: a list of start points, or
+    {amplitudes: {n, span}}, a geometric ladder of kdv-soliton warm starts."""
+    if isinstance(value, list):
+        points = _list(_mapping(_float))(value, where)
+        return lambda params: list(points)
+    ladder = _read(value, {"amplitudes": ((AMPLITUDES, dict), REQUIRED)}, where)
+    return lambda params: amplitude_starts(params, **ladder["amplitudes"])
+
+
+MEDIUM = ({"alpha": (_float, REQUIRED), "beta": (_float, REQUIRED),
+           "tau": (_float, 0.0), "delta": (_float, 0.0)}, MediumParams)
+GRID = ({"x0": (_float, REQUIRED), "length": (_float, REQUIRED),
+         "n": (_int, REQUIRED)}, Grid)
+BOTTOM = ({"knots": (_list(_list(_float, 2)), REQUIRED)}, BottomProfile)
+ANSATZ = ({"shape": (_str, REQUIRED), "free": (_list(_str), REQUIRED),
+           "fixed": (_mapping(_float), {}), "sign": (_int, 1),
+           "zero_mean": (_bool, False)}, AnsatzFamily)
+AMPLITUDES = {"n": (_int, 8), "span": (_list(_float, 2), (0.05, 3.0))}
+
+# the top-level keys of each command
+PROFILE = {"medium": (MEDIUM, REQUIRED), "frame": (_frame, Frame.FIXED),
+           "grid": (GRID, REQUIRED), "wave": (_wave, REQUIRED),
+           "inverted": (_bool, False), "times": (_list(_float), (0.0,))}
+VERIFY_CASE = {"label": (_str, None), "equation": (_kind, REQUIRED),
+               "medium": (MEDIUM, REQUIRED), "frame": (_frame, Frame.FIXED),
+               "grid": (GRID, None), "wave": (_wave, REQUIRED),
+               "inverted": (_bool, False), "t": (_float, 0.0)}
+# the document's keys but the label are the defaults of every case
+VERIFY = {"tolerance": (_float, 1e-8), "cases": (_list(_dict), None),
+          **{key: (kind, None if default is REQUIRED else default)
+             for key, (kind, default) in VERIFY_CASE.items() if key != "label"}}
+SYMMETRY = {"medium": (MEDIUM, None), "n_seeds": (_int, 5), "select": (_str, None)}
+FIT = {"equation": (_kind, REQUIRED), "medium": (MEDIUM, REQUIRED),
+       "ansatz": (ANSATZ, REQUIRED), "n_points": (_int, None), "rtol": (_float, None),
+       "count_constraints": (_bool, False), "start": (_mapping(_float), None),
+       "starts": (_starts, None)}
+EVOLVE = {"equation": (_kind, REQUIRED), "medium": (MEDIUM, REQUIRED),
+          "frame": (_frame, Frame.FIXED), "grid": (GRID, REQUIRED),
+          "bottom": (BOTTOM, None), "initial": (_wave, REQUIRED),
+          "inverted": (_bool, False), "dt": (_float, REQUIRED),
+          "t_end": (_float, REQUIRED), "output_stride": (_int, 1),
+          "dealias": (_bool, None)}
 
 
 # --- output helpers -----------------------------------------------------------
@@ -265,20 +312,16 @@ def _report_record(label: str, report) -> dict:
 # --- subcommands --------------------------------------------------------------
 
 def cmd_profile(args) -> int:
-    doc = _load_config(args.config)
-    params = _medium(doc)
-    frame = _frame(doc)
-    grid = _grid(doc)
-    times = doc.get("times", [0.0])
-    if not isinstance(times, list) or not times:
+    cfg = _read(_load_config(args.config), PROFILE, "")
+    grid, times = cfg["grid"], cfg["times"]
+    if not times:
         raise ConfigError("'times' must be a non-empty list of reals")
-    times = [float(t) for t in times]
 
-    built, eff = _wave_or_ladder(doc, params)
+    built, eff = _solution(cfg["wave"], cfg["medium"], cfg["inverted"])
     x = grid.x
     rows = []
     for t in times:
-        u = solution_fields(built, eff, grid, t, frame)[0].values
+        u = solution_fields(built, eff, grid, t, cfg["frame"])[0].values
         if len(times) == 1:
             rows.extend(zip(x, u))
         else:
@@ -294,42 +337,39 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _verify_cases(doc: dict):
+def _verify_cases(cfg: dict):
     """(label, equation, medium, solution, grid, t) per case, built one at
-    a time; without 'cases', the catalog (mirrored by 'inverted')."""
-    cases = doc.get("cases")
-    if cases is None:
-        medium = DEFAULT_MEDIUM.flipped() if doc.get("inverted", False) else DEFAULT_MEDIUM
-        frame, t = _frame(doc), float(doc.get("t", 0.0))
-        for label, kind, params, solution, grid in catalog(medium):
-            yield label, EquationId(kind, frame), params, solution, grid, t
+    a time; without 'cases', the catalog of the medium (mirrored by
+    'inverted')."""
+    if cfg["cases"] is None:
+        for key in ("equation", "grid", "wave"):
+            if cfg[key] is not None:
+                raise ConfigError(f"'{key}' is read only by a case, and there are no 'cases'")
+        medium = cfg["medium"] or DEFAULT_MEDIUM
+        for label, kind, params, solution, grid in catalog(
+                medium.flipped() if cfg["inverted"] else medium):
+            yield label, EquationId(kind, cfg["frame"]), params, solution, grid, cfg["t"]
         return
-    if not isinstance(cases, list):
-        raise ConfigError("'cases' must be a list")
-    for i, case in enumerate(cases):
-        if not isinstance(case, dict):
-            raise ConfigError(f"'cases[{i}]' must be a mapping")
-        merged = {**doc, **case}
-        params = _medium(merged)
-        eq = EquationId(_equation_kind(merged), _frame(merged))
-        built, eff = _wave_or_ladder(merged, params)
-        wavelength = built.wavelength()
-        grid = _grid(merged, required=wavelength is None)
-        if grid is None:
-            # one full period of the periodic families
-            grid = Grid(0.0, wavelength, 1024)
-        yield (case.get("label", f"case{i}"), eq, eff, built, grid,
-               float(merged.get("t", 0.0)))
+    table = {key: (kind, default if cfg.get(key) is None else cfg[key])
+             for key, (kind, default) in VERIFY_CASE.items()}
+    for i, case in enumerate(cfg["cases"]):
+        case = _read(case, table, f"cases[{i}]")
+        built, eff = _solution(case["wave"], case["medium"], case["inverted"])
+        if case["grid"] is None and built.wavelength() is None:
+            raise ConfigError(f"missing required key 'cases[{i}].grid'")
+        # without a grid, one full period of the periodic families
+        grid = case["grid"] or Grid(0.0, built.wavelength(), 1024)
+        yield (case["label"] or f"case{i}", EquationId(case["equation"], case["frame"]),
+               eff, built, grid, case["t"])
 
 
 def cmd_verify(args) -> int:
-    doc = _load_config(args.config)
-    tolerance = (float(doc.get("tolerance", 1e-8)) if args.tolerance is None
-                 else args.tolerance)
+    cfg = _read(_load_config(args.config), VERIFY, "")
+    tolerance = cfg["tolerance"] if args.tolerance is None else args.tolerance
 
     any_fail = False
     rows = []
-    for label, eq, params, solution, grid, t in _verify_cases(doc):
+    for label, eq, params, solution, grid, t in _verify_cases(cfg):
         report, _ = travelling_residual(solution, eq, params, grid, t=t,
                                         tolerance=tolerance, backend=args.backend)
         _emit(_report_record(label, report))
@@ -347,15 +387,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
-    doc = _load_config(args.config) if args.config else {}
-    params = _medium(doc, required=False)
-    n_seeds = int(doc.get("n_seeds", 5))
+    cfg = _read(_load_config(args.config) if args.config else {}, SYMMETRY, "")
+    n_seeds, select = cfg["n_seeds"], cfg["select"]
     if n_seeds < 0:
         raise ConfigError(f"'n_seeds' must be >= 0, got {n_seeds}")
     base = args.seed or 0
-    cases = default_matrix(params, seeds=range(base, base + n_seeds))
+    cases = default_matrix(cfg["medium"], seeds=range(base, base + n_seeds))
 
-    select = doc.get("select")
     if select is not None:
         cases = [c for c in cases if c.label == select]
         if not cases:
@@ -382,53 +420,27 @@ def cmd_symmetry(args) -> int:
     return 1 if any_fail else 0
 
 
-def _ansatz(doc: dict) -> AnsatzFamily:
-    sec = _section(doc, "ansatz")
-    free = _take(sec, "free", "ansatz", required=True)
-    if not isinstance(free, list):
-        raise ConfigError("'ansatz.free' must be a list of parameter names")
-    fixed = _take(sec, "fixed", "ansatz", {})
-    if not isinstance(fixed, dict):
-        raise ConfigError("'ansatz.fixed' must be a mapping")
-    return _build("ansatz", AnsatzFamily,
-                  shape=_take(sec, "shape", "ansatz", required=True),
-                  free=tuple(free),
-                  fixed={k: float(v) for k, v in fixed.items()},
-                  sign=int(_take(sec, "sign", "ansatz", 1)),
-                  zero_mean=bool(_take(sec, "zero_mean", "ansatz", False)))
-
-
 def cmd_fit(args) -> int:
-    doc = _load_config(args.config)
-    params = _medium(doc)
-    kind = _equation_kind(doc)
-    ansatz = _ansatz(doc)
-    fit_kwargs = {}
-    if "n_points" in doc:
-        fit_kwargs["n_points"] = int(doc["n_points"])
-    if args.tolerance is not None:
-        fit_kwargs["rtol"] = args.tolerance
-    elif "rtol" in doc:
-        fit_kwargs["rtol"] = float(doc["rtol"])
+    cfg = _read(_load_config(args.config), FIT, "")
+    params, kind, ansatz = cfg["medium"], cfg["equation"], cfg["ansatz"]
+    fit_kwargs = {"n_points": cfg["n_points"]}
+    rtol = cfg["rtol"] if args.tolerance is None else args.tolerance
+    if rtol is not None:
+        fit_kwargs["rtol"] = rtol
 
-    if doc.get("count_constraints", False):
+    if cfg["count_constraints"]:
         k = count_constraints(kind, params, ansatz)
         _emit({"constraint_count": k, "free_parameters": list(ansatz.free)})
         _say(f"fit: {k} independent constraints on {len(ansatz.free)} free parameters")
 
-    starts = doc.get("starts")
-    start = doc.get("start")
+    starts, start = cfg["starts"], cfg["start"]
     if (starts is None) == (start is None):
         raise ConfigError("provide exactly one of 'start' (single fit) "
                           "or 'starts' (multi-start)")
 
     if start is not None:
-        if not isinstance(start, dict):
-            raise ConfigError("'start' must be a mapping of parameter -> value")
         try:
-            result = fit_travelling_wave(
-                kind, params, ansatz,
-                {k: float(v) for k, v in start.items()}, **fit_kwargs)
+            result = fit_travelling_wave(kind, params, ansatz, start, **fit_kwargs)
         except ValueError as exc:
             raise ConfigError(f"invalid 'start': {exc}")
         _emit({"values": result.values, "residual": result.residual,
@@ -442,16 +454,7 @@ def cmd_fit(args) -> int:
              f"relative residual {result.residual:.3e}")
         return 0 if result.converged else 1
 
-    if isinstance(starts, dict) and "amplitudes" in starts:
-        spec = starts["amplitudes"]
-        start_list = amplitude_starts(
-            params, n=int(spec.get("n", 8)),
-            span=tuple(float(s) for s in spec.get("span", (0.05, 3.0))))
-    elif isinstance(starts, list):
-        start_list = [{k: float(v) for k, v in s.items()} for s in starts]
-    else:
-        raise ConfigError("'starts' must be a list of start points or "
-                          "{amplitudes: {n, span}}")
+    start_list = starts(params)
     basins, results = multi_start_fit(kind, params, ansatz, start_list, **fit_kwargs)
     for i, b in enumerate(basins):
         _emit({"basin": i, "values": b.values, "residual": b.residual,
@@ -470,19 +473,15 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    doc = _load_config(args.config)
-    params = _medium(doc)
-    grid = _grid(doc)
-    eq = EquationId(_equation_kind(doc), _frame(doc), _bottom(doc))
+    cfg = _read(_load_config(args.config), EVOLVE, "")
+    grid = cfg["grid"]
+    eq = EquationId(cfg["equation"], cfg["frame"], cfg["bottom"])
     # the initial-state spec may carry 'inverted', which flips the medium
     # the run itself must use -- mirror data evolves in the mirror medium
-    built, eff = _wave_or_ladder(doc, params, key="initial")
+    built, eff = _solution(cfg["initial"], cfg["medium"], cfg["inverted"])
     config = _build("evolve", EvolveConfig,
-                    eq=eq, params=eff, grid=grid,
-                    dt=float(_take(doc, "dt", "config", required=True)),
-                    t_end=float(_take(doc, "t_end", "config", required=True)),
-                    output_stride=int(doc.get("output_stride", 1)),
-                    dealias=doc.get("dealias"))
+                    eq=eq, params=eff, grid=grid, dt=cfg["dt"], t_end=cfg["t_end"],
+                    output_stride=cfg["output_stride"], dealias=cfg["dealias"])
 
     u0, _ = solution_fields(built, eff, grid, 0.0, eq.frame)
     aborted = None
@@ -534,22 +533,22 @@ def _parser() -> argparse.ArgumentParser:
                     "sweeps, coefficient fits, and time evolution for "
                     "KdV-family equations.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (
-            ("profile", cmd_profile, True),
-            ("verify", cmd_verify, True),
-            ("symmetry", cmd_symmetry, False),
-            ("fit", cmd_fit, True),
-            ("evolve", cmd_evolve, True)):
+    flags = {"--seed": dict(type=int, help="base seed for randomised sweeps"),
+             "--tolerance": dict(type=float, help="override the module's default tolerance"),
+             "--backend": dict(choices=("spectral", "fd8"), default="spectral",
+                               help="derivative backend")}
+    for name, fn, own in (
+            ("profile", cmd_profile, ()),
+            ("verify", cmd_verify, ("--tolerance", "--backend")),
+            ("symmetry", cmd_symmetry, ("--seed", "--tolerance", "--backend")),
+            ("fit", cmd_fit, ("--tolerance",)),
+            ("evolve", cmd_evolve, ())):
         p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", required=needs_config,
+        p.add_argument("--config", required=name != "symmetry",
                        help="YAML run configuration")
         p.add_argument("--out", help="directory for CSV outputs")
-        p.add_argument("--seed", type=int, default=None,
-                       help="base seed for randomised sweeps")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the module's default tolerance")
-        p.add_argument("--backend", choices=("spectral", "fd8"),
-                       default="spectral", help="derivative backend")
+        for flag in own:
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(fn=fn)
     return parser
 

@@ -430,3 +430,111 @@ def test_csv_rows_format_like_the_per_value_join(capsys, tmp_path):
     _, out, _ = _run(capsys, ["profile", "--config", cfg, "--out", str(tmp_path / "p")])
     _, stdout, _ = _run(capsys, ["profile", "--config", cfg])
     assert (tmp_path / "p" / "profile.csv").read_text() == stdout
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("evolve", "--backend"), ("evolve", "--seed"), ("evolve", "--tolerance"),
+    ("profile", "--backend"), ("profile", "--seed"), ("profile", "--tolerance"),
+    ("fit", "--backend"), ("fit", "--seed"), ("verify", "--seed")])
+def test_a_flag_the_subcommand_does_not_read_is_rejected(capsys, command, flag):
+    value = "fd8" if flag == "--backend" else "3"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "unused.yaml", flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_without_cases_checks_the_catalog_of_its_medium(capsys, tmp_path):
+    medium = {"alpha": 0.3, "beta": 0.1}
+    vcfg = _write(tmp_path, "v.yaml", {"medium": medium})
+    _, out, _ = _run(capsys, ["verify", "--config", vcfg])
+    verified = {r["label"]: r["relative"] for r in _records(out)}
+    scfg = _write(tmp_path, "s.yaml", {"medium": medium, "n_seeds": 0})
+    _, out, _ = _run(capsys, ["symmetry", "--config", scfg])
+    upright = {r["label"]: r["upright_residual"] for r in _records(out)}
+    assert len(verified) == 8
+    assert verified == upright
+
+
+EVOLVE_DOC = {
+    "equation": "kdv",
+    "medium": {"alpha": 0.1, "beta": 0.1},
+    "grid": {"x0": -30.0, "length": 60.0, "n": 256},
+    "bottom": {"knots": [[-10.0, 0.0], [10.0, 0.1]]},
+    "dt": 0.05, "t_end": 1.0, "output_stride": 0,
+    "initial": {"family": "kdv_soliton", "A": 1.0},
+}
+FIT_DOC = {
+    "equation": "kdv2",
+    "medium": {"alpha": 0.1, "beta": 0.1},
+    "ansatz": {"shape": "sech2", "free": ["A", "B", "v"], "fixed": {"D": 0.0}},
+    "starts": {"amplitudes": {"n": 2, "span": [0.5, 8.0]}},
+}
+VERIFY_DOC = {
+    "medium": {"alpha": 0.1, "beta": 0.1},
+    "cases": [{"label": "soliton", "equation": "kdv",
+               "grid": {"x0": -50.0, "length": 100.0, "n": 1024},
+               "wave": {"family": "kdv_soliton", "A": 1.0}}],
+}
+
+
+def _misspell(doc: dict, path: tuple, wrong: str) -> dict:
+    """A deep copy of doc with the last key of path renamed to wrong."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    section = doc
+    for p in parents:
+        section = section[p]
+    section[wrong] = section.pop(key)
+    return doc
+
+
+@pytest.mark.parametrize("command,doc,path,wrong,where", [
+    ("profile", PROFILE_DOC, ("medium", "alpha"), "alpah", "medium.alpah"),
+    ("profile", PROFILE_DOC, ("grid", "length"), "lenght", "grid.lenght"),
+    ("evolve", EVOLVE_DOC, ("bottom", "knots"), "knot", "bottom.knot"),
+    ("profile", PROFILE_DOC, ("wave", "A"), "a", "wave.a"),
+    ("fit", FIT_DOC, ("ansatz", "fixed"), "fixd", "ansatz.fixd"),
+    ("fit", FIT_DOC, ("starts", "amplitudes", "span"), "spam", "starts.amplitudes.spam"),
+    ("verify", VERIFY_DOC, ("cases", 0, "grid"), "grdi", "cases[0].grdi"),
+    ("profile", PROFILE_DOC, ("wave",), "wav", "wav"),
+    ("verify", VERIFY_DOC, ("medium",), "meduim", "meduim"),
+    ("symmetry", {"n_seeds": 0}, ("n_seeds",), "n_seed", "n_seed"),
+    ("fit", FIT_DOC, ("equation",), "equaton", "equaton"),
+    ("evolve", EVOLVE_DOC, ("output_stride",), "output_strid", "output_strid"),
+])
+def test_a_misspelt_key_names_the_nearest_legal_one(capsys, tmp_path, command, doc,
+                                                     path, wrong, where):
+    cfg = _write(tmp_path, "typo.yaml", _misspell(doc, path, wrong))
+    code, out, err = _run(capsys, [command, "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert f"unknown key '{where}' (did you mean '{path[-1]}'?)" in err
+
+
+@pytest.mark.parametrize("command,doc,key,value", [
+    ("profile", PROFILE_DOC, "inverted", "false"),
+    ("profile", PROFILE_DOC, "grid", {"x0": -20.0, "length": 40.0, "n": 16.7}),
+    ("profile", PROFILE_DOC, "times", ["a"]),
+    ("fit", FIT_DOC, "starts", [1, 2]),
+    ("fit", FIT_DOC, "starts", {"amplitudes": {"span": 3}}),
+    ("verify", VERIFY_DOC, "tolerance", "abc"),
+])
+def test_a_malformed_value_exits_two_and_names_its_key(capsys, tmp_path, command, doc,
+                                                       key, value):
+    cfg = _write(tmp_path, "bad.yaml", {**doc, key: value})
+    code, out, err = _run(capsys, [command, "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: '{key}")
+
+
+def test_a_tolerance_without_a_dot_is_read_as_a_real(capsys, tmp_path):
+    # PyYAML reads 1e-8 (no dot, unlike 1.0e-8) as the string '1e-8'
+    path = tmp_path / "v.yaml"
+    path.write_text("tolerance: 1e-8\n")
+    assert yaml.safe_load(path.read_text()) == {"tolerance": "1e-8"}
+    code, out, err = _run(capsys, ["verify", "--config", str(path)])
+    assert code == 0
+    assert {r["tolerance"] for r in _records(out)} == {1e-8}
+    assert "(tolerance 1e-08)" in err
