@@ -54,7 +54,6 @@ from .fitting import (
 )
 from .inversion import (
     InversionCase,
-    InversionDefect,
     RandomField,
     algebraic_defect,
     default_matrix,
@@ -92,7 +91,6 @@ __all__ = [
     "Frame",
     "Grid",
     "InversionCase",
-    "InversionDefect",
     "MediumParams",
     "NumericalAbort",
     "RandomField",

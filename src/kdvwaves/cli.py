@@ -23,13 +23,14 @@ a malformed value exits 2 with the key's name.  Every subcommand takes
 --backend, symmetry --seed, --tolerance and --backend.
 
 Exit codes: 0 success, 1 verification/fit failure, 2 bad configuration,
-3 numerical abort.
+3 numerical abort, 141 stdout closed by its reader (as SIGPIPE would).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from functools import partial
@@ -40,6 +41,7 @@ import numpy as np
 import yaml
 
 from .equations import (
+    SOLUTION_TOL,
     BottomProfile,
     EquationId,
     EquationKind,
@@ -261,7 +263,7 @@ VERIFY_CASE = {"label": (_str, None), "equation": (_kind, REQUIRED),
                "grid": (GRID, None), "wave": (_wave, REQUIRED),
                "inverted": (_bool, False), "t": (_float, 0.0)}
 # the document's keys but the label are the defaults of every case
-VERIFY = {"tolerance": (_float, 1e-8), "cases": (_list(_dict), None),
+VERIFY = {"tolerance": (_float, SOLUTION_TOL), "cases": (_list(_dict), None),
           **{key: (kind, None if default is REQUIRED else default)
              for key, (kind, default) in VERIFY_CASE.items() if key != "label"}}
 SYMMETRY = {"medium": (MEDIUM, None), "n_seeds": (_int, 5), "select": (_str, None)}
@@ -300,13 +302,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.writelines(_csv_lines(header, rows))
-
-
-def _report_record(label: str, report) -> dict:
-    rec = {"label": label}
-    rec.update(asdict(report))
-    rec["flags"] = list(rec["flags"])
-    return rec
 
 
 # --- subcommands --------------------------------------------------------------
@@ -372,7 +367,7 @@ def cmd_verify(args) -> int:
     for label, eq, params, solution, grid, t in _verify_cases(cfg):
         report, _ = travelling_residual(solution, eq, params, grid, t=t,
                                         tolerance=tolerance, backend=args.backend)
-        _emit(_report_record(label, report))
+        _emit({"label": label, **asdict(report)})
         rows.append((label, report))
         any_fail = any_fail or not report.passed
 
@@ -399,17 +394,11 @@ def cmd_symmetry(args) -> int:
         if not cases:
             raise ConfigError(f"'select' matches no case label: {select!r}")
 
-    rows = [run_case(c, backend=args.backend) for c in cases]
     tolerance = ALGEBRAIC_TOL if args.tolerance is None else args.tolerance
-    worst = 0.0
-    any_fail = False
+    rows = [run_case(c, args.backend, tolerance) for c in cases]
     for row in rows:
-        row["algebraic_pass"] = row["algebraic_defect_value"] <= tolerance
-        row["pass"] = row["algebraic_pass"] and all(
-            row[k] for k in row if k.endswith("_pass") and k != "algebraic_pass")
         _emit(row)
-        worst = max(worst, row["algebraic_defect_value"])
-        any_fail = any_fail or not row["pass"]
+    worst = max((r["algebraic_defect_value"] for r in rows), default=0.0)
 
     if args.out and rows:
         _write_csv(Path(args.out) / "symmetry.csv",
@@ -417,7 +406,7 @@ def cmd_symmetry(args) -> int:
                    [(r["algebraic_defect_value"], float(r["pass"])) for r in rows])
     _say(f"symmetry: {sum(r['pass'] for r in rows)}/{len(rows)} passed, "
          f"worst antisymmetry defect {worst:.3e} (tolerance {tolerance:g})")
-    return 1 if any_fail else 0
+    return 0 if all(r["pass"] for r in rows) else 1
 
 
 def cmd_fit(args) -> int:
@@ -556,13 +545,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()      # a closed pipe shows here, not at exit
+        return code
     except ConfigError as exc:
         _say(f"config error: {exc}")
         return 2
-    except NumericalAbort as exc:
-        _say(f"numerical abort: {exc}")
-        return 3
+    except BrokenPipeError:
+        # the reader left (`| head`): the unflushed rest goes to devnull,
+        # so the exit flush stays quiet, and the code is SIGPIPE's
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

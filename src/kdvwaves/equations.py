@@ -43,6 +43,7 @@ __all__ = [
     "BottomProfile",
     "EquationId",
     "ResidualReport",
+    "SOLUTION_TOL",
     "spectral_derivative",
     "fd8_derivative",
     "bottom_eval",
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 DERIVATIVE_ORDERS = (1, 2, 3, 5)
+# the relative residual under which (u, u_t) counts as a solution
+SOLUTION_TOL = 1e-8
 
 
 class EquationKind(Enum):
@@ -362,8 +365,19 @@ def _tau_flags(kind: EquationKind, params: MediumParams) -> tuple[str, ...]:
     return ()
 
 
+def residual_report(equation: str, res: np.ndarray, scale: float, dx: float,
+                    tolerance: float, flags: tuple[str, ...] = ()) -> ResidualReport:
+    """The report of a residual field whose largest single term reaches scale."""
+    norm_inf = float(np.max(np.abs(res)))
+    relative = norm_inf / scale if scale > 0.0 else 0.0
+    return ResidualReport(equation=equation, norm_inf=norm_inf,
+                          norm_2=float(math.sqrt(dx * np.sum(res * res))), scale=scale,
+                          relative=relative, passed=bool(relative <= tolerance),
+                          tolerance=tolerance, flags=flags)
+
+
 def residual(u: Field, u_t: Field, eq: EquationId, params: MediumParams,
-             tolerance: float = 1e-8, backend: str = "spectral",
+             tolerance: float = SOLUTION_TOL, backend: str = "spectral",
              ) -> tuple[ResidualReport, Field]:
     """Pointwise residual of (u, u_t) under the given equation.
 
@@ -381,19 +395,8 @@ def residual(u: Field, u_t: Field, eq: EquationId, params: MediumParams,
     terms = equation_terms(eq.kind, params, eq.frame, u.values, derivs,
                            u_t=u_t.values, bottom_pair=bottom_pair)
     res, scale = sum_terms(terms)
-    norm_inf = float(np.max(np.abs(res)))
-    norm_2 = float(math.sqrt(u.grid.dx * np.sum(res * res)))
-    relative = norm_inf / scale if scale > 0.0 else 0.0
-    report = ResidualReport(
-        equation=eq.label(),
-        norm_inf=norm_inf,
-        norm_2=norm_2,
-        scale=scale,
-        relative=relative,
-        passed=bool(relative <= tolerance),
-        tolerance=tolerance,
-        flags=_tau_flags(eq.kind, params),
-    )
+    report = residual_report(eq.label(), res, scale, u.grid.dx, tolerance,
+                             _tau_flags(eq.kind, params))
     return report, Field(u.grid, res, u.time)
 
 
@@ -419,7 +422,7 @@ def solution_fields(solution: TravellingWave | SolitonLadder, params: MediumPara
 
 def travelling_residual(solution: TravellingWave | SolitonLadder, eq: EquationId,
                         params: MediumParams, grid: Grid, t: float = 0.0,
-                        tolerance: float = 1e-8, backend: str = "spectral",
+                        tolerance: float = SOLUTION_TOL, backend: str = "spectral",
                         ) -> tuple[ResidualReport, Field]:
     """Residual of a catalog solution's (u, u_t) from solution_fields.
 

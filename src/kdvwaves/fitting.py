@@ -131,12 +131,6 @@ def _scaled(values: dict[str, float], unit_rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def profile_derivatives(ansatz: AnsatzFamily, xi: np.ndarray,
-                        values: dict[str, float]) -> dict[int, np.ndarray]:
-    """f, f', ..., f^(6) of the ansatz at the given xi, exactly."""
-    return dict(enumerate(_scaled(values, _unit_rows(ansatz, xi, values)[1])))
-
-
 # --- collocation residual ---------------------------------------------------
 
 def collocation_points(ansatz: AnsatzFamily, values: dict[str, float],
@@ -258,9 +252,6 @@ class FitResult:
     def converged(self) -> bool:
         return self.status == "converged"
 
-    def wave(self) -> TravellingWave:
-        return self.ansatz.wave(self.values)
-
 
 def _try_eval(kind, params, ansatz, xi, values):
     try:
@@ -269,16 +260,19 @@ def _try_eval(kind, params, ansatz, xi, values):
         return None
 
 
-# the collapse rules of fit_travelling_wave (see its docstring)
+# the step budget and collapse rules of fit_travelling_wave (see its docstring)
+MAX_ITERATIONS = 200
 TRIVIAL_WINDOW = 8
 TRIVIAL_MIN_GAIN = 2.0
 FLAT_TOL = 1e-6
+# multi_start_fit: below this |A| a fit has collapsed to u = 0; within it
+# (relative to 1 + |value|) two fits share a basin
+MERGE_TOL = 1e-6
 
 
 def fit_travelling_wave(kind: EquationKind, params: MediumParams,
                         ansatz: AnsatzFamily, start: dict[str, float],
-                        n_points: int | None = None, max_iterations: int = 200,
-                        rtol: float = 1e-10) -> FitResult:
+                        n_points: int | None = None, rtol: float = 1e-10) -> FitResult:
     """Damped Gauss-Newton on the collocation residual.
 
     start must provide every free parameter.  Collocation nodes are laid
@@ -286,9 +280,10 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
     does not move under the iteration.
 
     Statuses: converged (relative residual <= rtol), trivial, stalled (no
-    trial lowers the residual), max_iterations, singular_jacobian (dead
-    end at deficient rank, or where the residual cannot be evaluated next
-    to the iterate: at no trial step, or not to difference in m).  A free
+    trial lowers the residual), max_iterations (no verdict after
+    MAX_ITERATIONS, 200, steps), singular_jacobian (dead end at deficient
+    rank, or where the residual cannot be evaluated next to the iterate:
+    at no trial step, or not to difference in m).  A free
     amplitude can slide along a solution family toward u = 0, which
     solves every equation.  The fit stops as trivial once, over the last
     TRIVIAL_WINDOW (8) accepted steps, |A| fell each time, the damping
@@ -328,7 +323,7 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
     # (|A|, relative residual, a trial was rejected) per accepted step
     history = deque([(abs(c[i_amp]), rel(cur), False)] if i_amp is not None else [],
                     maxlen=TRIVIAL_WINDOW + 1)
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         if rel(cur) <= rtol:
             return finish("converged", it - 1)
         res = cur.res
@@ -373,7 +368,7 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
                     and all(new < old for old, new in zip(amps, amps[1:]))
                     and rels[0] < TRIVIAL_MIN_GAIN * rels[-1]):
                 return finish("trivial", it)
-    return finish("max_iterations", max_iterations)
+    return finish("max_iterations", MAX_ITERATIONS)
 
 
 def _canonical(ansatz: AnsatzFamily, c: np.ndarray) -> dict[str, float]:
@@ -409,11 +404,10 @@ def amplitude_starts(params: MediumParams, n: int = 8,
 
 def multi_start_fit(kind: EquationKind, params: MediumParams,
                     ansatz: AnsatzFamily, starts: list[dict[str, float]],
-                    merge_tol: float = 1e-6,
                     **fit_kwargs) -> tuple[list[FitBasin], list[FitResult]]:
     """Fit from every start; cluster the converged results into basins.
 
-    Results with |A| below merge_tol collapse onto the trivial zero
+    Results with |A| below MERGE_TOL collapse onto the trivial zero
     profile and are not counted as a basin.  Returns (basins sorted by
     population, all raw results).
     """
@@ -423,10 +417,10 @@ def multi_start_fit(kind: EquationKind, params: MediumParams,
     for r in results:
         if not r.converged:
             continue
-        if "A" in r.values and abs(r.values["A"]) < merge_tol:
+        if "A" in r.values and abs(r.values["A"]) < MERGE_TOL:
             continue
         for i, b in enumerate(basins):
-            if all(abs(r.values[p] - b.values[p]) <= merge_tol * (1.0 + abs(b.values[p]))
+            if all(abs(r.values[p] - b.values[p]) <= MERGE_TOL * (1.0 + abs(b.values[p]))
                    for p in ansatz.free):
                 basins[i] = replace(b, count=b.count + 1)
                 break
@@ -453,42 +447,35 @@ def _on_manifold_values(kind: EquationKind, params: MediumParams,
             lambda: make_gardner_soliton(params, fixed.get("Delta", 1.0)),
     }
     if (kind, ansatz.shape) not in catalog:
-        raise ValueError(
-            f"no catalog solution for ({kind.value}, {ansatz.shape}); "
-            "pass the on-manifold point explicitly via `at`")
+        raise ValueError(f"no catalog solution for ({kind.value}, {ansatz.shape})")
     w = catalog[kind, ansatz.shape]()
     vals = {"A": w.A, "B": w.B, "v": w.v, "D": w.D, "m": w.m, "Delta": w.Delta}
     return {name: x for name, x in vals.items() if x is not None}
 
 
 def count_constraints(kind: EquationKind, params: MediumParams,
-                      ansatz: AnsatzFamily, at: dict[str, float] | None = None,
-                      n_points: int | None = None) -> int:
-    """Rank of the residual Jacobian over the free parameters at a solution.
+                      ansatz: AnsatzFamily) -> int:
+    """Rank of the residual Jacobian over the free parameters at the
+    catalog solution of the equation and shape.
 
     n_free minus this rank is the local dimension of the solution family:
     e.g. the single-bell shape under the first-order equation leaves a
     one-parameter family (amplitude), while the second-order equation
     pins every parameter.
     """
-    jac = _manifold_jacobian(kind, params, ansatz, at, n_points)
+    jac = _manifold_jacobian(kind, params, ansatz)
     sigma = np.linalg.svd(jac, compute_uv=False)
     return int(np.sum(sigma > sigma[0] * 1e-6)) if sigma[0] > 0.0 else 0
 
 
-def _manifold_jacobian(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
-                       at: dict[str, float] | None, n_points: int | None) -> np.ndarray:
-    """The Jacobian whose rank count_constraints reads, at `at` or the catalog solution."""
-    values = {**ansatz.fixed,
-              **(at if at is not None else _on_manifold_values(kind, params, ansatz))}
-    missing = [p for p in SHAPE_PARAMS[ansatz.shape] if p not in values]
-    if missing:
-        raise ValueError(f"on-manifold point is missing parameters {missing}")
-    n_pts = n_points if n_points is not None else max(4 * len(ansatz.free), 12)
-    xi = collocation_points(ansatz, values, n_pts)
+def _manifold_jacobian(kind: EquationKind, params: MediumParams,
+                       ansatz: AnsatzFamily) -> np.ndarray:
+    """The Jacobian whose rank count_constraints reads, at the catalog solution."""
+    values = {**ansatz.fixed, **_on_manifold_values(kind, params, ansatz)}
+    xi = collocation_points(ansatz, values, max(4 * len(ansatz.free), 12))
     point = _fit_residual(kind, params, ansatz, xi, values)
     worst = float(np.max(np.abs(point.res)))
     if worst > 1e-6 * point.scale:
-        raise ValueError("`at` is not on the solution manifold "
+        raise ValueError("the catalog point is not on the solution manifold "
                          f"(relative residual {worst / point.scale:.3e})")
     return _jacobian(kind, params, ansatz, xi, values, point)

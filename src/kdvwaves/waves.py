@@ -35,7 +35,6 @@ __all__ = [
     "make_kdv2_soliton",
     "make_fifth_order_soliton",
     "make_gardner_soliton",
-    "time_derivative",
 ]
 
 
@@ -509,21 +508,3 @@ def make_gardner_soliton(params: MediumParams, Delta: float,
     v = 1.0 + bp / Delta**2
     return TravellingWave(WaveFamily.GARDNER_SOLITON, A=A, B=B, v=v, Delta=Delta)
 
-
-# 8th-order centred stencil; with h = 0.01 truncation and roundoff balance
-# near 1e-13 for order-one amplitudes and speeds.
-_FD8_OFFSETS = (-4, -3, -2, -1, 1, 2, 3, 4)
-_FD8_WEIGHTS = (1 / 280, -4 / 105, 1 / 5, -4 / 5, 4 / 5, -1 / 5, 4 / 105, -1 / 280)
-
-
-def time_derivative(profile_fn, x, t: float, h: float = 0.01):
-    """d/dt of profile_fn(x, t) by an 8th-order centred difference.
-
-    The reference that the ladders' exact u_t is tested against.  The
-    stencil is sign-symmetric, so a negated profile yields the exactly
-    negated derivative.
-    """
-    acc = _FD8_WEIGHTS[0] * profile_fn(x, t + _FD8_OFFSETS[0] * h)
-    for k, w in zip(_FD8_OFFSETS[1:], _FD8_WEIGHTS[1:]):
-        acc = acc + w * profile_fn(x, t + k * h)
-    return acc / h

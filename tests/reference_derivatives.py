@@ -1,0 +1,34 @@
+"""Reference derivatives that the tests check the package against.
+
+time_derivative differentiates any profile in t by finite differences;
+profile_derivatives reads the exact profile rows the fits use.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from kdvwaves.fitting import AnsatzFamily, _scaled, _unit_rows
+
+# 8th-order centred stencil; with h = 0.01 truncation and roundoff balance
+# near 1e-13 for order-one amplitudes and speeds.
+_FD8_OFFSETS = (-4, -3, -2, -1, 1, 2, 3, 4)
+_FD8_WEIGHTS = (1 / 280, -4 / 105, 1 / 5, -4 / 5, 4 / 5, -1 / 5, 4 / 105, -1 / 280)
+
+
+def time_derivative(profile_fn, x, t: float, h: float = 0.01):
+    """d/dt of profile_fn(x, t) by an 8th-order centred difference.
+
+    The reference that the ladders' exact u_t is tested against.  The
+    stencil is sign-symmetric, so a negated profile yields the exactly
+    negated derivative.
+    """
+    acc = _FD8_WEIGHTS[0] * profile_fn(x, t + _FD8_OFFSETS[0] * h)
+    for k, w in zip(_FD8_OFFSETS[1:], _FD8_WEIGHTS[1:]):
+        acc = acc + w * profile_fn(x, t + k * h)
+    return acc / h
+
+
+def profile_derivatives(ansatz: AnsatzFamily, xi: np.ndarray,
+                        values: dict[str, float]) -> dict[int, np.ndarray]:
+    """f, f', ..., f^(6) of the ansatz at the given xi, exactly."""
+    return dict(enumerate(_scaled(values, _unit_rows(ansatz, xi, values)[1])))

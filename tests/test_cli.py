@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import kdvwaves
 from kdvwaves.cli import main
 
 
@@ -249,6 +254,33 @@ def test_symmetry_runs_without_config(capsys):
     # 4 kinds x {flat, ramp} x 5 seeds + 8 catalog solutions
     assert len(recs) == 48
     assert all(r["pass"] for r in recs)
+
+
+def test_symmetry_tolerance_is_the_reported_algebraic_tolerance(capsys):
+    code, out, err = _run(capsys, ["symmetry", "--seed", "7", "--tolerance", "1e-10"])
+    assert code == 0
+    recs = _records(out)
+    assert len(recs) == 48
+    assert all(r["algebraic_tol"] == 1e-10 for r in recs)
+    assert "(tolerance 1e-10)" in err
+
+
+def test_a_reader_closing_the_pipe_ends_the_run_quietly_with_141(tmp_path):
+    # four 4096-point profiles overfill the pipe buffer, so the run is
+    # still writing when the reader leaves
+    cfg = _write(tmp_path, "big.yaml", {
+        **PROFILE_DOC, "grid": {"x0": -20.0, "length": 40.0, "n": 4096},
+        "times": [0.0, 1.0, 2.0, 3.0]})
+    env = {**os.environ, "PYTHONPATH": str(Path(kdvwaves.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "kdvwaves", "profile", "--config", cfg],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"t,x,u\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_fit_subcommand_recovers_soliton(capsys, tmp_path):

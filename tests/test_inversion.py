@@ -83,6 +83,15 @@ def test_full_matrix_passes():
     assert worst <= ALGEBRAIC_TOL
 
 
+def test_run_case_tolerance_zero_passes_exactly_zero_defects():
+    # every defect of the matrix is exactly zero, so a zero tolerance holds
+    for case in default_matrix(seeds=range(1)):
+        row = run_case(case, tolerance=0.0)
+        assert row["algebraic_defect_value"] == 0.0
+        assert row["algebraic_tol"] == 0.0
+        assert row["algebraic_pass"] and row["pass"]
+
+
 def test_solution_rows_carry_all_checks():
     case = next(c for c in default_matrix(seeds=range(1)) if c.is_solution)
     row = run_case(case)

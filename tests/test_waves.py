@@ -24,8 +24,8 @@ from kdvwaves.waves import (
     make_kdv_cnoidal,
     make_kdv_soliton,
     make_kdv_superposition,
-    time_derivative,
 )
+from reference_derivatives import time_derivative
 
 P = MediumParams(alpha=0.1, beta=0.1)
 
