@@ -33,7 +33,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -86,12 +86,14 @@ class ConfigError(Exception):
 # --- config schema -------------------------------------------------------------
 
 REQUIRED = object()
+# libyaml's parser if PyYAML has it; both share the Python resolver and constructor
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_LOADER)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except yaml.YAMLError as exc:
@@ -515,6 +517,7 @@ def cmd_evolve(args) -> int:
 
 # --- entry point ----------------------------------------------------------------
 
+@lru_cache(maxsize=None)     # built once per process; parse_args leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kdvwaves",

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import (SOLUTION_TOL, BottomProfile, EquationId, EquationKind, Field,
-                        Grid, ResidualReport, residual, residual_report, solution_fields)
+from .equations import (BottomProfile, EquationId, EquationKind, Field, Grid,
+                        ResidualReport, residual, residual_report, solution_fields)
 from .waves import (Frame, MediumParams, SolitonLadder, make_fifth_order_soliton,
                     make_gardner_soliton, make_kdv2_soliton, make_kdv_cnoidal,
                     make_kdv_soliton, make_kdv_superposition)
@@ -101,20 +101,16 @@ def _inversion_pair(u: Field, ut: Field, eq: EquationId, params: MediumParams,
     return alg, rep_p, rep_m
 
 
-def algebraic_defect(u: Field, ut: Field, eq: EquationId, params: MediumParams,
-                     tolerance: float = ALGEBRAIC_TOL,
-                     backend: str = "spectral") -> ResidualReport:
+def algebraic_defect(u: Field, ut: Field, eq: EquationId,
+                     params: MediumParams) -> ResidualReport:
     """The report of r(u, u_t; alpha) + r(-u, -u_t; -alpha) over the grid."""
-    return _inversion_pair(u, ut, eq, params, tolerance, backend)[0]
+    return _inversion_pair(u, ut, eq, params, ALGEBRAIC_TOL, "spectral")[0]
 
 
-def mirrored_residual(u: Field, ut: Field, eq: EquationId, params: MediumParams,
-                      tolerance: float = SOLUTION_TOL,
-                      backend: str = "spectral") -> ResidualReport:
+def mirrored_residual(u: Field, ut: Field, eq: EquationId,
+                      params: MediumParams) -> ResidualReport:
     """Residual of the negated pair under the alpha-negated equation."""
-    report, _ = residual(*_negated(u, ut), eq, params.flipped(), tolerance=tolerance,
-                         backend=backend)
-    return report
+    return residual(*_negated(u, ut), eq, params.flipped())[0]
 
 
 def negative_control(u: Field, ut: Field, eq: EquationId, params: MediumParams,

@@ -47,7 +47,6 @@ from kdvwaves.waves import (
     make_kdv_soliton,
     make_kdv_superposition,
 )
-from reference_derivatives import time_derivative
 
 P = MediumParams(alpha=0.1, beta=0.1)
 PG = MediumParams(alpha=0.1, beta=0.3, tau=0.0)
@@ -83,10 +82,8 @@ def _ladder_residual(amplitudes, params, grid_span, t, kind=EquationKind.KDV):
     ladder = SolitonLadder(amplitudes)
     x0, length = grid_span
     grid = Grid(x0, length, 1024)
-    u = Field(grid, ladder.evaluate(grid.x, t, params), t)
-    ut = Field(grid, time_derivative(lambda x, tt: ladder.evaluate(x, tt, params),
-                                     grid.x, t), t)
-    report, _ = residual(u, ut, EquationId(kind), params)
+    u, ut = ladder.fields(grid.x, t, params)
+    report, _ = residual(Field(grid, u, t), Field(grid, ut, t), EquationId(kind), params)
     return report
 
 

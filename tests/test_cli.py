@@ -12,7 +12,34 @@ import pytest
 import yaml
 
 import kdvwaves
+from kdvwaves import cli
 from kdvwaves.cli import main
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs")
+                         .glob("*.yaml"))
+
+
+def _load_both(path) -> list:
+    """The document under the CLI's loader and under PyYAML's pure-Python
+    SafeLoader, or YAMLError where a loader refuses it."""
+    docs = []
+    for loader in (cli._LOADER, yaml.SafeLoader):
+        try:
+            with open(path) as fh:
+                docs.append(yaml.load(fh, Loader=loader))
+        except yaml.YAMLError:
+            docs.append(yaml.YAMLError)
+    return docs
+
+
+@pytest.fixture(autouse=True)
+def _every_written_config_loads_alike(tmp_path):
+    # after each test: every config document it wrote reads the same
+    # under libyaml as under the pure-Python loader
+    yield
+    for path in sorted(tmp_path.rglob("*.yaml")):
+        first, second = _load_both(path)
+        assert first == second, path.name
 
 
 def _run(capsys, argv):
@@ -570,3 +597,39 @@ def test_a_tolerance_without_a_dot_is_read_as_a_real(capsys, tmp_path):
     assert code == 0
     assert {r["tolerance"] for r in _records(out)} == {1e-8}
     assert "(tolerance 1e-08)" in err
+
+
+def test_the_cli_reads_configs_with_libyaml_when_pyyaml_has_it():
+    assert cli._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_load_alike_under_both_loaders(path):
+    first, second = _load_both(path)
+    assert isinstance(first, dict)
+    assert first == second
+
+
+def test_malformed_yaml_exits_two(capsys, tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("medium: {alpha: 0.1\ngrid: [1, 2\n")
+    assert _load_both(path) == [yaml.YAMLError, yaml.YAMLError]
+    code, out, err = _run(capsys, ["verify", "--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: config is not valid YAML")
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # main builds its parser once per process: no call may leave state
+    # that a later call reads
+    sequence = [["verify", "--config", os.devnull, "--backend", "fd8"],
+                ["verify", "--config", os.devnull],
+                ["symmetry", "--seed", "7"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(kdvwaves.__file__).parents[1])}
+    for argv in sequence:
+        code, out, _ = _run(capsys, argv)
+        fresh = subprocess.run([sys.executable, "-W", "error", "-m", "kdvwaves", *argv],
+                               capture_output=True, env=env, timeout=120)
+        assert code == fresh.returncode
+        assert out.encode() == fresh.stdout

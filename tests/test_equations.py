@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from kdvwaves import equations
 from kdvwaves.equations import (
     FLUXES,
     TERMS,
@@ -78,6 +79,24 @@ def test_derivative_order_validation():
         spectral_derivative(f, 0)
     with pytest.raises(ValueError):
         fd8_derivative(f, -1)
+
+
+@pytest.mark.parametrize("n", [16, 1024, 8192])
+@pytest.mark.parametrize("kind", list(EquationKind))
+def test_one_transform_pair_gives_each_order_bit_for_bit(kind, n):
+    # the stacked derivative set equals one rfft/irfft pair per order,
+    # on a field with energy in every mode, the Nyquist mode included
+    grid = Grid(-3.0, 17.0, n)
+    u = np.random.default_rng(n).standard_normal(n)
+    orders = equations._required_orders(kind)
+    rows = equations._spectral_diffs(u, grid, orders)
+    assert list(rows) == orders
+    for o in orders:
+        multiplier = grid.derivative_multiplier(o)
+        assert (multiplier[-1] == 0.0) == (o % 2 == 1)
+        want = np.fft.irfft(multiplier * np.fft.rfft(u), n)
+        assert np.array_equal(rows[o], want)
+        assert np.array_equal(spectral_derivative(Field(grid, u), o).values, want)
 
 
 # --- grids and fields -----------------------------------------------------------
