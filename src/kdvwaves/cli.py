@@ -20,7 +20,8 @@ section and per command maps each legal key to (type, default).  An
 unknown key (named with the nearest legal one), a missing required key or
 a malformed value exits 2 with the key's name.  Every subcommand takes
 --config and --out; fit adds --tolerance, verify --tolerance and
---backend, symmetry --seed, --tolerance and --backend.
+--backend, symmetry --seed, --tolerance and --backend.  A tolerance is
+finite and >= 0 and a seed >= 0, as flag or key alike.
 
 Exit codes: 0 success, 1 verification/fit failure, 2 bad configuration,
 3 numerical abort, 141 stdout closed by its reader (as SIGPIPE would).
@@ -157,6 +158,10 @@ def _type(what: str, convert, accept=lambda value: True):
 
 # PyYAML reads 1e-8 (no dot) as a string, so a numeric string is a real too
 _float = _type("a real number", float, lambda v: not isinstance(v, bool))
+# NaN compares false, so it fails the range test as a negative value does
+_tolerance = _type("a finite real number >= 0", float,
+                   lambda v: not isinstance(v, bool) and 0.0 <= float(v) < float("inf"))
+_count = _type("an integer >= 0", int, lambda v: type(v) is int and v >= 0)
 _int = _type("an integer", int, lambda v: type(v) is int)
 _bool = _type("true or false", bool, lambda v: isinstance(v, bool))
 _str = _type("a string", str, lambda v: isinstance(v, str))
@@ -265,12 +270,12 @@ VERIFY_CASE = {"label": (_str, None), "equation": (_kind, REQUIRED),
                "grid": (GRID, None), "wave": (_wave, REQUIRED),
                "inverted": (_bool, False), "t": (_float, 0.0)}
 # the document's keys but the label are the defaults of every case
-VERIFY = {"tolerance": (_float, SOLUTION_TOL), "cases": (_list(_dict), None),
+VERIFY = {"tolerance": (_tolerance, SOLUTION_TOL), "cases": (_list(_dict), None),
           **{key: (kind, None if default is REQUIRED else default)
              for key, (kind, default) in VERIFY_CASE.items() if key != "label"}}
-SYMMETRY = {"medium": (MEDIUM, None), "n_seeds": (_int, 5), "select": (_str, None)}
+SYMMETRY = {"medium": (MEDIUM, None), "n_seeds": (_count, 5), "select": (_str, None)}
 FIT = {"equation": (_kind, REQUIRED), "medium": (MEDIUM, REQUIRED),
-       "ansatz": (ANSATZ, REQUIRED), "n_points": (_int, None), "rtol": (_float, None),
+       "ansatz": (ANSATZ, REQUIRED), "n_points": (_int, None), "rtol": (_tolerance, None),
        "count_constraints": (_bool, False), "start": (_mapping(_float), None),
        "starts": (_starts, None)}
 EVOLVE = {"equation": (_kind, REQUIRED), "medium": (MEDIUM, REQUIRED),
@@ -386,8 +391,6 @@ def cmd_verify(args) -> int:
 def cmd_symmetry(args) -> int:
     cfg = _read(_load_config(args.config) if args.config else {}, SYMMETRY, "")
     n_seeds, select = cfg["n_seeds"], cfg["select"]
-    if n_seeds < 0:
-        raise ConfigError(f"'n_seeds' must be >= 0, got {n_seeds}")
     base = args.seed or 0
     cases = default_matrix(cfg["medium"], seeds=range(base, base + n_seeds))
 
@@ -548,6 +551,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for flag, read in (("seed", _count), ("tolerance", _tolerance)):
+            if getattr(args, flag, None) is not None:     # in the range of its config key
+                read(getattr(args, flag), f"--{flag}")
         code = args.fn(args)
         sys.stdout.flush()      # a closed pipe shows here, not at exit
         return code

@@ -119,6 +119,7 @@ class Grid:
     x0: float
     length: float
     n: int
+    _multipliers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.length <= 0.0:
@@ -136,11 +137,16 @@ class Grid:
 
     def derivative_multiplier(self, order: int) -> np.ndarray:
         """(ik)^order on the rfft modes; odd orders zero the unmatched
-        Nyquist mode, which carries no odd derivative."""
-        k = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.dx)
-        mult = (1j * k) ** order
-        if order % 2 == 1:
-            mult[-1] = 0.0
+        Nyquist mode, which carries no odd derivative.  Built once per
+        grid instance: every call returns the same read-only array."""
+        mult = self._multipliers.get(order)
+        if mult is None:
+            k = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.dx)
+            mult = (1j * k) ** order
+            if order % 2 == 1:
+                mult[-1] = 0.0
+            mult.flags.writeable = False
+            self._multipliers[order] = mult
         return mult
 
 
@@ -173,6 +179,7 @@ class BottomProfile:
     """
 
     knots: tuple[tuple[float, float], ...]
+    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots = tuple((float(x), float(h)) for x, h in self.knots)
@@ -271,10 +278,15 @@ def fd8_derivative(f: Field, order: int) -> Field:
 
 
 def _fd8_diffs(values: np.ndarray, grid: Grid, orders) -> dict[int, np.ndarray]:
-    """{order: derivative}, one periodic stencil sum per order."""
+    """{order: derivative}, one periodic stencil sum per order; each tap is
+    a slice of one copy of the values padded by the widest half-width."""
+    pad = max(_fd8_stencil(o)[0][-1] for o in orders)
+    padded = np.concatenate((values[-pad:], values, values[:pad]))
+
     def stencil_sum(order):
         offsets, weights = _fd8_stencil(order)
-        return sum(w * np.roll(values, -off) for off, w in zip(offsets, weights) if w != 0.0)
+        return sum(w * padded[pad + off:pad + off + grid.n]
+                   for off, w in zip(offsets, weights) if w != 0.0)
     return {o: stencil_sum(o) / grid.dx**o for o in orders}
 
 
@@ -285,8 +297,11 @@ def bottom_eval(bottom: BottomProfile, grid: Grid) -> tuple[np.ndarray, np.ndarr
     """(h, h_x) of the periodically extended bottom on grid points.
 
     h_x comes from the analytic segment slopes, never from differentiating
-    samples, so it is exact up to the knot discontinuities.
+    samples, so it is exact up to the knot discontinuities.  Sampled once
+    per (bottom, grid): every call returns the same read-only arrays.
     """
+    if grid in bottom._samples:
+        return bottom._samples[grid]
     px = np.array([x for x, _ in bottom.knots])
     ph = np.array([h for _, h in bottom.knots])
     if px[-1] - px[0] >= grid.length:
@@ -298,6 +313,8 @@ def bottom_eval(bottom: BottomProfile, grid: Grid) -> tuple[np.ndarray, np.ndarr
     idx = np.clip(np.searchsorted(px_ext, xr, side="right") - 1, 0, len(px_ext) - 2)
     slope = (ph_ext[idx + 1] - ph_ext[idx]) / (px_ext[idx + 1] - px_ext[idx])
     h = ph_ext[idx] + slope * (xr - px_ext[idx])
+    h.flags.writeable = slope.flags.writeable = False
+    bottom._samples[grid] = h, slope
     return h, slope
 
 

@@ -188,6 +188,7 @@ def default_matrix(params: MediumParams | None = None,
     p_tension = MediumParams(p.alpha, p.beta, tau=0.2, delta=p.delta)
     grid = Grid(-64.0, 128.0, 1024)
     ramp = ramp_bottom(grid)
+    fields = {seed: RandomField(seed).build(grid) for seed in seeds}
     cases: list[InversionCase] = []
 
     for kind in EquationKind:
@@ -195,8 +196,7 @@ def default_matrix(params: MediumParams | None = None,
         for bottom, tag in ((None, "flat"), (ramp, "ramp")):
             bp = MediumParams(kp.alpha, kp.beta, kp.tau,
                               delta=0.05 if bottom is not None else 0.0)
-            for seed in seeds:
-                u, ut = RandomField(seed).build(grid)
+            for seed, (u, ut) in fields.items():
                 cases.append(InversionCase(
                     label=f"random/{kind.value}/{tag}/seed{seed}",
                     eq=EquationId(kind, Frame.FIXED, bottom),

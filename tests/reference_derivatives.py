@@ -1,12 +1,14 @@
 """Reference derivatives that the tests check the package against.
 
 time_derivative differentiates any profile in t by finite differences;
-profile_derivatives reads the exact profile rows the fits use.
+profile_derivatives reads the exact profile rows the fits use;
+fd8_roll_diffs sums the fd8 stencils over one rolled copy per tap.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from kdvwaves.equations import Grid, _fd8_stencil
 from kdvwaves.fitting import AnsatzFamily, _scaled, _unit_rows
 
 # 8th-order centred stencil; with h = 0.01 truncation and roundoff balance
@@ -32,3 +34,13 @@ def profile_derivatives(ansatz: AnsatzFamily, xi: np.ndarray,
                         values: dict[str, float]) -> dict[int, np.ndarray]:
     """f, f', ..., f^(6) of the ansatz at the given xi, exactly."""
     return dict(enumerate(_scaled(values, _unit_rows(ansatz, xi, values)[1])))
+
+
+def fd8_roll_diffs(values: np.ndarray, grid: Grid, orders) -> dict[int, np.ndarray]:
+    """{order: derivative} from the fd8 stencils, each tap an np.roll of the
+    values: the same taps, weights and summation order as the package's
+    sliced sums, so the two agree bit for bit."""
+    def stencil_sum(order):
+        offsets, weights = _fd8_stencil(order)
+        return sum(w * np.roll(values, -off) for off, w in zip(offsets, weights) if w != 0.0)
+    return {o: stencil_sum(o) / grid.dx**o for o in orders}

@@ -588,6 +588,32 @@ def test_a_malformed_value_exits_two_and_names_its_key(capsys, tmp_path, command
     assert err.startswith(f"config error: '{key}")
 
 
+@pytest.mark.parametrize("value", ["-1", "-1e-12", "nan"])
+@pytest.mark.parametrize("command,doc,key", [
+    ("verify", VERIFY_DOC, "tolerance"), ("fit", FIT_DOC, "rtol"),
+    ("symmetry", None, None)])
+def test_a_negative_or_nan_tolerance_exits_two_and_names_it(capsys, tmp_path, value,
+                                                           command, doc, key):
+    # as a flag on each command that takes one, and as a config key
+    argv = [command] if doc is None else [command, "--config", _write(tmp_path, "c.yaml", doc)]
+    # the = form, since argparse reads a bare -1e-12 as an option
+    code, out, err = _run(capsys, argv + [f"--tolerance={value}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: '--tolerance' must be a finite real number >= 0")
+    if key is not None:
+        path = tmp_path / "k.yaml"
+        path.write_text(yaml.safe_dump(doc) + f"{key}: {'.nan' if value == 'nan' else value}\n")
+        code, out, err = _run(capsys, [command, "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: '{key}' must be a finite real number >= 0")
+
+
+def test_a_negative_seed_exits_two_and_names_it(capsys):
+    code, out, err = _run(capsys, ["symmetry", "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: '--seed' must be an integer >= 0, got -1")
+
+
 def test_a_tolerance_without_a_dot_is_read_as_a_real(capsys, tmp_path):
     # PyYAML reads 1e-8 (no dot, unlike 1.0e-8) as the string '1e-8'
     path = tmp_path / "v.yaml"

@@ -34,6 +34,7 @@ from kdvwaves.waves import (
     make_kdv_cnoidal,
     make_kdv_soliton,
 )
+from reference_derivatives import fd8_roll_diffs
 
 P = MediumParams(alpha=0.1, beta=0.1)
 
@@ -99,7 +100,40 @@ def test_one_transform_pair_gives_each_order_bit_for_bit(kind, n):
         assert np.array_equal(spectral_derivative(Field(grid, u), o).values, want)
 
 
+@pytest.mark.parametrize("kind", list(EquationKind))
+@pytest.mark.parametrize("n", [16, 1024, 8192])
+def test_sliced_fd8_taps_equal_the_rolled_stencils_bit_for_bit(kind, n):
+    grid = Grid(-3.0, 17.0, n)
+    u = np.random.default_rng(n).standard_normal(n)
+    orders = equations._required_orders(kind)
+    rows = equations._fd8_diffs(u, grid, orders)
+    want = fd8_roll_diffs(u, grid, orders)
+    assert list(rows) == orders
+    for o in orders:
+        assert np.array_equal(rows[o], want[o])
+        assert np.array_equal(fd8_derivative(Field(grid, u), o).values, want[o])
+
+
 # --- grids and fields -----------------------------------------------------------
+
+@pytest.mark.parametrize("order", (0,) + equations.DERIVATIVE_ORDERS)
+def test_a_grid_builds_each_multiplier_once_and_shares_it_read_only(order):
+    grid = Grid(-3.0, 17.0, 64)
+    mult = grid.derivative_multiplier(order)
+    assert grid.derivative_multiplier(order) is mult
+    assert not mult.flags.writeable
+    with pytest.raises(ValueError):
+        mult[1] = 0.0
+    fresh = (1j * 2.0 * math.pi * np.fft.rfftfreq(64, d=grid.dx)) ** order
+    if order % 2 == 1:
+        fresh[-1] = 0.0
+    assert np.array_equal(mult, fresh)
+    # a second grid with the same values builds its own
+    twin = Grid(-3.0, 17.0, 64)
+    assert twin == grid
+    assert twin.derivative_multiplier(order) is not mult
+    assert np.array_equal(twin.derivative_multiplier(order), mult)
+
 
 def test_grid_validation():
     with pytest.raises(ValueError):
@@ -139,6 +173,21 @@ def test_bottom_eval_piecewise_linear():
     j = np.argmin(np.abs(grid.x - 4.5))             # plateau
     assert_allclose(h[j], 0.4, atol=1e-12)
     assert_allclose(hx[j], 0.0, atol=1e-12)
+
+
+def test_bottom_eval_shares_read_only_samples():
+    grid = Grid(0.0, 10.0, 100)
+    bottom = BottomProfile(((1.05, 0.0), (3.05, 0.4), (6.05, 0.4), (8.05, 0.0)))
+    h, hx = bottom_eval(bottom, grid)
+    assert all(a is b for a, b in zip(bottom_eval(bottom, grid), (h, hx)))
+    for samples in (h, hx):
+        assert not samples.flags.writeable
+        with pytest.raises(ValueError):
+            samples[0] = 1.0
+    # another grid gets its own samples, and a too-short period still raises
+    assert bottom_eval(bottom, Grid(0.0, 10.0, 200))[0].shape == (200,)
+    with pytest.raises(ValueError):
+        bottom_eval(bottom, Grid(0.0, 5.0, 100))
 
 
 def test_bottom_eval_periodic_closure():

@@ -76,6 +76,16 @@ def test_default_matrix_composition():
     assert "soliton/kdv" in labels and "three_soliton/kdv" in labels
 
 
+def test_default_matrix_random_rows_are_fresh_random_fields():
+    cases = [c for c in default_matrix(seeds=range(3, 5)) if not c.is_solution]
+    assert len(cases) == 16
+    for case in cases:
+        seed = int(case.label.rsplit("seed", 1)[1])
+        u, ut = RandomField(seed).build(case.u.grid)
+        assert np.array_equal(case.u.values, u.values)
+        assert np.array_equal(case.ut.values, ut.values)
+
+
 def test_full_matrix_passes():
     rows = [run_case(c) for c in default_matrix(seeds=range(3))]
     assert all(r["pass"] for r in rows)
