@@ -162,6 +162,9 @@ _float = _type("a real number", float, lambda v: not isinstance(v, bool))
 _tolerance = _type("a finite real number >= 0", float,
                    lambda v: not isinstance(v, bool) and 0.0 <= float(v) < float("inf"))
 _count = _type("an integer >= 0", int, lambda v: type(v) is int and v >= 0)
+_positive_int = _type("an integer >= 1", int, lambda v: type(v) is int and v >= 1)
+_positive = _type("a finite real number > 0", float,
+                  lambda v: not isinstance(v, bool) and 0.0 < float(v) < float("inf"))
 _int = _type("an integer", int, lambda v: type(v) is int)
 _bool = _type("true or false", bool, lambda v: isinstance(v, bool))
 _str = _type("a string", str, lambda v: isinstance(v, str))
@@ -259,7 +262,7 @@ BOTTOM = ({"knots": (_list(_list(_float, 2)), REQUIRED)}, BottomProfile)
 ANSATZ = ({"shape": (_str, REQUIRED), "free": (_list(_str), REQUIRED),
            "fixed": (_mapping(_float), {}), "sign": (_int, 1),
            "zero_mean": (_bool, False)}, AnsatzFamily)
-AMPLITUDES = {"n": (_int, 8), "span": (_list(_float, 2), (0.05, 3.0))}
+AMPLITUDES = {"n": (_positive_int, 8), "span": (_list(_positive, 2), (0.05, 3.0))}
 
 # the top-level keys of each command
 PROFILE = {"medium": (MEDIUM, REQUIRED), "frame": (_frame, Frame.FIXED),
@@ -418,6 +421,9 @@ def cmd_fit(args) -> int:
     cfg = _read(_load_config(args.config), FIT, "")
     params, kind, ansatz = cfg["medium"], cfg["equation"], cfg["ansatz"]
     fit_kwargs = {"n_points": cfg["n_points"]}
+    if cfg["n_points"] is not None and cfg["n_points"] < len(ansatz.free):
+        raise ConfigError(f"'n_points' must be at least the number of free parameters "
+                          f"({len(ansatz.free)}), got {cfg['n_points']}")
     rtol = cfg["rtol"] if args.tolerance is None else args.tolerance
     if rtol is not None:
         fit_kwargs["rtol"] = rtol

@@ -370,11 +370,14 @@ def linearised_terms(kind: EquationKind, params: MediumParams, frame: Frame,
     return out
 
 
-def sum_terms(terms: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, float]:
-    """(sum of the terms, largest magnitude any single term reaches)."""
+def sum_terms(terms: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, float | np.ndarray]:
+    """(sum of the terms, largest magnitude any single term reaches); for
+    terms stacked as rows (2-D), that magnitude row by row."""
     res = terms[0][1]
     for _, t in terms[1:]:
         res = res + t
+    if res.ndim == 2:
+        return res, np.max([np.max(np.abs(t), axis=1) for _, t in terms], axis=0)
     return res, max(float(np.max(np.abs(t))) for _, t in terms)
 
 

@@ -113,14 +113,21 @@ def _unit_rows(ansatz: AnsatzFamily, xi: np.ndarray,
     """The ansatz's wave at A = 1 and D = 0, and its rows f ... f^(6) at xi.
 
     Every row is linear in A, so the rows at the values are A times these
-    (plus D on row 0), and these are the rows' derivative in A.
+    (plus D on row 0), and these are the rows' derivative in A.  Stacked:
+    xi (S, n) and (S, 1) columns of values, one per start, sharing m.
     """
     unit = ansatz.wave({**values, "A": 1.0, "D": 0.0})
-    if ansatz.shape == "gardner" and unit.Delta == 0.0:
+    if ansatz.shape != "gardner":
+        # a function of w = B xi: the unit-width chain at w, row k times each
+        # start's B^k, is bit for bit that start's own rows
+        rows = replace(unit, B=1.0).derivatives(unit.B * xi, 6)
+        scale = np.array([b ** np.arange(7) for b in np.ravel(unit.B)]).T
+        return unit, rows * scale.reshape(rows.shape[:-1] + (1,))
+    if np.any(unit.Delta == 0.0):
         raise ValueError("Delta must be nonzero")
     rows = unit.derivatives(xi, 6)
     # a fit must not sample the unbounded branch's poles: 1/f = 1 + B cosh(xi/Delta)
-    if ansatz.shape == "gardner" and np.any(np.abs(rows[0]) > 1e12):
+    if np.any(np.abs(rows[0]) > 1e12):
         raise ValueError("gardner denominator vanishes on the window")
     return unit, rows
 
@@ -151,17 +158,17 @@ class _Point(NamedTuple):
     """A residual evaluation and the rows it read, which the Jacobian reuses."""
 
     res: np.ndarray
-    scale: float
+    scale: float                # (S,) when stacked
     rows: np.ndarray            # f ... f^(6) at the nodes
-    unit: TravellingWave        # the wave at A = 1 and D = 0
-    unit_rows: np.ndarray       # its rows
-    unit_mean: float | None     # its period mean (zero_mean only)
+    unit_rows: np.ndarray       # the rows at A = 1 and D = 0
+    unit_mean: float | None     # their period mean (zero_mean only)
 
 
 def _fit_residual(kind: EquationKind, params: MediumParams,
                   ansatz: AnsatzFamily, xi: np.ndarray,
                   values: dict[str, float]) -> _Point:
-    """The travelling ODE's residual vector and scale at the nodes."""
+    """The travelling ODE's residual vector and scale at the nodes, or
+    stacked, at S starts' nodes (S, n) and (S, 1) columns of values."""
     unit, unit_rows = _unit_rows(ansatz, xi, values)
     rows = _scaled(values, unit_rows)
     terms = equation_terms(kind, params, Frame.FIXED, rows[0], rows,
@@ -169,9 +176,10 @@ def _fit_residual(kind: EquationKind, params: MediumParams,
     res, scale = sum_terms(terms)
     unit_mean = None
     if ansatz.zero_mean:
-        unit_mean = _period_mean(unit)
-        res = np.append(res, values["A"] * unit_mean + values.get("D", 0.0))
-    return _Point(res, scale, rows, unit, unit_rows, unit_mean)
+        means = [_period_mean(replace(unit, B=b)) for b in np.ravel(unit.B)]
+        unit_mean = means[0] if xi.ndim == 1 else np.array(means)[:, None]
+        res = np.hstack([res, values["A"] * unit_mean + values.get("D", 0.0)])
+    return _Point(res, scale, rows, unit_rows, unit_mean)
 
 
 def _period_mean(wave: TravellingWave, n_samples: int = 256) -> float:
@@ -190,6 +198,7 @@ def _jacobian(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
     m, on which the Jacobi functions depend through K(m), takes a central
     difference.  Under the mirror (A, D, alpha) -> -(A, D, alpha) the A and
     D columns stay bitwise and every other column is negated exactly.
+    Stacked, one matrix per start, whose m column is left unset.
     """
     exact = [p for p in ansatz.free if p != "m"]
     # each parameter's derivative of rows 0..5 (the orders the terms read)
@@ -197,9 +206,10 @@ def _jacobian(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
     deltas = {"A": unit_rows, "D": np.zeros_like(unit_rows), "v": np.zeros_like(unit_rows)}
     deltas["D"][0] = 1.0
     if "B" in exact or "Delta" in exact:
-        widths = point.unit.width_derivatives(xi, point.unit_rows)
+        unit = ansatz.wave({**values, "A": 1.0, "D": 0.0})
+        widths = unit.width_derivatives(xi, point.unit_rows)
         deltas.update((p, values["A"] * rows) for p, rows in widths.items())
-    jac = np.empty((len(point.res), len(ansatz.free)))
+    jac = np.empty(point.res.shape + (len(ansatz.free),))
     if exact:
         delta = np.stack([deltas[p] for p in exact], axis=1)
         # u_t = -v f' moves with f' and, in v alone, with v
@@ -210,9 +220,12 @@ def _jacobian(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
         if ansatz.zero_mean:
             # the period mean A <g> + D: B rescales the period, v does not enter
             mean = {"A": point.unit_mean, "D": 1.0}
-            columns = np.hstack([columns, [[mean.get(p, 0.0)] for p in exact]])
-        jac[:, [ansatz.free.index(p) for p in exact]] = columns.T
-    if "m" in ansatz.free:
+            columns = np.concatenate(
+                [columns, [np.broadcast_to(mean.get(p, 0.0), columns.shape[1:-1] + (1,))
+                           for p in exact]], axis=-1)
+        for p, column in zip(exact, columns):
+            jac[..., ansatz.free.index(p)] = column
+    if "m" in ansatz.free and xi.ndim == 1:
         jac[:, ansatz.free.index("m")] = _m_column(kind, params, ansatz, xi, values, point)
     return jac
 
@@ -260,6 +273,43 @@ def _try_eval(kind, params, ansatz, xi, values):
         return None
 
 
+def _columns(ansatz: AnsatzFamily, coeffs: np.ndarray) -> dict:
+    """The values of S starts, coeffs (S, n_free), as (S, 1) columns."""
+    return {**ansatz.fixed, **{p: coeffs[:, j, None] for j, p in enumerate(ansatz.free)}}
+
+
+def _evaluate(kind, params, ansatz, xi, coeffs) -> list[_Point | None]:
+    """Each start's point at its row of coeffs on its row of nodes xi, or
+    None where _try_eval rejects that start alone.  One stacked evaluation
+    per value of m, which keys the derivative chain; when a stack cannot be
+    evaluated, its starts are evaluated one by one."""
+    groups: dict = {}
+    for i, c in enumerate(coeffs):
+        groups.setdefault(c[ansatz.free.index("m")] if "m" in ansatz.free else None,
+                          []).append(i)
+    out: list = [None] * len(coeffs)
+    for m, idx in groups.items():
+        values = _columns(ansatz, coeffs[idx])
+        if m is not None:
+            values["m"] = float(m)
+        point = _try_eval(kind, params, ansatz, xi[idx], values)
+        for k, i in enumerate(idx):
+            if point is not None:
+                out[i] = _Point(point.res[k], float(point.scale[k]), point.rows[:, k],
+                                point.unit_rows[:, k], None if point.unit_mean is None
+                                else float(point.unit_mean[k, 0]))
+            elif len(idx) > 1:
+                out[i] = _evaluate(kind, params, ansatz, xi[[i]], coeffs[[i]])[0]
+    return out
+
+
+def _stack(points: list[_Point]) -> _Point:
+    res, scale, rows, unit_rows, means = zip(*points)
+    return _Point(np.array(res), np.array(scale), np.stack(rows, axis=1),
+                  np.stack(unit_rows, axis=1),
+                  None if means[0] is None else np.array(means)[:, None])
+
+
 # the step budget and collapse rules of fit_travelling_wave (see its docstring)
 MAX_ITERATIONS = 200
 TRIVIAL_WINDOW = 8
@@ -292,8 +342,60 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
     |A| with full steps on their way to a real solution.  Reading |A|
     only, fits and mirrors stop alike.  A constant solves every equation too,
     so a converged profile whose spread over the nodes is at most FLAT_TOL
-    (1e-6) of its size (B -> 0) is reported as trivial.
+    (1e-6) of its size (B -> 0) is reported as trivial.  n_points, the
+    number of nodes (default max(3 n_free, 9)), must be at least n_free.
+
+    This is multi_start_fit's lockstep loop with one start.
     """
+    return _lockstep(kind, params, ansatz, [start], n_points, rtol)[0]
+
+
+def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
+              starts: list[dict[str, float]], n_points: int | None = None,
+              rtol: float = 1e-10) -> list[FitResult]:
+    """fit_travelling_wave from every start, the starts advanced together.
+
+    Each start runs _iterate, which pauses wherever it needs a Jacobian's
+    exact columns, singular values or a residual.  A round answers all the
+    Jacobians pending, then all the SVDs, then all the residuals, each in
+    one stacked call, so each result is the one-start fit's, bit for bit.
+    """
+    stacked = {
+        "jacobian": lambda xi, cs, points: list(_jacobian(
+            kind, params, ansatz, np.array(xi), _columns(ansatz, np.array(cs)),
+            _stack(points))),
+        "svd": lambda jacs: list(np.linalg.svd(np.array(jacs), compute_uv=False)),
+        "residual": lambda xi, cs: _evaluate(kind, params, ansatz, np.array(xi), np.array(cs)),
+    }
+    runs = [_iterate(kind, params, ansatz, start, n_points, rtol) for start in starts]
+    pending, results = [None] * len(runs), [None] * len(runs)
+
+    def send(i, reply=None):
+        try:
+            pending[i] = runs[i].send(reply)
+        except StopIteration as done:
+            pending[i], results[i] = None, done.value
+
+    for i in range(len(runs)):
+        send(i)
+    while any(pending):
+        for need, call in stacked.items():
+            idx = [i for i, ask in enumerate(pending) if ask and ask[0] == need]
+            if idx:
+                # lists, not iterators, to unpack: CPython builds the tuple it
+                # unpacks from an iterator by resizing, and its tuple free list
+                # then keeps every one (about 1 MiB over a few hundred fits)
+                fields = list(zip(*[pending[i][1:] for i in idx]))
+                for i, reply in zip(idx, call(*fields)):
+                    send(i, reply)
+    return results
+
+
+def _iterate(kind, params, ansatz, start, n_points, rtol):
+    """One start's damped Gauss-Newton.  It yields ("residual", xi, c),
+    ("jacobian", xi, c, point) and ("svd", jac), is sent the point (None
+    where c cannot be evaluated), the exact columns and the singular
+    values, and returns the FitResult."""
     missing = [p for p in ansatz.free if p not in start]
     if missing:
         raise ValueError(f"start is missing free parameters {missing}")
@@ -301,6 +403,9 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
     if n_free == 0:
         raise ValueError("ansatz has no free parameters")
     n_pts = n_points if n_points is not None else max(3 * n_free, 9)
+    if n_pts < n_free:
+        raise ValueError(f"n_points must be at least the number of free parameters "
+                         f"({n_free}), got {n_pts}")
     c = np.array([float(start[p]) for p in ansatz.free])
     xi = collocation_points(ansatz, ansatz.values(c), n_pts)
 
@@ -314,7 +419,7 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
         return FitResult(ansatz, _canonical(ansatz, c), rel(cur), status,
                          n_iterations, rank)
 
-    cur = _try_eval(kind, params, ansatz, xi, ansatz.values(c))
+    cur = yield "residual", xi, c
     if cur is None:
         raise ValueError("ansatz cannot be evaluated at the start values")
     rank = None
@@ -327,11 +432,14 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
         if rel(cur) <= rtol:
             return finish("converged", it - 1)
         res = cur.res
-        try:
-            jac = _jacobian(kind, params, ansatz, xi, ansatz.values(c), cur)
-        except ValueError:
-            return finish("singular_jacobian", it)
-        sigma = np.linalg.svd(jac, compute_uv=False)
+        jac = yield "jacobian", xi, c, cur
+        if "m" in ansatz.free:
+            try:
+                jac[:, ansatz.free.index("m")] = _m_column(
+                    kind, params, ansatz, xi, ansatz.values(c), cur)
+            except ValueError:
+                return finish("singular_jacobian", it)
+        sigma = yield "svd", jac
         rank = int(np.sum(sigma > sigma[0] * 1e-12)) if sigma[0] > 0.0 else 0
         # Marquardt scaling keeps the damping meaningful when the
         # columns (parameters) live on very different scales
@@ -344,7 +452,7 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
             rhs = np.concatenate([-res, np.zeros(n_free)])
             step, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
             trial_c = c + step
-            trial = _try_eval(kind, params, ansatz, xi, ansatz.values(trial_c))
+            trial = yield "residual", xi, trial_c
             evaluable = evaluable or trial is not None
             if trial is not None and float(np.linalg.norm(trial.res)) < best:
                 c, cur, accepted = trial_c, trial, True
@@ -407,12 +515,14 @@ def multi_start_fit(kind: EquationKind, params: MediumParams,
                     **fit_kwargs) -> tuple[list[FitBasin], list[FitResult]]:
     """Fit from every start; cluster the converged results into basins.
 
-    Results with |A| below MERGE_TOL collapse onto the trivial zero
+    The starts advance in lockstep, each round one stacked residual,
+    Jacobian and SVD for all of them, and each result is bit for bit the
+    one fit_travelling_wave gives from that start alone.  Results with
+    |A| below MERGE_TOL collapse onto the trivial zero
     profile and are not counted as a basin.  Returns (basins sorted by
     population, all raw results).
     """
-    results = [fit_travelling_wave(kind, params, ansatz, s, **fit_kwargs)
-               for s in starts]
+    results = _lockstep(kind, params, ansatz, starts, **fit_kwargs)
     basins: list[FitBasin] = []
     for r in results:
         if not r.converged:

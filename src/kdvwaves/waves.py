@@ -123,11 +123,14 @@ class TravellingWave:
         """f, f', ..., f^(order) at xi, exactly, stacked as rows.
 
         Every row is linear in A, and D (added to row 0) is proportional
-        to A, so the mirrored wave's rows are the exact negations.
+        to A, so the mirrored wave's rows are the exact negations.  A
+        Gardner wave's A, B, D and Delta may be (S, 1) columns against an
+        (S, n) xi: S waves in one call, each row as its wave alone gives it.
         """
         xi = np.asarray(xi, dtype=float)
-        gardner = self.family is WaveFamily.GARDNER_SOLITON
-        rows = (self._gardner_rows if gardner else self._monomial_rows)(xi.reshape(-1), order)
+        rows = (self._gardner_rows(np.atleast_1d(xi), order)
+                if self.family is WaveFamily.GARDNER_SOLITON
+                else self._monomial_rows(xi.reshape(-1), order))
         rows[0] += self.D
         return rows.reshape((order + 1,) + xi.shape)
 
@@ -148,16 +151,16 @@ class TravellingWave:
         # every row at a point must not depend on how many points are
         # evaluated with it, so the power table, powers[e, j] = (sn, cn, dn)[j]
         # ** e, is built by repeated multiplication (an array-exponent pow
-        # rounds some entries by the array's size), and the sum over monomials
-        # is a sequential accumulate (a matrix product is not, in BLAS)
+        # rounds some entries by the array's size), and the monomials are
+        # summed in order by a reduce over the outer axis (numpy sums pairwise
+        # only along the contiguous axis, and a BLAS matrix product in blocks)
         powers = [np.ones((3, xi.size)), np.stack([sn, cn, dn])]
         for _ in range(2, exponents.max() + 1):
             powers.append(powers[-1] * powers[1])
         powers = np.stack(powers)
         monomials = (powers[exponents[:, 0], 0] * powers[exponents[:, 1], 1]
                      * powers[exponents[:, 2], 2])
-        terms = coefficients.T[:, :, None] * monomials
-        rows = (np.add.accumulate(terms, axis=1)[:, -1]
+        rows = (np.add.reduce(coefficients[:, :, None] * monomials[:, None], axis=0)
                 * (self.A * self.B ** np.arange(order + 1))[:, None])
         # row 0 as a profile has it: the chain may round it otherwise
         rows[0] = f * self.A
@@ -165,40 +168,44 @@ class TravellingWave:
 
     def _gardner_rows(self, xi: np.ndarray, order: int) -> np.ndarray:
         # u w = A with w = 1 + B cosh(xi/Delta): Leibniz gives a recursion for u^(k)
-        _, w = self._gardner_weights(xi, order)
+        _, w, _ = self._gardner_weights(xi, order)
         return _leibniz_quotient(w, [self.A] + [0.0] * order)
 
     def _gardner_weights(self, xi: np.ndarray, order: int):
-        """(cosh, sinh) of xi/Delta and the derivatives w^(j), j = 0..order,
-        of w = 1 + B cosh(xi/Delta); inf far out in the tail, where cosh
-        overflows."""
+        """(cosh, sinh) of xi/Delta, the derivatives w^(j), j = 0..order,
+        of w = 1 + B cosh(xi/Delta), inf far out in the tail, where cosh
+        overflows, and the powers Delta^j."""
         B, Delta = self.B, self.Delta
+        # Python's pow for every entry: a column of Delta rounds as one wave's
+        powers = [np.reshape([d**j for d in np.ravel(Delta).tolist()], np.shape(Delta))
+                  for j in range(order + 1)]
         with np.errstate(over="ignore", invalid="ignore"):
             z = xi / Delta
             hyp = (np.cosh(z), np.sinh(z) if order else None)
-            w = [1.0 + B * hyp[0]] + [B * hyp[j % 2] / Delta**j for j in range(1, order + 1)]
-        return hyp, w
+            w = [1.0 + B * hyp[0]] + [B * hyp[j % 2] / powers[j] for j in range(1, order + 1)]
+        return hyp, w, powers
 
     def width_derivatives(self, xi, rows: np.ndarray) -> dict[str, np.ndarray]:
         """d/dB, and for the Gardner shape d/dDelta, of rows[:-1], exactly.
 
-        rows are this wave's derivatives f ... f^(K) at the 1-D xi.  The
-        monomial shapes are functions of B xi and the Gardner shape of
+        rows are this wave's derivatives f ... f^(K) at the 1-D xi, or at
+        an (S, n) xi for (S, 1) columns of parameters (see derivatives).
+        The monomial shapes are functions of B xi and the Gardner shape of
         xi/Delta, so d f^(k)/dB = (k f^(k) + xi f^(k+1))/B, and d/dDelta is
         minus the same over Delta.  The Gardner B sits in the denominator:
         differentiating u w = A in B gives d u/dB w = -cosh(xi/Delta) u,
         which the Leibniz recursion of the rows solves for every order.
         """
         xi = np.asarray(xi, dtype=float)
-        k = np.arange(len(rows) - 1)[:, None]
+        k = np.arange(len(rows) - 1).reshape((-1,) + (1,) * xi.ndim)
         stretch = k * rows[:-1] + xi * rows[1:]
         if self.family is not WaveFamily.GARDNER_SOLITON:
             return {"B": stretch / self.B}
         order = len(rows) - 2
-        hyp, w = self._gardner_weights(xi, order)
+        hyp, w, powers = self._gardner_weights(xi, order)
         u = np.concatenate([rows[:1] - self.D, rows[1:-1]])
         with np.errstate(over="ignore", invalid="ignore"):
-            ch = [hyp[j % 2] / self.Delta**j for j in range(order + 1)]
+            ch = [hyp[j % 2] / powers[j] for j in range(order + 1)]
             source = -np.array([sum(math.comb(n, j) * ch[j] * u[n - j] for j in range(n + 1))
                                 for n in range(order + 1)])
         # inf * 0 in the tail, where the limit is 0
