@@ -28,10 +28,8 @@ from .equations import (
     Field,
     Grid,
     ResidualReport,
-    fd8_derivative,
     residual,
     solution_fields,
-    spectral_derivative,
     travelling_residual,
 )
 from .evolve import (
@@ -61,6 +59,7 @@ from .inversion import (
     negative_control,
     ramp_bottom,
     run_case,
+    run_matrix,
 )
 from .waves import (
     Frame,
@@ -77,53 +76,3 @@ from .waves import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnsatzFamily",
-    "BottomProfile",
-    "ETDRK4",
-    "EquationId",
-    "EquationKind",
-    "EvolveConfig",
-    "Field",
-    "FitBasin",
-    "FitResult",
-    "Frame",
-    "Grid",
-    "InversionCase",
-    "MediumParams",
-    "NumericalAbort",
-    "RandomField",
-    "ResidualReport",
-    "SolitonLadder",
-    "Trajectory",
-    "TravellingWave",
-    "WaveFamily",
-    "algebraic_defect",
-    "amplitude_starts",
-    "count_constraints",
-    "default_matrix",
-    "elliptic_E",
-    "elliptic_K",
-    "estimate_speed",
-    "evolve",
-    "fd8_derivative",
-    "fit_travelling_wave",
-    "jacobi_sn_cn_dn",
-    "make_fifth_order_soliton",
-    "make_gardner_soliton",
-    "make_kdv2_soliton",
-    "make_kdv_cnoidal",
-    "make_kdv_soliton",
-    "make_kdv_superposition",
-    "mirrored_residual",
-    "monitors",
-    "multi_start_fit",
-    "negative_control",
-    "ramp_bottom",
-    "residual",
-    "run_case",
-    "solution_fields",
-    "spectral_derivative",
-    "travelling_residual",
-]

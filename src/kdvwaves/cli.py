@@ -53,6 +53,7 @@ from .equations import (
 from .evolve import EvolveConfig, NumericalAbort, estimate_speed, evolve, monitors
 from .fitting import (
     AnsatzFamily,
+    StartError,
     amplitude_starts,
     count_constraints,
     fit_travelling_wave,
@@ -63,7 +64,7 @@ from .inversion import (
     DEFAULT_MEDIUM,
     catalog,
     default_matrix,
-    run_case,
+    run_matrix,
 )
 from .waves import (
     Frame,
@@ -403,7 +404,7 @@ def cmd_symmetry(args) -> int:
             raise ConfigError(f"'select' matches no case label: {select!r}")
 
     tolerance = ALGEBRAIC_TOL if args.tolerance is None else args.tolerance
-    rows = [run_case(c, args.backend, tolerance) for c in cases]
+    rows = run_matrix(cases, args.backend, tolerance)
     for row in rows:
         _emit(row)
     worst = max((r["algebraic_defect_value"] for r in rows), default=0.0)
@@ -455,7 +456,10 @@ def cmd_fit(args) -> int:
         return 0 if result.converged else 1
 
     start_list = starts(params)
-    basins, results = multi_start_fit(kind, params, ansatz, start_list, **fit_kwargs)
+    try:
+        basins, results = multi_start_fit(kind, params, ansatz, start_list, **fit_kwargs)
+    except StartError as exc:
+        raise ConfigError(f"invalid 'starts[{exc.index}]': {exc}")
     for i, b in enumerate(basins):
         _emit({"basin": i, "values": b.values, "residual": b.residual,
                "count": b.count})

@@ -44,8 +44,6 @@ __all__ = [
     "EquationId",
     "ResidualReport",
     "SOLUTION_TOL",
-    "spectral_derivative",
-    "fd8_derivative",
     "bottom_eval",
     "residual",
     "solution_fields",
@@ -54,7 +52,6 @@ __all__ = [
     "linearised_terms",
 ]
 
-DERIVATIVE_ORDERS = (1, 2, 3, 5)
 # the relative residual under which (u, u_t) counts as a solution
 SOLUTION_TOL = 1e-8
 
@@ -218,22 +215,14 @@ class ResidualReport:
     flags: tuple[str, ...] = field(default=())
 
 
-def _check_order(order: int):
-    if order not in DERIVATIVE_ORDERS:
-        raise ValueError(f"derivative order must be one of {DERIVATIVE_ORDERS}, got {order!r}")
-
-
-def spectral_derivative(f: Field, order: int) -> Field:
-    """Fourier-collocation derivative of the given order (1, 2, 3 or 5)."""
-    _check_order(order)
-    return Field(f.grid, _spectral_diffs(f.values, f.grid, (order,))[order], f.time)
-
-
 def _spectral_diffs(values: np.ndarray, grid: Grid, orders) -> dict[int, np.ndarray]:
-    """{order: derivative} from one rfft and one irfft of the stacked (ik)^o rows."""
-    multipliers = np.array([grid.derivative_multiplier(o) for o in orders])
-    multipliers *= np.fft.rfft(values)
-    return dict(zip(orders, np.fft.irfft(multipliers, grid.n)))
+    """{order: derivative} of the rows along the last axis of values, from
+    one rfft and one irfft of the stacked (ik)^o multiples."""
+    coeffs = np.fft.rfft(values)
+    rows = np.empty((len(orders),) + coeffs.shape, dtype=coeffs.dtype)
+    for row, o in zip(rows, orders):
+        np.multiply(grid.derivative_multiplier(o), coeffs, out=row)
+    return dict(zip(orders, np.fft.irfft(rows, grid.n)))
 
 
 def _fornberg_weights(order: int, offsets: np.ndarray) -> np.ndarray:
@@ -271,26 +260,26 @@ def _fd8_stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, _fornberg_weights(order, offsets.astype(float))
 
 
-def fd8_derivative(f: Field, order: int) -> Field:
-    """Centred finite-difference derivative (>= 8th order), periodic wrap."""
-    _check_order(order)
-    return Field(f.grid, _fd8_diffs(f.values, f.grid, (order,))[order], f.time)
-
-
 def _fd8_diffs(values: np.ndarray, grid: Grid, orders) -> dict[int, np.ndarray]:
-    """{order: derivative}, one periodic stencil sum per order; each tap is
-    a slice of one copy of the values padded by the widest half-width."""
+    """{order: derivative} of the rows along the last axis of values, one
+    periodic stencil sum per order; each tap is a slice of one copy of the
+    rows padded by the widest half-width."""
     pad = max(_fd8_stencil(o)[0][-1] for o in orders)
-    padded = np.concatenate((values[-pad:], values, values[:pad]))
+    padded = np.concatenate((values[..., -pad:], values, values[..., :pad]), axis=-1)
 
     def stencil_sum(order):
         offsets, weights = _fd8_stencil(order)
-        return sum(w * padded[pad + off:pad + off + grid.n]
+        return sum(w * padded[..., pad + off:pad + off + grid.n]
                    for off, w in zip(offsets, weights) if w != 0.0)
     return {o: stencil_sum(o) / grid.dx**o for o in orders}
 
 
-_BACKENDS = {"spectral": _spectral_diffs, "fd8": _fd8_diffs}
+def derivative_set(backend: str):
+    """The backend's derivative set: (values, grid, orders) -> {order: rows}."""
+    backends = {"fd8": _fd8_diffs, "spectral": _spectral_diffs}
+    if backend not in backends:
+        raise ValueError(f"backend must be one of {list(backends)}, got {backend!r}")
+    return backends[backend]
 
 
 def bottom_eval(bottom: BottomProfile, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -398,6 +387,16 @@ def residual_report(equation: str, res: np.ndarray, scale: float, dx: float,
                           tolerance=tolerance, flags=flags)
 
 
+def residual_rows(u: np.ndarray, u_t: np.ndarray, derivs: dict[int, np.ndarray],
+                  eq: EquationId, params: MediumParams, grid: Grid,
+                  ) -> tuple[np.ndarray, float | np.ndarray]:
+    """(residual, scale) of u and u_t on the grid, given u's derivative set;
+    rows stacked along a leading axis get one scale each (see sum_terms)."""
+    bottom_pair = bottom_eval(eq.bottom, grid) if eq.bottom is not None else None
+    return sum_terms(equation_terms(eq.kind, params, eq.frame, u, derivs,
+                                    u_t=u_t, bottom_pair=bottom_pair))
+
+
 def residual(u: Field, u_t: Field, eq: EquationId, params: MediumParams,
              tolerance: float = SOLUTION_TOL, backend: str = "spectral",
              ) -> tuple[ResidualReport, Field]:
@@ -407,15 +406,11 @@ def residual(u: Field, u_t: Field, eq: EquationId, params: MediumParams,
     term on the grid; `relative` is norm_inf/scale, and `passed` compares
     it against the tolerance.  Returns the report and the residual field.
     """
-    if backend not in _BACKENDS:
-        raise ValueError(f"backend must be one of {sorted(_BACKENDS)}, got {backend!r}")
+    diffs = derivative_set(backend)
     if u.grid != u_t.grid:
         raise ValueError("u and u_t must share a grid")
-    derivs = _BACKENDS[backend](u.values, u.grid, _required_orders(eq.kind))
-    bottom_pair = bottom_eval(eq.bottom, u.grid) if eq.bottom is not None else None
-    terms = equation_terms(eq.kind, params, eq.frame, u.values, derivs,
-                           u_t=u_t.values, bottom_pair=bottom_pair)
-    res, scale = sum_terms(terms)
+    derivs = diffs(u.values, u.grid, _required_orders(eq.kind))
+    res, scale = residual_rows(u.values, u_t.values, derivs, eq, params, u.grid)
     report = residual_report(eq.label(), res, scale, u.grid.dx, tolerance,
                              _tau_flags(eq.kind, params))
     return report, Field(u.grid, res, u.time)

@@ -33,6 +33,7 @@ __all__ = [
     "AnsatzFamily",
     "FitResult",
     "FitBasin",
+    "StartError",
     "fit_travelling_wave",
     "multi_start_fit",
     "amplitude_starts",
@@ -350,6 +351,14 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
     return _lockstep(kind, params, ansatz, [start], n_points, rtol)[0]
 
 
+class StartError(ValueError):
+    """A ValueError of the start at `index`: it cannot be laid out or evaluated."""
+
+    def __init__(self, index: int, reason: ValueError):
+        super().__init__(*reason.args)
+        self.index = index
+
+
 def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
               starts: list[dict[str, float]], n_points: int | None = None,
               rtol: float = 1e-10) -> list[FitResult]:
@@ -375,6 +384,8 @@ def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
             pending[i] = runs[i].send(reply)
         except StopIteration as done:
             pending[i], results[i] = None, done.value
+        except ValueError as exc:
+            raise StartError(i, exc) from exc
 
     for i in range(len(runs)):
         send(i)
@@ -518,9 +529,9 @@ def multi_start_fit(kind: EquationKind, params: MediumParams,
     The starts advance in lockstep, each round one stacked residual,
     Jacobian and SVD for all of them, and each result is bit for bit the
     one fit_travelling_wave gives from that start alone.  Results with
-    |A| below MERGE_TOL collapse onto the trivial zero
-    profile and are not counted as a basin.  Returns (basins sorted by
-    population, all raw results).
+    |A| below MERGE_TOL collapse onto the trivial zero profile and are not
+    counted as a basin.  Returns (basins sorted by population, all raw
+    results); a start that cannot be laid out or evaluated raises StartError.
     """
     results = _lockstep(kind, params, ansatz, starts, **fit_kwargs)
     basins: list[FitBasin] = []

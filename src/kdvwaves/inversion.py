@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import (BottomProfile, EquationId, EquationKind, Field, Grid,
-                        ResidualReport, residual, residual_report, solution_fields)
+from .equations import (SOLUTION_TOL, BottomProfile, EquationId, EquationKind, Field,
+                        Grid, ResidualReport, _required_orders, derivative_set, residual,
+                        residual_report, residual_rows, solution_fields)
 from .waves import (Frame, MediumParams, SolitonLadder, make_fifth_order_soliton,
                     make_gardner_soliton, make_kdv2_soliton, make_kdv_cnoidal,
                     make_kdv_soliton, make_kdv_superposition)
@@ -38,6 +39,7 @@ __all__ = [
     "ramp_bottom",
     "catalog",
     "default_matrix",
+    "run_matrix",
     "run_case",
 ]
 
@@ -88,23 +90,13 @@ def _negated(u: Field, ut: Field) -> tuple[Field, Field]:
     return Field(u.grid, -u.values, u.time), Field(ut.grid, -ut.values, ut.time)
 
 
-def _inversion_pair(u: Field, ut: Field, eq: EquationId, params: MediumParams,
-                    tolerance: float, backend: str,
-                    ) -> tuple[ResidualReport, ResidualReport, ResidualReport]:
-    """(algebraic defect, upright report, mirrored report), one residual a
-    side; the defect is the report of the summed residual against the
-    tolerance, the two sides test SOLUTION_TOL."""
-    rep_p, res_p = residual(u, ut, eq, params, backend=backend)
-    rep_m, res_m = residual(*_negated(u, ut), eq, params.flipped(), backend=backend)
-    alg = residual_report(eq.label(), res_p.values + res_m.values,
-                          max(rep_p.scale, rep_m.scale), u.grid.dx, tolerance)
-    return alg, rep_p, rep_m
-
-
 def algebraic_defect(u: Field, ut: Field, eq: EquationId,
                      params: MediumParams) -> ResidualReport:
-    """The report of r(u, u_t; alpha) + r(-u, -u_t; -alpha) over the grid."""
-    return _inversion_pair(u, ut, eq, params, ALGEBRAIC_TOL, "spectral")[0]
+    """The report of r(u, u_t; alpha) + r(-u, -u_t; -alpha) against ALGEBRAIC_TOL."""
+    rep_p, res_p = residual(u, ut, eq, params)
+    rep_m, res_m = residual(*_negated(u, ut), eq, params.flipped())
+    return residual_report(eq.label(), res_p.values + res_m.values,
+                           max(rep_p.scale, rep_m.scale), u.grid.dx, ALGEBRAIC_TOL)
 
 
 def mirrored_residual(u: Field, ut: Field, eq: EquationId,
@@ -209,25 +201,74 @@ def default_matrix(params: MediumParams | None = None,
     return cases
 
 
+def run_matrix(cases: list[InversionCase], backend: str = "spectral",
+               tolerance: float = ALGEBRAIC_TOL) -> list[dict]:
+    """All applicable checks of each case, as flat JSON-friendly dicts in
+    the cases' order; the algebraic defect passes at relative <= tolerance.
+
+    The cases on one grid form a stack U of their distinct (u, u_t) pairs,
+    which takes one derivative set of U and one transformed from -U, of all
+    the orders its equations read.  Each (equation, medium) group of a stack
+    takes one assembly of the upright residual, one of the mirrored and, for
+    solutions, one of the control.  A row is bit for bit its case's alone.
+    """
+    diffs = derivative_set(backend)
+    stacks: dict[Grid, dict[tuple, list[int]]] = {}
+    for i, c in enumerate(cases):
+        if c.u.grid != c.ut.grid:
+            raise ValueError(f"{c.label}: u and u_t must share a grid")
+        stacks.setdefault(c.u.grid, {}).setdefault((c.eq, c.params, c.is_solution), []).append(i)
+    key = [(id(c.u), id(c.ut)) for c in cases]
+    rows: list[dict] = [{}] * len(cases)
+    for grid, groups in stacks.items():
+        stack = {key[i]: cases[i] for members in groups.values() for i in members}
+        slot = {k: j for j, k in enumerate(stack)}
+        u = np.array([c.u.values for c in stack.values()])
+        ut = np.array([c.ut.values for c in stack.values()])
+        orders = sorted({o for eq, _, _ in groups for o in _required_orders(eq.kind)})
+        upright, mirrored = [(f, f_t, diffs(f, grid, orders)) for f, f_t in ((u, ut), (-u, -ut))]
+        for (eq, params, is_solution), members in groups.items():
+            sel = [slot[key[i]] for i in members]
+
+            def assemble(side, p):
+                f, f_t, d = side
+                derivs = {o: d[o][sel] for o in _required_orders(eq.kind)}
+                return residual_rows(f[sel], f_t[sel], derivs, eq, p, grid)
+            res_p, scale_p = assemble(upright, params)
+            res_m, scale_m = assemble(mirrored, params.flipped())
+            checks = [_relative(res_p + res_m, np.maximum(scale_p, scale_m))]
+            if is_solution:
+                checks += [_relative(res_p, scale_p), _relative(res_m, scale_m),
+                           _relative(*assemble(mirrored, params))]
+            for i, values in zip(members, zip(*checks)):
+                rows[i] = _row(cases[i], tolerance, *values)
+        del upright, mirrored       # this stack's derivative sets, before the next's
+    return rows
+
+
+def _relative(res: np.ndarray, scale: np.ndarray) -> list[float]:
+    """Each row's max|res| over its scale, as residual_report takes it."""
+    return [float(r / s) if s > 0.0 else 0.0
+            for r, s in zip(np.max(np.abs(res), axis=-1), scale)]
+
+
+def _row(case: InversionCase, tolerance: float, defect: float, *solution: float) -> dict:
+    """One sweep row; a solution's also takes its upright, mirrored and control residuals."""
+    row = {"label": case.label, "equation": case.eq.label(),
+           "kind": "solution" if case.is_solution else "random",
+           "algebraic_defect_value": defect, "algebraic_pass": defect <= tolerance,
+           "algebraic_tol": tolerance}
+    if solution:
+        upright, mirrored, control = solution
+        row.update(upright_residual=upright, upright_pass=upright <= SOLUTION_TOL,
+                   mirrored_residual=mirrored, mirrored_pass=mirrored <= SOLUTION_TOL,
+                   control_residual=control, control_min=CONTROL_MIN,
+                   control_pass=control >= CONTROL_MIN)
+    row["pass"] = all(v for k, v in row.items() if k.endswith("_pass"))
+    return row
+
+
 def run_case(case: InversionCase, backend: str = "spectral",
              tolerance: float = ALGEBRAIC_TOL) -> dict:
-    """All applicable checks for one case, as a flat JSON-friendly dict;
-    the algebraic defect passes at relative <= tolerance."""
-    row: dict = {"label": case.label, "equation": case.eq.label(),
-                 "kind": "solution" if case.is_solution else "random"}
-    alg, upright, mirrored = _inversion_pair(case.u, case.ut, case.eq, case.params,
-                                             tolerance, backend)
-    row.update(algebraic_defect_value=alg.relative, algebraic_pass=alg.passed,
-               algebraic_tol=alg.tolerance)
-    passed = alg.passed
-    if case.is_solution:
-        control = negative_control(case.u, case.ut, case.eq, case.params,
-                                   backend=backend)
-        control_ok = control.relative >= CONTROL_MIN
-        row.update(upright_residual=upright.relative, upright_pass=upright.passed,
-                   mirrored_residual=mirrored.relative, mirrored_pass=mirrored.passed,
-                   control_residual=control.relative, control_min=CONTROL_MIN,
-                   control_pass=control_ok)
-        passed = passed and upright.passed and mirrored.passed and control_ok
-    row["pass"] = passed
-    return row
+    """run_matrix's row of one case."""
+    return run_matrix([case], backend, tolerance)[0]

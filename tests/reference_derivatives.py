@@ -1,15 +1,37 @@
 """Reference derivatives that the tests check the package against.
 
-time_derivative differentiates any profile in t by finite differences;
-profile_derivatives reads the exact profile rows the fits use;
-fd8_roll_diffs sums the fd8 stencils over one rolled copy per tap.
+spectral_derivative and fd8_derivative take one derivative of a Field
+through the package's backends; time_derivative differentiates any
+profile in t by finite differences; profile_derivatives reads the exact
+profile rows the fits use; fd8_roll_diffs sums the fd8 stencils over one
+rolled copy per tap.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from kdvwaves.equations import Grid, _fd8_stencil
+from kdvwaves.equations import Field, Grid, _fd8_diffs, _fd8_stencil, _spectral_diffs
 from kdvwaves.fitting import AnsatzFamily, _scaled, _unit_rows
+
+DERIVATIVE_ORDERS = (1, 2, 3, 5)
+
+
+def _check_order(order: int):
+    if order not in DERIVATIVE_ORDERS:
+        raise ValueError(f"derivative order must be one of {DERIVATIVE_ORDERS}, got {order!r}")
+
+
+def spectral_derivative(f: Field, order: int) -> Field:
+    """Fourier-collocation derivative of the given order (1, 2, 3 or 5)."""
+    _check_order(order)
+    return Field(f.grid, _spectral_diffs(f.values, f.grid, (order,))[order], f.time)
+
+
+def fd8_derivative(f: Field, order: int) -> Field:
+    """Centred finite-difference derivative (>= 8th order), periodic wrap."""
+    _check_order(order)
+    return Field(f.grid, _fd8_diffs(f.values, f.grid, (order,))[order], f.time)
+
 
 # 8th-order centred stencil; with h = 0.01 truncation and roundoff balance
 # near 1e-13 for order-one amplitudes and speeds.

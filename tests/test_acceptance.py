@@ -18,7 +18,6 @@ from kdvwaves.equations import (
     Field,
     Grid,
     residual,
-    spectral_derivative,
     travelling_residual,
 )
 from kdvwaves.evolve import EvolveConfig, evolve, monitors
@@ -47,6 +46,7 @@ from kdvwaves.waves import (
     make_kdv_soliton,
     make_kdv_superposition,
 )
+from reference_derivatives import spectral_derivative
 
 P = MediumParams(alpha=0.1, beta=0.1)
 PG = MediumParams(alpha=0.1, beta=0.3, tau=0.0)

@@ -659,3 +659,21 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
                                capture_output=True, env=env, timeout=120)
         assert code == fresh.returncode
         assert out.encode() == fresh.stdout
+
+
+@pytest.mark.parametrize("key,value,where,reason", [
+    ("start", {"A": 1.0, "B": 0.0, "v": 1.0}, "start",
+     "B must be nonzero to set the collocation window"),
+    ("starts", [{"A": 1.0, "B": 0.0, "v": 1.0}], "starts[0]",
+     "B must be nonzero to set the collocation window"),
+    ("starts", [{"A": 1.0, "B": 1.2, "v": 1.1}, {"A": 1.0, "v": 1.1}], "starts[1]",
+     "start is missing free parameters ['B']"),
+])
+def test_a_start_that_cannot_be_laid_out_exits_two_and_names_it(capsys, tmp_path, key,
+                                                                value, where, reason):
+    doc = {k: v for k, v in FIT_DOC.items() if k != "starts"}
+    cfg = _write(tmp_path, "fit.yaml", {**doc, key: value})
+    code, out, err = _run(capsys, ["fit", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: invalid '{where}': {reason}\n"

@@ -18,10 +18,8 @@ from kdvwaves.equations import (
     Field,
     Grid,
     bottom_eval,
-    fd8_derivative,
     residual,
     solution_fields,
-    spectral_derivative,
     travelling_residual,
 )
 from kdvwaves.inversion import RandomField
@@ -34,7 +32,12 @@ from kdvwaves.waves import (
     make_kdv_cnoidal,
     make_kdv_soliton,
 )
-from reference_derivatives import fd8_roll_diffs
+from reference_derivatives import (
+    DERIVATIVE_ORDERS,
+    fd8_derivative,
+    fd8_roll_diffs,
+    spectral_derivative,
+)
 
 P = MediumParams(alpha=0.1, beta=0.1)
 
@@ -116,7 +119,7 @@ def test_sliced_fd8_taps_equal_the_rolled_stencils_bit_for_bit(kind, n):
 
 # --- grids and fields -----------------------------------------------------------
 
-@pytest.mark.parametrize("order", (0,) + equations.DERIVATIVE_ORDERS)
+@pytest.mark.parametrize("order", (0,) + DERIVATIVE_ORDERS)
 def test_a_grid_builds_each_multiplier_once_and_shares_it_read_only(order):
     grid = Grid(-3.0, 17.0, 64)
     mult = grid.derivative_multiplier(order)
