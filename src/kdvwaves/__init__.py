@@ -55,7 +55,6 @@ from .inversion import (
     RandomField,
     algebraic_defect,
     default_matrix,
-    mirrored_residual,
     negative_control,
     ramp_bottom,
     run_case,

@@ -171,44 +171,60 @@ class ETDRK4:
             powers = groups.setdefault(tuple(o for o in orders if o), {})
             powers[orders.count(0)] = powers.get(orders.count(0), 0.0) + c
         orders = sorted({0}.union(*groups))
-        # one row of (ik)^o per sampled order, so one irfft call samples them all
-        self._multipliers = np.array([grid.derivative_multiplier(o) for o in orders])
+        # the grid's own (ik)^o rows past order 0: row 0, (ik)^0 v, is v itself
+        self._ik = [grid.derivative_multiplier(o) for o in orders[1:]]
         # Horner in u, then the factors: adds[0] f[rows[0]], then (term + adds[j]) f[rows[j]]
         self._groups = [([powers.get(p) for p in range(max(powers), -len(factors), -1)],
                          [0] * max(powers) + [orders.index(o) for o in factors])
                         for factors, powers in groups.items()]
+        # the workspace: the (ik)^o v rows, their irfft, two Horner accumulators
+        # and the stage buffers, so `step` allocates only the state it returns
+        m = grid.n // 2 + 1
+        self._rows = np.empty((len(orders), m), dtype=complex)
+        self._f = np.empty((len(orders), grid.n))
+        self._acc, self._term = np.empty((2, grid.n))
+        self._Nv, self._Na, self._Nb, self._Nc, self._a, self._b, self._E2v = (
+            np.empty((7, m), dtype=complex))
 
-    def nonlinear(self, v: np.ndarray) -> np.ndarray:
-        """rfft of the nonlinear (and bottom) part of du/dt."""
-        f = np.fft.irfft(self._multipliers * v, self._n)
-        out = None
+    def nonlinear(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """rfft of the nonlinear (and bottom) part of du/dt, written into
+        `out` if given, else into a new array."""
+        f = self._f
+        if self._ik:
+            self._rows[0] = v
+            for ik, row in zip(self._ik, self._rows[1:]):
+                np.multiply(ik, v, out=row)
+            np.fft.irfft(self._rows, self._n, out=f)
+        else:
+            np.fft.irfft(v, self._n, out=f[0])
+        acc = None
         for adds, rows in self._groups:
-            term = adds[0] * f[rows[0]]
+            term = np.multiply(adds[0], f[rows[0]], out=self._acc if acc is None else self._term)
             for c, row in zip(adds[1:], rows[1:]):
                 if c is not None:
                     term += c
                 term *= f[row]
-            out = term if out is None else np.add(out, term, out=out)
-        nv = np.fft.rfft(out)
+            acc = term if acc is None else np.add(acc, term, out=acc)
+        nv = np.fft.rfft(acc, out=out)
         if self._outer is not None:
             nv *= self._outer
         return nv
 
     def step(self, v: np.ndarray) -> np.ndarray:
-        Nv = self.nonlinear(v)
-        E2v = self.E2 * v
-        a = self.Q * Nv
+        Nv = self.nonlinear(v, self._Nv)
+        E2v = np.multiply(self.E2, v, out=self._E2v)
+        a = np.multiply(self.Q, Nv, out=self._a)
         a += E2v
-        Na = self.nonlinear(a)
-        b = self.Q * Na
+        Na = self.nonlinear(a, self._Na)
+        b = np.multiply(self.Q, Na, out=self._b)
         b += E2v
-        Nb = self.nonlinear(b)
+        Nb = self.nonlinear(b, self._Nb)
         c = np.multiply(Nb, 2.0, out=b)      # in place: c = E2 a + Q (2 Nb - Nv)
         c -= Nv
         c *= self.Q
         a *= self.E2
         c += a
-        Nc = self.nonlinear(c)
+        Nc = self.nonlinear(c, self._Nc)
         Na += Nb
         out = self.E * v
         for coefficient, N in ((self.f1, Nv), (self._f2x2, Na), (self.f3, Nc)):

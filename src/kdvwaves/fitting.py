@@ -126,11 +126,14 @@ def _unit_rows(ansatz: AnsatzFamily, xi: np.ndarray,
         return unit, rows * scale.reshape(rows.shape[:-1] + (1,))
     if np.any(unit.Delta == 0.0):
         raise ValueError("Delta must be nonzero")
-    rows = unit.derivatives(xi, 6)
-    # a fit must not sample the unbounded branch's poles: 1/f = 1 + B cosh(xi/Delta)
-    if np.any(np.abs(rows[0]) > 1e12):
+    # a fit must not hold a pole in its window [0, last node]: for B < 0,
+    # 1/f = 1 + B cosh(xi/Delta) falls from 1 + B at xi = 0, so its zero
+    # |Delta| arccosh(-1/B) is in the window iff 1 + B >= 0 >= 1/f at its end
+    with np.errstate(over="ignore", invalid="ignore"):
+        end = 1.0 + unit.B * np.cosh(np.max(xi, axis=-1, keepdims=True) / unit.Delta)
+    if np.any((1.0 + unit.B >= 0.0) & (end <= 0.0)):
         raise ValueError("gardner denominator vanishes on the window")
-    return unit, rows
+    return unit, unit.derivatives(xi, 6)
 
 
 def _scaled(values: dict[str, float], unit_rows: np.ndarray) -> np.ndarray:

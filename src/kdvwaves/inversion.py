@@ -34,7 +34,6 @@ __all__ = [
     "RandomField",
     "InversionCase",
     "algebraic_defect",
-    "mirrored_residual",
     "negative_control",
     "ramp_bottom",
     "catalog",
@@ -97,12 +96,6 @@ def algebraic_defect(u: Field, ut: Field, eq: EquationId,
     rep_m, res_m = residual(*_negated(u, ut), eq, params.flipped())
     return residual_report(eq.label(), res_p.values + res_m.values,
                            max(rep_p.scale, rep_m.scale), u.grid.dx, ALGEBRAIC_TOL)
-
-
-def mirrored_residual(u: Field, ut: Field, eq: EquationId,
-                      params: MediumParams) -> ResidualReport:
-    """Residual of the negated pair under the alpha-negated equation."""
-    return residual(*_negated(u, ut), eq, params.flipped())[0]
 
 
 def negative_control(u: Field, ut: Field, eq: EquationId, params: MediumParams,

@@ -4,14 +4,18 @@ spectral_derivative and fd8_derivative take one derivative of a Field
 through the package's backends; time_derivative differentiates any
 profile in t by finite differences; profile_derivatives reads the exact
 profile rows the fits use; fd8_roll_diffs sums the fd8 stencils over one
-rolled copy per tap.
+rolled copy per tap; mirrored_residual is the residual of the negated pair
+under the alpha-negated equation, one case at a time.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from kdvwaves.equations import Field, Grid, _fd8_diffs, _fd8_stencil, _spectral_diffs
+from kdvwaves.equations import (EquationId, Field, Grid, ResidualReport, _fd8_diffs,
+                                 _fd8_stencil, _spectral_diffs, residual)
 from kdvwaves.fitting import AnsatzFamily, _scaled, _unit_rows
+from kdvwaves.inversion import _negated
+from kdvwaves.waves import MediumParams
 
 DERIVATIVE_ORDERS = (1, 2, 3, 5)
 
@@ -66,3 +70,9 @@ def fd8_roll_diffs(values: np.ndarray, grid: Grid, orders) -> dict[int, np.ndarr
         offsets, weights = _fd8_stencil(order)
         return sum(w * np.roll(values, -off) for off, w in zip(offsets, weights) if w != 0.0)
     return {o: stencil_sum(o) / grid.dx**o for o in orders}
+
+
+def mirrored_residual(u: Field, ut: Field, eq: EquationId,
+                      params: MediumParams) -> ResidualReport:
+    """Residual of the negated pair under the alpha-negated equation."""
+    return residual(*_negated(u, ut), eq, params.flipped())[0]

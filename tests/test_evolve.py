@@ -219,6 +219,65 @@ def test_step_makes_two_fft_calls_per_stage(kind, frame, use_bottom, monkeypatch
     assert calls == ["irfft", "rfft"] * 4
 
 
+def _setup_stepper(kind, frame, use_bottom):
+    from kdvwaves.evolve import ETDRK4
+
+    grid = Grid(0.0, 40.0, 128)
+    p = MediumParams(alpha=0.1, beta=0.1, tau=0.2, delta=0.05 if use_bottom else 0.0)
+    eq = EquationId(kind, frame, ramp_bottom(grid) if use_bottom else None)
+    stepper = ETDRK4(EvolveConfig(eq=eq, params=p, grid=grid, dt=0.01, t_end=0.01))
+    return stepper, np.fft.rfft(RandomField(seed=3, amplitude=0.3).build(grid)[0].values)
+
+
+def _reference_step(s, v):
+    """One ETDRK4 step from fresh arrays, in the operand order of `step`."""
+    Nv = s.nonlinear(v)
+    E2v = s.E2 * v
+    a = s.Q * Nv + E2v
+    Na = s.nonlinear(a)
+    Nb = s.nonlinear(s.Q * Na + E2v)
+    Nc = s.nonlinear((Nb * 2.0 - Nv) * s.Q + a * s.E2)
+    return s.E * v + Nv * s.f1 + (Na + Nb) * s._f2x2 + Nc * s.f3
+
+
+@pytest.mark.parametrize("kind, frame, use_bottom", ALL_SETUPS)
+def test_workspace_step_is_bitwise_the_fresh_array_step(kind, frame, use_bottom):
+    stepper, v = _setup_stepper(kind, frame, use_bottom)
+    w = v
+    for _ in range(20):
+        v, w = stepper.step(v), _reference_step(stepper, w)
+        assert v.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("kind, frame, use_bottom", ALL_SETUPS)
+def test_nonlinear_writes_into_out(kind, frame, use_bottom):
+    stepper, v = _setup_stepper(kind, frame, use_bottom)
+    buf = np.full_like(v, np.nan)
+    assert stepper.nonlinear(v, out=buf) is buf
+    assert buf.tobytes() == stepper.nonlinear(v).tobytes()
+    assert stepper.nonlinear(v) is not stepper.nonlinear(v)
+
+
+@pytest.mark.parametrize("kind, frame, use_bottom", ALL_SETUPS)
+def test_returned_state_survives_the_next_step(kind, frame, use_bottom):
+    stepper, v = _setup_stepper(kind, frame, use_bottom)
+    first = stepper.step(v)
+    kept = first.copy()
+    stepper.step(first)
+    assert first.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("kind, frame, use_bottom", ALL_SETUPS)
+def test_stepper_holds_the_grids_own_derivative_rows(kind, frame, use_bottom):
+    stepper, _ = _setup_stepper(kind, frame, use_bottom)
+    grid = stepper.config.grid
+    own = {id(grid.derivative_multiplier(o)) for o in range(1, 6)}
+    # only u is sampled on a flat bottom, except by kdv2's u_x^2 and u u_xx
+    assert bool(stepper._ik) == (use_bottom or kind is EquationKind.KDV2)
+    assert all(id(row) in own for row in stepper._ik)
+    assert not hasattr(stepper, "_multipliers")
+
+
 @pytest.mark.parametrize("kind", list(EquationKind))
 def test_flat_bottom_nonlinearity_conserves_mass_exactly(kind):
     """In flux form the nonlinear part is ik times a transform, so its mean is 0."""

@@ -190,6 +190,38 @@ def test_cnoidal_fit_with_zero_mean_pins_pedestal():
     assert abs(result.values["D"] - w.D) < 1e-8
 
 
+def test_gardner_start_on_the_pole_branch_is_refused():
+    # from A = 4A*, B = -0.9 the fit used to converge (residual 3e-11) to
+    # B = -0.9747, whose profile has a pole at arccosh(1/0.9747) = 0.227
+    pg = MediumParams(alpha=0.1, beta=0.3, tau=0.0)
+    A = make_gardner_soliton(pg, Delta=1.0).A
+    ansatz = AnsatzFamily("gardner", ("A", "B", "v"), {"Delta": 1.0})
+    with pytest.raises(ValueError, match="cannot be evaluated at the start"):
+        fit_travelling_wave(EquationKind.GARDNER, pg, ansatz,
+                            {"A": 4.0 * A, "B": -0.9, "v": 1.05})
+
+
+@pytest.mark.parametrize("B, pole", [
+    (-1.0, True),                          # the zero sits at xi = 0
+    (float(np.nextafter(-1.0, -2.0)), False),
+    (-(1.0 + 1e-9), False),                # 1 + B cosh < 0 everywhere
+    ("inside", True), ("beyond", False), (0.5, False), (-0.0, False)])
+def test_gardner_pole_test_is_exact_at_the_window_edges(B, pole):
+    from kdvwaves.fitting import _unit_rows, collocation_points
+
+    ansatz = AnsatzFamily("gardner", ("A", "B", "v"), {"Delta": -1.3})
+    values = {"A": 2.0, "v": 1.05, "Delta": -1.3}
+    xi = collocation_points(ansatz, {**values, "B": 0.5}, 9)
+    # a zero at |Delta| arccosh(-1/B) just inside or beyond the last node
+    edge = -1.0 / math.cosh(xi[-1] / 1.3)
+    B = {"inside": edge * (1.0 + 1e-9), "beyond": edge * (1.0 - 1e-9)}.get(B, B)
+    if pole:
+        with pytest.raises(ValueError, match="vanishes on the window"):
+            _unit_rows(ansatz, xi, {**values, "B": B})
+    else:
+        assert np.all(np.isfinite(_unit_rows(ansatz, xi, {**values, "B": B})[1]))
+
+
 def test_gardner_fit_recovers_closed_form():
     p = MediumParams(alpha=0.1, beta=0.3, tau=0.0)
     w = make_gardner_soliton(p, Delta=1.0)

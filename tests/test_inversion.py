@@ -12,12 +12,12 @@ from kdvwaves.inversion import (
     RandomField,
     algebraic_defect,
     default_matrix,
-    mirrored_residual,
     negative_control,
     ramp_bottom,
     run_case,
 )
 from kdvwaves.waves import Frame, MediumParams
+from reference_derivatives import mirrored_residual
 
 GRID = Grid(-32.0, 64.0, 256)
 

@@ -88,8 +88,9 @@ def _assert_each_start_fits_alone(kind, params, ansatz, starts):
 
 
 def test_gardner_starts_whose_trial_meets_a_pole_fit_as_alone(monkeypatch):
-    # the second start's first trial puts a pole of 1/(1 + B cosh xi) within
-    # 1e-14 of a node: that trial alone is rejected, in its stack too
+    # no start holds a pole of 1/(1 + B cosh xi) in its window, but trials of
+    # the second and third starts do: those trials alone are rejected, in
+    # their stack too
     poles = []
     real = fitting._unit_rows
 
@@ -103,11 +104,22 @@ def test_gardner_starts_whose_trial_meets_a_pole_fit_as_alone(monkeypatch):
     monkeypatch.setattr(fitting, "_unit_rows", watched)
     ansatz = AnsatzFamily("gardner", ("A", "B", "v"), {"Delta": 1.0})
     starts = [{"A": 1.4, "B": 0.7, "v": 1.03},
-              {"A": 7.247715919835332, "B": -0.48, "v": 1.02},
-              {"A": 2.0, "B": -0.3, "v": 1.02},
-              {"A": -3.0, "B": -0.95, "v": 1.02}]
+              {"A": 1.87, "B": 1.95, "v": 1.06},
+              {"A": 1.84, "B": 1.72, "v": 0.98},
+              {"A": -3.0, "B": -1.3, "v": 1.02}]
     _assert_each_start_fits_alone(EquationKind.GARDNER, PG, ansatz, starts)
     assert "gardner denominator vanishes on the window" in poles
+
+
+def test_gardner_start_with_a_pole_in_its_window_is_refused_by_index():
+    # the start whose first trial put a pole within 1e-14 of a node holds
+    # one itself, at arccosh(1/0.48) = 1.37, inside its window [0, 8]
+    ansatz = AnsatzFamily("gardner", ("A", "B", "v"), {"Delta": 1.0})
+    starts = [{"A": 1.4, "B": 0.7, "v": 1.03},
+              {"A": 7.247715919835332, "B": -0.48, "v": 1.02}]
+    with pytest.raises(fitting.StartError, match="cannot be evaluated") as err:
+        multi_start_fit(EquationKind.GARDNER, PG, ansatz, starts)
+    assert err.value.index == 1
 
 
 @pytest.mark.parametrize("free,fixed,zero_mean", [
