@@ -13,6 +13,9 @@ On a flat bottom every nonlinear monomial is an exact x-derivative
 the conservative form of Fornberg & Whitham (Phil. Trans. R. Soc. A 289,
 1978); with a bottom the terms stay in product form.  Each stage makes
 two FFT calls: one irfft of the stacked (ik)^o v rows, and one rfft.
+Below n = 4096 a step is bound by the cost of each FFT call, so the
+stages call numpy's pocketfft gufuncs directly: `np.fft`'s per-call argument
+handling adds nothing for shapes and normalisation fixed at setup.
 
 Every nonlinear term is assembled from sign-symmetric primitives and the
 linear symbol does not depend on alpha, so evolving (-u0, -alpha) gives
@@ -25,6 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# np.fft.irfft/rfft's own gufuncs (numpy >= 2.0; Grid n is even): the same bits
+# without np.fft's argument handling, which costs a transform's time at n = 256
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .equations import (FLUXES, TERMS, BottomProfile, EquationId, Field, Grid,
                         bottom_coefficients, bottom_eval, equation_table)
@@ -60,6 +66,9 @@ class EvolveConfig:
     dealias: bool | None = None  # None: on for the equations with cubic terms
 
     def __post_init__(self):
+        for name, value in (("dt", self.dt), ("t_end", self.t_end)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if self.t_end < self.dt:
@@ -149,7 +158,7 @@ class ETDRK4:
         L = _linear_symbol(eq, params, grid)
         self.E, self.E2, self.Q, self.f1, f2, self.f3 = _etdrk4_coefficients(L, config.dt)
         self._f2x2 = 2.0 * f2
-        self._n = grid.n
+        self._inv_n = 1.0 / grid.n     # irfft's normalisation, as np.fft.irfft's
         # coefficients carry the sign of du/dt, so no term is negated per call
         terms = [(orders, -c(params)) for _, c, orders in TERMS[eq.kind] if len(orders) > 1]
         if eq.bottom is None:
@@ -194,9 +203,9 @@ class ETDRK4:
             self._rows[0] = v
             for ik, row in zip(self._ik, self._rows[1:]):
                 np.multiply(ik, v, out=row)
-            np.fft.irfft(self._rows, self._n, out=f)
+            _irfft(self._rows, self._inv_n, f)
         else:
-            np.fft.irfft(v, self._n, out=f[0])
+            _irfft(v, self._inv_n, f[0])
         acc = None
         for adds, rows in self._groups:
             term = np.multiply(adds[0], f[rows[0]], out=self._acc if acc is None else self._term)
@@ -205,7 +214,9 @@ class ETDRK4:
                     term += c
                 term *= f[row]
             acc = term if acc is None else np.add(acc, term, out=acc)
-        nv = np.fft.rfft(acc, out=out)
+        if out is None:
+            out = np.empty_like(self._Nv)
+        nv = _rfft(acc, 1.0, out)
         if self._outer is not None:
             nv *= self._outer
         return nv

@@ -403,6 +403,16 @@ def test_evolve_abort_exits_three(capsys, tmp_path):
     assert "abort" in err
 
 
+@pytest.mark.parametrize("key,value", [("dt", float("nan")), ("dt", float("inf")),
+                                       ("t_end", float("nan")), ("t_end", float("inf"))])
+def test_evolve_non_finite_time_exits_two_and_names_it(capsys, tmp_path, key, value):
+    cfg = _write(tmp_path, "inf.yaml", {**EVOLVE_DOC, key: value})
+    code, out, err = _run(capsys, ["evolve", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert f"{key} must be finite, got {value!r}" in err
+
+
 def test_byte_identical_reruns(capsys, tmp_path):
     cfg = _write(tmp_path, "d.yaml", {"n_seeds": 2})
     _, out1, _ = _run(capsys, ["symmetry", "--config", cfg, "--seed", "3"])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -287,6 +287,8 @@ def test_residual_report_flags_reversed_dispersion():
 
 @settings(max_examples=25, deadline=None)
 @given(d=st.floats(-0.5, 0.5), t=st.floats(-5.0, 5.0))
+@example(d=0.0, t=-4.66426911119179).via("read 1.08e-9 with a spectral u_xxx")
+@example(d=0.29619726795399437, t=-5.0).via("read 1.004e-9 with a spectral u_xxx")
 def test_pedestal_shift_invariance(d, t):
     """Lifting a solution by a constant and boosting its speed by
     (3 alpha / 2) * the lift leaves the residual at roundoff."""
@@ -295,9 +297,12 @@ def test_pedestal_shift_invariance(d, t):
     w = make_kdv_cnoidal(P, 1.0, 0.8)
     shifted = replace(w, D=w.D + d, v=w.v + 1.5 * P.alpha * d)
     grid = Grid(0.0, w.wavelength(), 512)
-    report, _ = travelling_residual(shifted, EquationId(EquationKind.KDV), P,
-                                    grid, t=t, tolerance=1e-9)
-    assert report.passed
+    # the exact rows at xi = x - v t and u_t = -v f': a spectral u_xxx
+    # amplifies roundoff past 1e-9 on some draws, as on the two examples
+    rows = shifted.derivatives(grid.x - shifted.v * t, 3)
+    res, scale = equations.residual_rows(rows[0], -shifted.v * rows[1], dict(enumerate(rows)),
+                                         EquationId(EquationKind.KDV), P, grid)
+    assert np.max(np.abs(res)) <= 1e-12 * scale
 
 
 def test_gardner_tabletop_residual():

@@ -1,5 +1,7 @@
 """Time integration: order, conservation, symmetry, and failure modes."""
 
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,6 +17,8 @@ from kdvwaves.evolve import (
 from kdvwaves.inversion import RandomField, ramp_bottom
 from kdvwaves.waves import Frame, MediumParams, make_gardner_soliton, make_kdv_soliton
 
+# the module itself: the package exports the function `evolve` under its name
+evolve_module = importlib.import_module("kdvwaves.evolve")
 P = MediumParams(alpha=0.1, beta=0.1)
 GRID = Grid(-30.0, 60.0, 512)
 KDV = EquationId(EquationKind.KDV)
@@ -135,6 +139,14 @@ def test_config_validation():
                      output_stride=-1)
 
 
+@pytest.mark.parametrize("name", ["dt", "t_end"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_dt_or_t_end_is_rejected_by_name(name, value):
+    times = {"dt": 0.1, "t_end": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        EvolveConfig(eq=KDV, params=P, grid=GRID, **times)
+
+
 def test_bottom_knot_on_grid_point_rejected():
     from kdvwaves.equations import BottomProfile
     grid = Grid(0.0, 40.0, 256)
@@ -206,17 +218,39 @@ def test_step_makes_two_fft_calls_per_stage(kind, frame, use_bottom, monkeypatch
     calls = []
 
     def counted(name):
-        real = getattr(np.fft, name)
+        real = getattr(evolve_module, "_" + name)
 
         def call(*args, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
         return call
 
+    # the stages call the gufunc handles that kdvwaves.evolve imports
     for name in ("rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counted(name))
+        monkeypatch.setattr(evolve_module, "_" + name, counted(name))
     stepper.step(v)
     assert calls == ["irfft", "rfft"] * 4
+
+
+@pytest.mark.parametrize("n", [16, 128, 256, 1024, 4096])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["row", "stack3"])
+def test_stepper_gufuncs_are_numpy_fft_bit_for_bit(n, shape):
+    """The stages' two gufunc calls, in the stepper's own positional form
+    and normalisation, give np.fft.rfft's and np.fft.irfft's bits; a numpy
+    that renames or changes those gufuncs fails here."""
+    from kdvwaves.evolve import ETDRK4
+
+    stepper = ETDRK4(EvolveConfig(eq=KDV, params=P, grid=Grid(0.0, 40.0, n),
+                                  dt=0.01, t_end=0.01))
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(shape + (n,))
+    spectrum = np.empty(shape + (n // 2 + 1,), dtype=complex)
+    assert evolve_module._rfft(x, 1.0, spectrum) is spectrum
+    assert spectrum.tobytes() == np.fft.rfft(x).tobytes()
+    spectrum += 1j * rng.standard_normal(spectrum.shape)
+    back = np.empty(shape + (n,))
+    assert evolve_module._irfft(spectrum, stepper._inv_n, back) is back
+    assert back.tobytes() == np.fft.irfft(spectrum, n).tobytes()
 
 
 def _setup_stepper(kind, frame, use_bottom):
