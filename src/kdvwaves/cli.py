@@ -191,21 +191,14 @@ def _mapping(item):
     return read
 
 
-def _superposition(params, A, m, B, sign):
-    # B defaults to the width of the kdv soliton of amplitude A
-    if B is None:
-        B = make_kdv_soliton(params, A).B
-    return make_kdv_superposition(params, A, m, B, sign=sign)
-
-
 _SUPERPOSITION = {"A": (_float, REQUIRED), "m": (_float, REQUIRED), "B": (_float, None)}
 
 # family -> (its keys, its constructor from the medium and those keys)
 FAMILIES = {
     "kdv_soliton": ({"A": (_float, REQUIRED)}, make_kdv_soliton),
     "kdv_cnoidal": ({"A": (_float, REQUIRED), "m": (_float, REQUIRED)}, make_kdv_cnoidal),
-    "kdv_superposition_plus": (_SUPERPOSITION, partial(_superposition, sign=+1)),
-    "kdv_superposition_minus": (_SUPERPOSITION, partial(_superposition, sign=-1)),
+    "kdv_superposition_plus": (_SUPERPOSITION, partial(make_kdv_superposition, sign=+1)),
+    "kdv_superposition_minus": (_SUPERPOSITION, partial(make_kdv_superposition, sign=-1)),
     "kdv2_soliton": ({}, make_kdv2_soliton),
     "fifth_order_soliton": ({}, make_fifth_order_soliton),
     "gardner_soliton": ({"Delta": (_float, REQUIRED), "sign_B": (_int, 1)},

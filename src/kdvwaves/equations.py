@@ -119,6 +119,9 @@ class Grid:
     _multipliers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, value in (("x0", self.x0), ("length", self.length)):
+            if not math.isfinite(value):
+                raise ValueError(f"Grid.{name} must be finite, got {value!r}")
         if self.length <= 0.0:
             raise ValueError(f"Grid.length must be positive, got {self.length!r}")
         if self.n < 16 or self.n % 2 != 0:
@@ -183,6 +186,9 @@ class BottomProfile:
         object.__setattr__(self, "knots", knots)
         if len(knots) < 2:
             raise ValueError("BottomProfile needs at least 2 knots")
+        for knot in knots:
+            if not all(map(math.isfinite, knot)):
+                raise ValueError(f"BottomProfile.knots must be finite, got {knot!r}")
         xs = [x for x, _ in knots]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("BottomProfile knot positions must increase strictly")

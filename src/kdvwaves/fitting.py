@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
+# the gufunc under np.linalg.lstsq: lstsq refuses a stack, its gufunc takes one
+from numpy.linalg._umath_linalg import lstsq as _lstsq
 
 from .equations import EquationKind, equation_terms, linearised_terms, sum_terms
 from .waves import (Frame, MediumParams, TravellingWave, WaveFamily,
@@ -89,6 +91,9 @@ class AnsatzFamily:
                                  f"{self.shape!r} parameters {names}")
         if len(set(self.free)) != len(self.free):
             raise ValueError("free parameter names must be unique")
+        for p, value in self.fixed.items():
+            if not math.isfinite(value):
+                raise ValueError(f"fixed parameter {p} must be finite, got {value!r}")
         missing = [p for p in names
                    if p not in self.free and p not in self.fixed]
         if missing:
@@ -362,21 +367,39 @@ class StartError(ValueError):
         self.index = index
 
 
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _solve(augs, rhss) -> list[np.ndarray]:
+    """np.linalg.lstsq(aug, rhs, rcond=None)[0] of each system, bit for bit,
+    in one call of its LAPACK gufunc for the stack: the same routine with
+    the same inputs, rcond and floating-point error handling."""
+    a = np.array(augs)
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = _lstsq(a, np.array(rhss)[..., None], np.finfo(float).eps * max(a.shape[1:]),
+                   signature="ddd->ddid")[0]
+    return list(x[..., 0])
+
+
 def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
               starts: list[dict[str, float]], n_points: int | None = None,
               rtol: float = 1e-10) -> list[FitResult]:
     """fit_travelling_wave from every start, the starts advanced together.
 
     Each start runs _iterate, which pauses wherever it needs a Jacobian's
-    exact columns, singular values or a residual.  A round answers all the
-    Jacobians pending, then all the SVDs, then all the residuals, each in
-    one stacked call, so each result is the one-start fit's, bit for bit.
+    exact columns, singular values, a damped least-squares step or a
+    residual.  A round answers all the Jacobians pending, then all the SVDs,
+    then all the solves, then all the residuals, each in one stacked call,
+    so each result is the one-start fit's, bit for bit.
     """
     stacked = {
         "jacobian": lambda xi, cs, points: list(_jacobian(
             kind, params, ansatz, np.array(xi), _columns(ansatz, np.array(cs)),
             _stack(points))),
         "svd": lambda jacs: list(np.linalg.svd(np.array(jacs), compute_uv=False)),
+        "solve": _solve,
         "residual": lambda xi, cs: _evaluate(kind, params, ansatz, np.array(xi), np.array(cs)),
     }
     runs = [_iterate(kind, params, ansatz, start, n_points, rtol) for start in starts]
@@ -407,9 +430,10 @@ def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
 
 def _iterate(kind, params, ansatz, start, n_points, rtol):
     """One start's damped Gauss-Newton.  It yields ("residual", xi, c),
-    ("jacobian", xi, c, point) and ("svd", jac), is sent the point (None
-    where c cannot be evaluated), the exact columns and the singular
-    values, and returns the FitResult."""
+    ("jacobian", xi, c, point), ("svd", jac) and ("solve", aug, rhs), is
+    sent the point (None where c cannot be evaluated), the exact columns,
+    the singular values and the least-squares step, and returns the
+    FitResult."""
     missing = [p for p in ansatz.free if p not in start]
     if missing:
         raise ValueError(f"start is missing free parameters {missing}")
@@ -421,31 +445,38 @@ def _iterate(kind, params, ansatz, start, n_points, rtol):
         raise ValueError(f"n_points must be at least the number of free parameters "
                          f"({n_free}), got {n_pts}")
     c = np.array([float(start[p]) for p in ansatz.free])
+    for p, value in zip(ansatz.free, c.tolist()):
+        if not math.isfinite(value):
+            raise ValueError(f"start value {p} must be finite, got {value!r}")
     xi = collocation_points(ansatz, ansatz.values(c), n_pts)
 
     def rel(point):
         a = float(np.max(np.abs(point.res)))
         return a / point.scale if point.scale > 0.0 else a
 
+    def norm(point):
+        # np.linalg.norm's path for a 1-D array, bit for bit
+        return math.sqrt(point.res.dot(point.res))
+
     def finish(status, n_iterations):
         flat = np.ptp(cur.rows[0]) <= FLAT_TOL * np.max(np.abs(cur.rows[0]))
         status = "trivial" if status == "converged" and flat else status
-        return FitResult(ansatz, _canonical(ansatz, c), rel(cur), status,
+        return FitResult(ansatz, _canonical(ansatz, c), cur_rel, status,
                          n_iterations, rank)
 
     cur = yield "residual", xi, c
     if cur is None:
         raise ValueError("ansatz cannot be evaluated at the start values")
+    cur_rel, cur_norm = rel(cur), norm(cur)
     rank = None
     mu = 1e-3   # Levenberg-Marquardt damping, shared across iterations
     i_amp = ansatz.free.index("A") if "A" in ansatz.free else None
     # (|A|, relative residual, a trial was rejected) per accepted step
-    history = deque([(abs(c[i_amp]), rel(cur), False)] if i_amp is not None else [],
+    history = deque([(abs(c[i_amp]), cur_rel, False)] if i_amp is not None else [],
                     maxlen=TRIVIAL_WINDOW + 1)
     for it in range(1, MAX_ITERATIONS + 1):
-        if rel(cur) <= rtol:
+        if cur_rel <= rtol:
             return finish("converged", it - 1)
-        res = cur.res
         jac = yield "jacobian", xi, c, cur
         if "m" in ansatz.free:
             try:
@@ -459,32 +490,35 @@ def _iterate(kind, params, ansatz, start, n_points, rtol):
         # columns (parameters) live on very different scales
         col = np.sqrt(np.sum(jac * jac, axis=0))
         col[col == 0.0] = 1.0
-        best = float(np.linalg.norm(res))
+        # [J; sqrt(mu) diag(col)] step = [-r; 0]: a trial rewrites the diagonal
+        aug = np.vstack([jac, np.zeros((n_free, n_free))])
+        rhs = np.concatenate([-cur.res, np.zeros(n_free)])
         accepted = evaluable = False
         for n_trial in range(12):
-            aug = np.vstack([jac, math.sqrt(mu) * np.diag(col)])
-            rhs = np.concatenate([-res, np.zeros(n_free)])
-            step, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
+            np.fill_diagonal(aug[len(jac):], math.sqrt(mu) * col)
+            step = yield "solve", aug, rhs
             trial_c = c + step
             trial = yield "residual", xi, trial_c
             evaluable = evaluable or trial is not None
-            if trial is not None and float(np.linalg.norm(trial.res)) < best:
-                c, cur, accepted = trial_c, trial, True
+            trial_norm = math.inf if trial is None else norm(trial)
+            if trial_norm < cur_norm:
+                c, cur, cur_rel, cur_norm = trial_c, trial, rel(trial), trial_norm
+                accepted = True
                 mu = max(mu / 3.0, 1e-14)
                 break
             mu *= 10.0
             if mu > 1e12:
                 break
         if not accepted:
-            return finish("converged" if rel(cur) <= 10.0 * rtol else
+            return finish("converged" if cur_rel <= 10.0 * rtol else
                           "singular_jacobian" if rank < n_free or not evaluable
                           else "stalled", it)
         if np.max(np.abs(step) / (1.0 + np.abs(c))) < 1e-13:
             # the iteration has stopped moving; only a small residual
             # makes that convergence rather than a dead end
-            return finish("converged" if rel(cur) <= 10.0 * rtol else "stalled", it)
+            return finish("converged" if cur_rel <= 10.0 * rtol else "stalled", it)
         if i_amp is not None:
-            history.append((abs(c[i_amp]), rel(cur), n_trial > 0))
+            history.append((abs(c[i_amp]), cur_rel, n_trial > 0))
             amps, rels, rejected = zip(*history)
             if (len(history) == history.maxlen and any(rejected[1:])
                     and all(new < old for old, new in zip(amps, amps[1:]))
@@ -530,10 +564,10 @@ def multi_start_fit(kind: EquationKind, params: MediumParams,
     """Fit from every start; cluster the converged results into basins.
 
     The starts advance in lockstep, each round one stacked residual,
-    Jacobian and SVD for all of them, and each result is bit for bit the
-    one fit_travelling_wave gives from that start alone.  Results with
-    |A| below MERGE_TOL collapse onto the trivial zero profile and are not
-    counted as a basin.  Returns (basins sorted by population, all raw
+    Jacobian, SVD and least-squares solve for all of them, and each result
+    is bit for bit the one fit_travelling_wave gives from that start alone.
+    Results with |A| below MERGE_TOL collapse onto the trivial zero profile
+    and are not counted as a basin.  Returns (basins sorted by population, all raw
     results); a start that cannot be laid out or evaluated raises StartError.
     """
     results = _lockstep(kind, params, ansatz, starts, **fit_kwargs)
@@ -564,7 +598,7 @@ def _on_manifold_values(kind: EquationKind, params: MediumParams,
         (EquationKind.KDV, "sech2"): lambda: make_kdv_soliton(params, A),
         (EquationKind.KDV, "cn2"): lambda: make_kdv_cnoidal(params, A, fixed.get("m", 0.9)),
         (EquationKind.KDV, "dn2_pm_cndn"): lambda: make_kdv_superposition(
-            params, A, fixed.get("m", 0.5), make_kdv_soliton(params, A).B, sign=ansatz.sign),
+            params, A, fixed.get("m", 0.5), sign=ansatz.sign),
         (EquationKind.KDV2, "sech2"): lambda: make_kdv2_soliton(params),
         (EquationKind.FIFTH_ORDER, "sech4"): lambda: make_fifth_order_soliton(params),
         (EquationKind.GARDNER, "gardner"):

@@ -146,7 +146,7 @@ def catalog(params: MediumParams) -> list[tuple]:
     pg = MediumParams(params.alpha, params.beta, tau=0.0)
     cn = make_kdv_cnoidal(params, sign, 0.9)
     sol = make_kdv_soliton(params, sign)
-    sup = make_kdv_superposition(params, sign, 0.5, sol.B)
+    sup = make_kdv_superposition(params, sign, 0.5)
     kdv = EquationKind.KDV
     return [
         ("soliton/kdv", kdv, params, sol, Grid(-50.0, 100.0, 1024)),

@@ -62,6 +62,9 @@ class MediumParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"MediumParams.{name} must be finite, got {value!r}")
         if self.alpha == 0.0:
             raise ValueError("MediumParams.alpha must be nonzero")
         if self.beta <= 0.0:
@@ -423,15 +426,18 @@ def make_kdv_cnoidal(params: MediumParams, A: float, m: float) -> TravellingWave
     return TravellingWave(WaveFamily.KDV_CNOIDAL, A=A, B=B, v=v, D=D, m=m)
 
 
-def make_kdv_superposition(params: MediumParams, A: float, m: float, B: float,
-                           sign: int = +1) -> TravellingWave:
+def make_kdv_superposition(params: MediumParams, A: float, m: float,
+                           B: float | None = None, sign: int = +1) -> TravellingWave:
     """(A/2)[dn^2(B xi, m) +/- sqrt(m) cn(B xi, m) dn(B xi, m)] + D.
 
     v = 1 + (alpha A/8)(5 - m - 6E/K) and D = -(A/2)(E/K) (zero mean over
-    the 4K period).  B is caller-supplied: the dispersion relation fixing
-    it is not part of the closed form here; fit_travelling_wave can solve
-    for it.  The two signs are mutual half-period translates.
+    the 4K period).  The dispersion relation fixing B is not part of the
+    closed form here (fit_travelling_wave can solve for it); B defaults to
+    the width of the kdv soliton of amplitude A.  The two signs are mutual
+    half-period translates.
     """
+    if B is None:
+        B = make_kdv_soliton(params, A).B
     if sign not in (+1, -1):
         raise ValueError(f"superposition sign must be +1 or -1, got {sign!r}")
     if B <= 0.0:

@@ -547,15 +547,47 @@ VERIFY_DOC = {
 }
 
 
+def _copy_at(doc: dict, path: tuple) -> tuple[dict, dict]:
+    """A deep copy of doc, and its section that holds the last key of path."""
+    doc = json.loads(json.dumps(doc))
+    section = doc
+    for p in path[:-1]:
+        section = section[p]
+    return doc, section
+
+
 def _misspell(doc: dict, path: tuple, wrong: str) -> dict:
     """A deep copy of doc with the last key of path renamed to wrong."""
-    doc = json.loads(json.dumps(doc))
-    *parents, key = path
-    section = doc
-    for p in parents:
-        section = section[p]
-    section[wrong] = section.pop(key)
+    doc, section = _copy_at(doc, path)
+    section[wrong] = section.pop(path[-1])
     return doc
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command,doc,path,value,where,message", [
+    ("verify", VERIFY_DOC, ("cases", 0, "grid", "length"), NAN, "cases[0].grid",
+     "Grid.length must be finite, got nan"),
+    ("verify", VERIFY_DOC, ("medium", "alpha"), NAN, "medium",
+     "MediumParams.alpha must be finite, got nan"),
+    ("evolve", EVOLVE_DOC, ("grid", "length"), INF, "grid",
+     "Grid.length must be finite, got inf"),
+    ("evolve", EVOLVE_DOC, ("grid", "x0"), NAN, "grid", "Grid.x0 must be finite, got nan"),
+    ("evolve", EVOLVE_DOC, ("medium", "beta"), INF, "medium",
+     "MediumParams.beta must be finite, got inf"),
+    ("evolve", EVOLVE_DOC, ("bottom", "knots", 1, 1), NAN, "bottom",
+     "BottomProfile.knots must be finite, got (10.0, nan)"),
+])
+def test_non_finite_medium_grid_or_bottom_exits_two_and_names_it(
+        capsys, tmp_path, command, doc, path, value, where, message):
+    doc, section = _copy_at(doc, path)
+    section[path[-1]] = value
+    cfg = _write(tmp_path, "bad.yaml", doc)
+    code, out, err = _run(capsys, [command, "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert f"invalid '{where}': {message}" in err
 
 
 @pytest.mark.parametrize("command,doc,path,wrong,where", [

@@ -147,6 +147,14 @@ def test_grid_validation():
         Grid(0.0, 10.0, 8)    # too small
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["x0", "length"])
+def test_non_finite_grid_is_rejected_by_name(name, value):
+    with pytest.raises(ValueError) as err:
+        Grid(**{"x0": 0.0, "length": 10.0, "n": 32, name: value})
+    assert str(err.value) == f"Grid.{name} must be finite, got {value!r}"
+
+
 def test_field_validation():
     grid = Grid(0.0, 10.0, 32)
     with pytest.raises(ValueError):
@@ -164,6 +172,14 @@ def test_bottom_validation():
         BottomProfile(((0.0, 0.1), (0.0, 0.2)))    # not increasing
     with pytest.raises(ValueError):
         BottomProfile(((0.0, 0.1), (1.0, 1.5)))    # |h| > 1
+
+
+@pytest.mark.parametrize("knot", [(math.nan, 0.1), (2.0, math.nan), (math.inf, 0.1),
+                                  (2.0, -math.inf)])
+def test_non_finite_bottom_knot_is_rejected_by_name(knot):
+    with pytest.raises(ValueError) as err:
+        BottomProfile(((0.0, 0.1), knot))
+    assert str(err.value) == f"BottomProfile.knots must be finite, got {knot!r}"
 
 
 def test_bottom_eval_piecewise_linear():

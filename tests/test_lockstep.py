@@ -1,12 +1,14 @@
 """Multi-start fits advance their starts in lockstep.
 
-One round stacks the residual evaluations, the Jacobians and the SVDs of
-all running starts; every result must still be, bit for bit, the fit from
-that start alone, and the fits of the shipped ladder must stay the values
-frozen below.
+One round stacks the residual evaluations, the Jacobians, the SVDs and the
+damped least-squares solves of all running starts; every result must still
+be, bit for bit, the fit from that start alone, and the fits of the shipped
+ladder must stay the values frozen below.
 """
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -79,6 +81,61 @@ def test_shipped_ladder_evaluates_its_rows_once_per_round(monkeypatch):
     monkeypatch.setattr(TravellingWave, "derivatives", counted)
     multi_start_fit(EquationKind.KDV2, P, KDV2_SECH2, _shipped_starts(P))
     assert len(calls) == 13
+
+
+def test_shipped_ladder_solves_each_round_in_one_call(monkeypatch):
+    # its 80 damped least-squares trials, one lstsq call each before, take
+    # one stacked call per round
+    stacks = []
+    real = fitting._lstsq
+
+    def counted(a, *args, **kwargs):
+        stacks.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "_lstsq", counted)
+    multi_start_fit(EquationKind.KDV2, P, KDV2_SECH2, _shipped_starts(P))
+    assert (len(stacks), sum(stacks)) == (12, 80)
+
+
+def _systems(shape, count, seed):
+    rng = np.random.default_rng(seed)
+    augs = rng.standard_normal((count,) + shape)
+    # a repeated column leaves rank to rcond, as a deficient Jacobian does
+    augs[0, :, -1] = augs[0, :, 0]
+    return augs, rng.standard_normal((count, shape[0]))
+
+
+@pytest.mark.parametrize("count", [1, 8])
+@pytest.mark.parametrize("shape", [(12, 3), (13, 3), (13, 4), (9, 3)])
+def test_stacked_solve_is_lstsq_bit_for_bit(shape, count):
+    augs, rhss = _systems(shape, count, seed=sum(shape) * count)
+    steps = fitting._solve(list(augs), list(rhss))
+    assert len(steps) == count
+    for aug, rhs, step in zip(augs, rhss, steps):
+        assert step.tobytes() == np.linalg.lstsq(aug, rhs, rcond=None)[0].tobytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_stacked_solve_refuses_a_non_finite_system_as_lstsq_does(value):
+    augs, rhss = _systems((12, 3), 3, seed=5)
+    augs[1, 4, 2] = value
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(augs[1], rhss[1], rcond=None)
+    with pytest.raises(np.linalg.LinAlgError):
+        fitting._solve(list(augs), list(rhss))
+
+
+def test_a_non_finite_start_fails_alone_by_index():
+    starts = [{"A": 2.4, "B": 1.2, "v": 1.1}, {"A": math.nan, "B": 1.2, "v": 1.1}]
+    with pytest.raises(fitting.StartError, match="start value A must be finite, got nan") as err:
+        multi_start_fit(EquationKind.KDV2, P, KDV2_SECH2, starts)
+    assert err.value.index == 1
+
+
+def test_a_non_finite_fixed_value_is_refused_by_name():
+    with pytest.raises(ValueError, match="fixed parameter D must be finite, got inf"):
+        AnsatzFamily("sech2", ("A", "B", "v"), {"D": math.inf})
 
 
 def _assert_each_start_fits_alone(kind, params, ansatz, starts):
@@ -175,3 +232,19 @@ def test_cli_refuses_fewer_nodes_than_free_parameters(capsys, tmp_path, name, n_
     assert main(["fit", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert "'n_points'" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"starts": [{"A": 2.4, "B": 1.2, "v": 1.1}, {"A": float("nan"), "B": 1.2, "v": 1.1}]},
+     "invalid 'starts[1]': start value A must be finite, got nan"),
+    ({"starts": None, "start": {"A": 2.4, "B": 1.2, "v": float("inf")}},
+     "invalid 'start': start value v must be finite, got inf"),
+    ({"ansatz": {"shape": "sech2", "free": ["A", "B", "v"], "fixed": {"D": float("nan")}}},
+     "invalid 'ansatz': fixed parameter D must be finite, got nan"),
+])
+def test_cli_refuses_a_non_finite_start_or_fixed_value_by_name(capsys, tmp_path, changes,
+                                                             message):
+    cfg = _fit_config(tmp_path, changes, "fit_kdv2_multistart.yaml")
+    assert main(["fit", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""

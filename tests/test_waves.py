@@ -386,6 +386,22 @@ def test_medium_validation():
     assert P.flipped().beta == P.beta
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta", "tau", "delta"])
+def test_non_finite_medium_is_rejected_by_name(name, value):
+    with pytest.raises(ValueError) as err:
+        replace(P, **{name: value})
+    assert str(err.value) == f"MediumParams.{name} must be finite, got {value!r}"
+
+
+def test_superposition_width_defaults_to_the_soliton_of_its_amplitude():
+    for A, params in ((1.0, P), (-0.7, P.flipped())):
+        B = make_kdv_soliton(params, A).B
+        for sign in (+1, -1):
+            assert (make_kdv_superposition(params, A, 0.5, sign=sign)
+                    == make_kdv_superposition(params, A, 0.5, B, sign=sign))
+
+
 def test_soliton_needs_alpha_amplitude_agreement():
     with pytest.raises(ValueError):
         make_kdv_soliton(P, -1.0)  # alpha*A < 0: imaginary width
