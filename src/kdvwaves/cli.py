@@ -21,7 +21,8 @@ unknown key (named with the nearest legal one), a missing required key or
 a malformed value exits 2 with the key's name.  Every subcommand takes
 --config and --out; fit adds --tolerance, verify --tolerance and
 --backend, symmetry --seed, --tolerance and --backend.  A tolerance is
-finite and >= 0 and a seed >= 0, as flag or key alike.
+finite and >= 0 and a seed >= 0, as flag or key alike; a wave parameter
+and a time are finite.
 
 Exit codes: 0 success, 1 verification/fit failure, 2 bad configuration,
 3 numerical abort, 141 stdout closed by its reader (as SIGPIPE would).
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -159,6 +161,8 @@ def _type(what: str, convert, accept=lambda value: True):
 
 # PyYAML reads 1e-8 (no dot) as a string, so a numeric string is a real too
 _float = _type("a real number", float, lambda v: not isinstance(v, bool))
+_finite = _type("a finite real number", float,
+                lambda v: not isinstance(v, bool) and math.isfinite(float(v)))
 # NaN compares false, so it fails the range test as a negative value does
 _tolerance = _type("a finite real number >= 0", float,
                    lambda v: not isinstance(v, bool) and 0.0 <= float(v) < float("inf"))
@@ -191,21 +195,21 @@ def _mapping(item):
     return read
 
 
-_SUPERPOSITION = {"A": (_float, REQUIRED), "m": (_float, REQUIRED), "B": (_float, None)}
+_SUPERPOSITION = {"A": (_finite, REQUIRED), "m": (_finite, REQUIRED), "B": (_finite, None)}
 
 # family -> (its keys, its constructor from the medium and those keys)
 FAMILIES = {
-    "kdv_soliton": ({"A": (_float, REQUIRED)}, make_kdv_soliton),
-    "kdv_cnoidal": ({"A": (_float, REQUIRED), "m": (_float, REQUIRED)}, make_kdv_cnoidal),
+    "kdv_soliton": ({"A": (_finite, REQUIRED)}, make_kdv_soliton),
+    "kdv_cnoidal": ({"A": (_finite, REQUIRED), "m": (_finite, REQUIRED)}, make_kdv_cnoidal),
     "kdv_superposition_plus": (_SUPERPOSITION, partial(make_kdv_superposition, sign=+1)),
     "kdv_superposition_minus": (_SUPERPOSITION, partial(make_kdv_superposition, sign=-1)),
     "kdv2_soliton": ({}, make_kdv2_soliton),
     "fifth_order_soliton": ({}, make_fifth_order_soliton),
-    "gardner_soliton": ({"Delta": (_float, REQUIRED), "sign_B": (_int, 1)},
+    "gardner_soliton": ({"Delta": (_finite, REQUIRED), "sign_B": (_int, 1)},
                         make_gardner_soliton),
-    "two_soliton": ({"amplitudes": (_list(_float, 2), REQUIRED)},
+    "two_soliton": ({"amplitudes": (_list(_finite, 2), REQUIRED)},
                     lambda params, amplitudes: SolitonLadder(amplitudes)),
-    "three_soliton": ({"amplitudes": (_list(_float, 3), REQUIRED)},
+    "three_soliton": ({"amplitudes": (_list(_finite, 3), REQUIRED)},
                       lambda params, amplitudes: SolitonLadder(amplitudes)),
 }
 
@@ -261,11 +265,11 @@ AMPLITUDES = {"n": (_positive_int, 8), "span": (_list(_positive, 2), (0.05, 3.0)
 # the top-level keys of each command
 PROFILE = {"medium": (MEDIUM, REQUIRED), "frame": (_frame, Frame.FIXED),
            "grid": (GRID, REQUIRED), "wave": (_wave, REQUIRED),
-           "inverted": (_bool, False), "times": (_list(_float), (0.0,))}
+           "inverted": (_bool, False), "times": (_list(_finite), (0.0,))}
 VERIFY_CASE = {"label": (_str, None), "equation": (_kind, REQUIRED),
                "medium": (MEDIUM, REQUIRED), "frame": (_frame, Frame.FIXED),
                "grid": (GRID, None), "wave": (_wave, REQUIRED),
-               "inverted": (_bool, False), "t": (_float, 0.0)}
+               "inverted": (_bool, False), "t": (_finite, 0.0)}
 # the document's keys but the label are the defaults of every case
 VERIFY = {"tolerance": (_tolerance, SOLUTION_TOL), "cases": (_list(_dict), None),
           **{key: (kind, None if default is REQUIRED else default)

@@ -324,14 +324,11 @@ def bottom_coefficients(params: MediumParams, bottom_pair) -> tuple[np.ndarray, 
 
 
 def equation_terms(kind: EquationKind, params: MediumParams, frame: Frame,
-                   u: np.ndarray, derivs: dict[int, np.ndarray],
-                   u_t: np.ndarray | None = None,
+                   u: np.ndarray, derivs: dict[int, np.ndarray], u_t: np.ndarray,
                    bottom_pair: tuple[np.ndarray, np.ndarray] | None = None,
                    ) -> list[tuple[str, np.ndarray]]:
     """Named residual terms; their sum is the equation's left-hand side."""
-    terms: list[tuple[str, np.ndarray]] = []
-    if u_t is not None:
-        terms.append(("u_t", u_t))
+    terms = [("u_t", u_t)]
     for name, coefficient, orders in equation_table(kind, frame):
         value = coefficient(params)
         for o in orders:
@@ -367,13 +364,11 @@ def linearised_terms(kind: EquationKind, params: MediumParams, frame: Frame,
 
 def sum_terms(terms: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, float | np.ndarray]:
     """(sum of the terms, largest magnitude any single term reaches); for
-    terms stacked as rows (2-D), that magnitude row by row."""
+    terms stacked as rows, that magnitude row by row."""
     res = terms[0][1]
     for _, t in terms[1:]:
         res = res + t
-    if res.ndim == 2:
-        return res, np.max([np.max(np.abs(t), axis=1) for _, t in terms], axis=0)
-    return res, max(float(np.max(np.abs(t))) for _, t in terms)
+    return res, np.max([np.max(np.abs(t), axis=-1) for _, t in terms], axis=0)
 
 
 def _tau_flags(kind: EquationKind, params: MediumParams) -> tuple[str, ...]:

@@ -123,21 +123,16 @@ def _unit_rows(ansatz: AnsatzFamily, xi: np.ndarray,
     xi (S, n) and (S, 1) columns of values, one per start, sharing m.
     """
     unit = ansatz.wave({**values, "A": 1.0, "D": 0.0})
-    if ansatz.shape != "gardner":
-        # a function of w = B xi: the unit-width chain at w, row k times each
-        # start's B^k, is bit for bit that start's own rows
-        rows = replace(unit, B=1.0).derivatives(unit.B * xi, 6)
-        scale = np.array([b ** np.arange(7) for b in np.ravel(unit.B)]).T
-        return unit, rows * scale.reshape(rows.shape[:-1] + (1,))
-    if np.any(unit.Delta == 0.0):
-        raise ValueError("Delta must be nonzero")
-    # a fit must not hold a pole in its window [0, last node]: for B < 0,
-    # 1/f = 1 + B cosh(xi/Delta) falls from 1 + B at xi = 0, so its zero
-    # |Delta| arccosh(-1/B) is in the window iff 1 + B >= 0 >= 1/f at its end
-    with np.errstate(over="ignore", invalid="ignore"):
-        end = 1.0 + unit.B * np.cosh(np.max(xi, axis=-1, keepdims=True) / unit.Delta)
-    if np.any((1.0 + unit.B >= 0.0) & (end <= 0.0)):
-        raise ValueError("gardner denominator vanishes on the window")
+    if ansatz.shape == "gardner":
+        if np.any(unit.Delta == 0.0):
+            raise ValueError("Delta must be nonzero")
+        # a fit must not hold a pole in its window [0, last node]: for B < 0,
+        # 1/f = 1 + B cosh(xi/Delta) falls from 1 + B at xi = 0, so its zero
+        # |Delta| arccosh(-1/B) is in the window iff 1 + B >= 0 >= 1/f at its end
+        with np.errstate(over="ignore", invalid="ignore"):
+            end = 1.0 + unit.B * np.cosh(np.max(xi, axis=-1, keepdims=True) / unit.Delta)
+        if np.any((1.0 + unit.B >= 0.0) & (end <= 0.0)):
+            raise ValueError("gardner denominator vanishes on the window")
     return unit, unit.derivatives(xi, 6)
 
 
@@ -170,7 +165,7 @@ class _Point(NamedTuple):
     scale: float                # (S,) when stacked
     rows: np.ndarray            # f ... f^(6) at the nodes
     unit_rows: np.ndarray       # the rows at A = 1 and D = 0
-    unit_mean: float | None     # their period mean (zero_mean only)
+    unit_mean: np.ndarray | None  # their period mean (zero_mean only)
 
 
 def _fit_residual(kind: EquationKind, params: MediumParams,
@@ -185,8 +180,8 @@ def _fit_residual(kind: EquationKind, params: MediumParams,
     res, scale = sum_terms(terms)
     unit_mean = None
     if ansatz.zero_mean:
-        means = [_period_mean(replace(unit, B=b)) for b in np.ravel(unit.B)]
-        unit_mean = means[0] if xi.ndim == 1 else np.array(means)[:, None]
+        unit_mean = np.reshape([_period_mean(replace(unit, B=b)) for b in np.ravel(unit.B)],
+                               np.shape(unit.B))
         res = np.hstack([res, values["A"] * unit_mean + values.get("D", 0.0)])
     return _Point(res, scale, rows, unit_rows, unit_mean)
 
@@ -263,7 +258,6 @@ def _m_column(kind, params, ansatz, xi, values, point) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitResult:
-    ansatz: AnsatzFamily
     values: dict[str, float]
     residual: float            # max |R| / scale at the returned values
     status: str                # converged/trivial/stalled/max_iterations/singular_jacobian
@@ -306,7 +300,7 @@ def _evaluate(kind, params, ansatz, xi, coeffs) -> list[_Point | None]:
             if point is not None:
                 out[i] = _Point(point.res[k], float(point.scale[k]), point.rows[:, k],
                                 point.unit_rows[:, k], None if point.unit_mean is None
-                                else float(point.unit_mean[k, 0]))
+                                else point.unit_mean[k])
             elif len(idx) > 1:
                 out[i] = _evaluate(kind, params, ansatz, xi[[i]], coeffs[[i]])[0]
     return out
@@ -316,7 +310,7 @@ def _stack(points: list[_Point]) -> _Point:
     res, scale, rows, unit_rows, means = zip(*points)
     return _Point(np.array(res), np.array(scale), np.stack(rows, axis=1),
                   np.stack(unit_rows, axis=1),
-                  None if means[0] is None else np.array(means)[:, None])
+                  None if means[0] is None else np.array(means))
 
 
 # the step budget and collapse rules of fit_travelling_wave (see its docstring)
@@ -389,16 +383,15 @@ def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
     """fit_travelling_wave from every start, the starts advanced together.
 
     Each start runs _iterate, which pauses wherever it needs a Jacobian's
-    exact columns, singular values, a damped least-squares step or a
-    residual.  A round answers all the Jacobians pending, then all the SVDs,
-    then all the solves, then all the residuals, each in one stacked call,
-    so each result is the one-start fit's, bit for bit.
+    exact columns, a damped least-squares step or a residual.  A round
+    answers all the Jacobians pending, then all the solves, then all the
+    residuals, each in one stacked call, so each result is the one-start
+    fit's, bit for bit.
     """
     stacked = {
         "jacobian": lambda xi, cs, points: list(_jacobian(
             kind, params, ansatz, np.array(xi), _columns(ansatz, np.array(cs)),
             _stack(points))),
-        "svd": lambda jacs: list(np.linalg.svd(np.array(jacs), compute_uv=False)),
         "solve": _solve,
         "residual": lambda xi, cs: _evaluate(kind, params, ansatz, np.array(xi), np.array(cs)),
     }
@@ -430,10 +423,11 @@ def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
 
 def _iterate(kind, params, ansatz, start, n_points, rtol):
     """One start's damped Gauss-Newton.  It yields ("residual", xi, c),
-    ("jacobian", xi, c, point), ("svd", jac) and ("solve", aug, rhs), is
-    sent the point (None where c cannot be evaluated), the exact columns,
-    the singular values and the least-squares step, and returns the
-    FitResult."""
+    ("jacobian", xi, c, point) and ("solve", aug, rhs), is sent the point
+    (None where c cannot be evaluated), the exact columns and the
+    least-squares step, and returns the FitResult.  It takes one SVD, as
+    the fit ends: the rank of its last complete Jacobian, which the result
+    reports and which tells a dead end's status."""
     missing = [p for p in ansatz.free if p not in start]
     if missing:
         raise ValueError(f"start is missing free parameters {missing}")
@@ -459,16 +453,18 @@ def _iterate(kind, params, ansatz, start, n_points, rtol):
         return math.sqrt(point.res.dot(point.res))
 
     def finish(status, n_iterations):
+        rank = None if jac is None else _rank(jac, 1e-12)
+        if status is None:      # a dead end: no trial was accepted
+            status = "singular_jacobian" if rank < n_free or not evaluable else "stalled"
         flat = np.ptp(cur.rows[0]) <= FLAT_TOL * np.max(np.abs(cur.rows[0]))
         status = "trivial" if status == "converged" and flat else status
-        return FitResult(ansatz, _canonical(ansatz, c), cur_rel, status,
-                         n_iterations, rank)
+        return FitResult(_canonical(ansatz, c), cur_rel, status, n_iterations, rank)
 
     cur = yield "residual", xi, c
     if cur is None:
         raise ValueError("ansatz cannot be evaluated at the start values")
     cur_rel, cur_norm = rel(cur), norm(cur)
-    rank = None
+    jac = None
     mu = 1e-3   # Levenberg-Marquardt damping, shared across iterations
     i_amp = ansatz.free.index("A") if "A" in ansatz.free else None
     # (|A|, relative residual, a trial was rejected) per accepted step
@@ -477,15 +473,14 @@ def _iterate(kind, params, ansatz, start, n_points, rtol):
     for it in range(1, MAX_ITERATIONS + 1):
         if cur_rel <= rtol:
             return finish("converged", it - 1)
-        jac = yield "jacobian", xi, c, cur
+        columns = yield "jacobian", xi, c, cur
         if "m" in ansatz.free:
             try:
-                jac[:, ansatz.free.index("m")] = _m_column(
+                columns[:, ansatz.free.index("m")] = _m_column(
                     kind, params, ansatz, xi, ansatz.values(c), cur)
             except ValueError:
                 return finish("singular_jacobian", it)
-        sigma = yield "svd", jac
-        rank = int(np.sum(sigma > sigma[0] * 1e-12)) if sigma[0] > 0.0 else 0
+        jac = columns       # complete: the Jacobian whose rank the fit reports
         # Marquardt scaling keeps the damping meaningful when the
         # columns (parameters) live on very different scales
         col = np.sqrt(np.sum(jac * jac, axis=0))
@@ -510,9 +505,7 @@ def _iterate(kind, params, ansatz, start, n_points, rtol):
             if mu > 1e12:
                 break
         if not accepted:
-            return finish("converged" if cur_rel <= 10.0 * rtol else
-                          "singular_jacobian" if rank < n_free or not evaluable
-                          else "stalled", it)
+            return finish("converged" if cur_rel <= 10.0 * rtol else None, it)
         if np.max(np.abs(step) / (1.0 + np.abs(c))) < 1e-13:
             # the iteration has stopped moving; only a small residual
             # makes that convergence rather than a dead end
@@ -564,8 +557,8 @@ def multi_start_fit(kind: EquationKind, params: MediumParams,
     """Fit from every start; cluster the converged results into basins.
 
     The starts advance in lockstep, each round one stacked residual,
-    Jacobian, SVD and least-squares solve for all of them, and each result
-    is bit for bit the one fit_travelling_wave gives from that start alone.
+    Jacobian and least-squares solve for all of them, and each result is
+    bit for bit the one fit_travelling_wave gives from that start alone.
     Results with |A| below MERGE_TOL collapse onto the trivial zero profile
     and are not counted as a basin.  Returns (basins sorted by population, all raw
     results); a start that cannot be laid out or evaluated raises StartError.
@@ -621,9 +614,13 @@ def count_constraints(kind: EquationKind, params: MediumParams,
     one-parameter family (amplitude), while the second-order equation
     pins every parameter.
     """
-    jac = _manifold_jacobian(kind, params, ansatz)
+    return _rank(_manifold_jacobian(kind, params, ansatz), 1e-6)
+
+
+def _rank(jac: np.ndarray, rcond: float) -> int:
+    """How many singular values of jac exceed rcond times the largest."""
     sigma = np.linalg.svd(jac, compute_uv=False)
-    return int(np.sum(sigma > sigma[0] * 1e-6)) if sigma[0] > 0.0 else 0
+    return int(np.sum(sigma > sigma[0] * rcond)) if sigma[0] > 0.0 else 0
 
 
 def _manifold_jacobian(kind: EquationKind, params: MediumParams,

@@ -126,20 +126,21 @@ class TravellingWave:
         """f, f', ..., f^(order) at xi, exactly, stacked as rows.
 
         Every row is linear in A, and D (added to row 0) is proportional
-        to A, so the mirrored wave's rows are the exact negations.  A
-        Gardner wave's A, B, D and Delta may be (S, 1) columns against an
-        (S, n) xi: S waves in one call, each row as its wave alone gives it.
+        to A, so the mirrored wave's rows are the exact negations.  A, B,
+        D and Delta may be (S, 1) columns against an (S, n) xi, sharing m:
+        S waves in one call, each row as its wave alone gives it.
         """
         xi = np.asarray(xi, dtype=float)
         rows = (self._gardner_rows(np.atleast_1d(xi), order)
                 if self.family is WaveFamily.GARDNER_SOLITON
-                else self._monomial_rows(xi.reshape(-1), order))
+                else self._monomial_rows(xi, order))
         rows[0] += self.D
         return rows.reshape((order + 1,) + xi.shape)
 
     def _monomial_rows(self, xi: np.ndarray, order: int) -> np.ndarray:
         m, seed = _seed(self.family, self.m)
-        sn, cn, dn = jacobi_sn_cn_dn(self.B * xi, m)
+        w = self.B * xi
+        sn, cn, dn = jacobi_sn_cn_dn(w.reshape(-1), m)
         # row 0 from the seed's own monomials, so a profile costs no chain
         f = None
         for exps, coef in seed.items():
@@ -148,8 +149,9 @@ class TravellingWave:
                 if e:
                     term = term * (x if e == 1 else x**e)
             f = term if f is None else f + term
+        f = f.reshape(w.shape) * self.A
         if order == 0:
-            return (f * self.A)[None]
+            return f[None]
         exponents, coefficients = _derivative_chain(self.family, m, order)
         # every row at a point must not depend on how many points are
         # evaluated with it, so the power table, powers[e, j] = (sn, cn, dn)[j]
@@ -157,16 +159,19 @@ class TravellingWave:
         # rounds some entries by the array's size), and the monomials are
         # summed in order by a reduce over the outer axis (numpy sums pairwise
         # only along the contiguous axis, and a BLAS matrix product in blocks)
-        powers = [np.ones((3, xi.size)), np.stack([sn, cn, dn])]
+        powers = [np.ones((3, w.size)), np.stack([sn, cn, dn])]
         for _ in range(2, exponents.max() + 1):
             powers.append(powers[-1] * powers[1])
         powers = np.stack(powers)
         monomials = (powers[exponents[:, 0], 0] * powers[exponents[:, 1], 1]
                      * powers[exponents[:, 2], 2])
+        # B^k by each wave's own pow over k = 0..order, as that wave alone takes it
+        widths = np.array([b ** np.arange(order + 1) for b in np.ravel(self.B)]).T.reshape(
+            (order + 1,) + (1,) * (w.ndim - np.ndim(self.B)) + np.shape(self.B))
         rows = (np.add.reduce(coefficients[:, :, None] * monomials[:, None], axis=0)
-                * (self.A * self.B ** np.arange(order + 1))[:, None])
+                .reshape((order + 1,) + w.shape) * (self.A * widths))
         # row 0 as a profile has it: the chain may round it otherwise
-        rows[0] = f * self.A
+        rows[0] = f
         return rows
 
     def _gardner_rows(self, xi: np.ndarray, order: int) -> np.ndarray:
@@ -433,10 +438,13 @@ def make_kdv_superposition(params: MediumParams, A: float, m: float,
     v = 1 + (alpha A/8)(5 - m - 6E/K) and D = -(A/2)(E/K) (zero mean over
     the 4K period).  The dispersion relation fixing B is not part of the
     closed form here (fit_travelling_wave can solve for it); B defaults to
-    the width of the kdv soliton of amplitude A.  The two signs are mutual
-    half-period translates.
+    the width of the kdv soliton of amplitude A, which needs alpha*A > 0.
+    The two signs are mutual half-period translates.
     """
     if B is None:
+        if params.alpha * A <= 0.0:
+            raise ValueError("superposition default width requires alpha*A > 0, "
+                             f"got alpha={params.alpha!r}, A={A!r}")
         B = make_kdv_soliton(params, A).B
     if sign not in (+1, -1):
         raise ValueError(f"superposition sign must be +1 or -1, got {sign!r}")

@@ -18,6 +18,7 @@ from kdvwaves.equations import (
     Field,
     Grid,
     residual,
+    solution_fields,
     travelling_residual,
 )
 from kdvwaves.evolve import EvolveConfig, evolve, monitors
@@ -31,6 +32,7 @@ from kdvwaves.fitting import (
 from kdvwaves.inversion import (
     RandomField,
     algebraic_defect,
+    catalog,
     default_matrix,
     negative_control,
     ramp_bottom,
@@ -46,7 +48,6 @@ from kdvwaves.waves import (
     make_kdv_soliton,
     make_kdv_superposition,
 )
-from reference_derivatives import spectral_derivative
 
 P = MediumParams(alpha=0.1, beta=0.1)
 PG = MediumParams(alpha=0.1, beta=0.3, tau=0.0)
@@ -58,23 +59,12 @@ def _check(line: str, ok: bool):
     assert ok, line
 
 
-def _catalog():
-    """The exact solutions under test, each on its own n=1024 grid."""
-    sup_B = math.sqrt(3 * P.alpha / (4 * P.beta))
-    return [
-        ("kdv soliton A=1", EquationKind.KDV, P,
-         make_kdv_soliton(P, 1.0), Grid(-50.0, 100.0, 1024)),
-        ("cnoidal m=0.9", EquationKind.KDV, P,
-         make_kdv_cnoidal(P, 1.0, 0.9), None),
-        ("superposed cn*dn m=0.5", EquationKind.KDV, P,
-         make_kdv_superposition(P, 1.0, 0.5, sup_B, sign=+1), None),
-        ("extended-kdv soliton", EquationKind.KDV2, P,
-         make_kdv2_soliton(P), Grid(-40.0, 80.0, 1024)),
-        ("fifth-order soliton tau=0.35", EquationKind.FIFTH_ORDER, P5,
-         make_fifth_order_soliton(P5), Grid(-60.0, 120.0, 1024)),
-        ("gardner soliton beta=0.3 Delta=1", EquationKind.GARDNER, PG,
-         make_gardner_soliton(PG, Delta=1.0), Grid(-40.0, 80.0, 1024)),
-    ]
+def _solutions():
+    """The catalog of P, which verify and symmetry check, and the
+    beta = 0.3 Gardner soliton, each on its own n=1024 grid."""
+    return catalog(P) + [
+        ("soliton/gardner beta=0.3", EquationKind.GARDNER, PG,
+         make_gardner_soliton(PG, Delta=1.0), Grid(-40.0, 80.0, 1024))]
 
 
 def _ladder_residual(amplitudes, params, grid_span, t, kind=EquationKind.KDV):
@@ -90,10 +80,8 @@ def _ladder_residual(amplitudes, params, grid_span, t, kind=EquationKind.KDV):
 def test_exact_solutions_satisfy_their_equations():
     tol = 1e-8
     worst = 0.0
-    for label, kind, params, wave, grid in _catalog():
-        if grid is None:
-            grid = Grid(0.0, wave.wavelength(), 1024)
-        report, _ = travelling_residual(wave, EquationId(kind), params, grid,
+    for label, kind, params, solution, grid in _solutions():
+        report, _ = travelling_residual(solution, EquationId(kind), params, grid,
                                         tolerance=tol)
         worst = max(worst, report.relative)
     # interacting states, window following the group at each probe time
@@ -119,13 +107,10 @@ def test_sign_inversion_identity_holds_algebraically():
 def test_negated_solutions_solve_the_mirror_equation():
     tol = 1e-8
     worst = 0.0
-    for label, kind, params, wave, grid in _catalog():
-        if grid is None:
-            grid = Grid(0.0, wave.wavelength(), 1024)
-        u = Field(grid, -wave.evaluate(grid.x, 0.0, Frame.FIXED))
-        ut = Field(grid, -wave.v * spectral_derivative(u, 1).values)
-        report, _ = residual(u, ut, EquationId(kind), params.flipped(),
-                             tolerance=tol)
+    for label, kind, params, solution, grid in _solutions():
+        u, ut = solution_fields(solution, params, grid)
+        report, _ = residual(Field(grid, -u.values), Field(grid, -ut.values),
+                             EquationId(kind), params.flipped(), tolerance=tol)
         worst = max(worst, report.relative)
     # negated ladders under the flipped medium
     for t in (0.0, 37.0):

@@ -719,3 +719,123 @@ def test_a_start_that_cannot_be_laid_out_exits_two_and_names_it(capsys, tmp_path
     assert code == 2
     assert out == ""
     assert err == f"config error: invalid '{where}': {reason}\n"
+
+
+def _case(wave: dict, **keys) -> dict:
+    """VERIFY_DOC with its one case's wave, and any other case keys, replaced."""
+    return {**VERIFY_DOC, "cases": [{**VERIFY_DOC["cases"][0], "wave": wave, **keys}]}
+
+
+@pytest.mark.parametrize("command,doc,where,shown", [
+    ("verify", _case({"family": "kdv_soliton", "A": INF}), "cases[0].wave.A", "inf"),
+    ("verify", _case({"family": "kdv_cnoidal", "A": 1.0, "m": NAN}), "cases[0].wave.m", "nan"),
+    ("verify", _case({"family": "gardner_soliton", "Delta": NAN}), "cases[0].wave.Delta",
+     "nan"),
+    ("verify", _case({"family": "kdv_superposition_plus", "A": 1.0, "m": 0.5, "B": NAN}),
+     "cases[0].wave.B", "nan"),
+    ("verify", _case({"family": "two_soliton", "amplitudes": [1.0, INF]}),
+     "cases[0].wave.amplitudes[1]", "inf"),
+    # sampled at t = inf, a soliton is u = 0, which passes with residual 0
+    ("verify", _case({"family": "kdv_soliton", "A": 1.0}, t=INF), "cases[0].t", "inf"),
+    ("verify", {**VERIFY_DOC, "t": NAN}, "t", "nan"),
+    ("profile", {**PROFILE_DOC, "times": [0.0, NAN]}, "times[1]", "nan"),
+    ("evolve", {**EVOLVE_DOC, "initial": {"family": "kdv_soliton", "A": -INF}}, "initial.A",
+     "-inf"),
+])
+def test_a_non_finite_wave_parameter_or_time_exits_two_and_names_it(capsys, tmp_path, command,
+                                                                     doc, where, shown):
+    cfg = _write(tmp_path, "bad.yaml", doc)
+    code, out, err = _run(capsys, [command, "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err == f"config error: '{where}' must be a finite real number, got {shown}\n"
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+def _csv(path: Path) -> tuple[list[str], list[list[float]]]:
+    header, *rows = path.read_text().splitlines()
+    return header.split(","), [[float(v) for v in row.split(",")] for row in rows]
+
+
+def test_multi_start_fit_records_and_basins_csv(capsys, tmp_path):
+    code, out, err = _run(capsys, ["fit", "--config", str(CONFIGS / "fit_kdv2_multistart.yaml"),
+                                   "--out", str(tmp_path)])
+    assert code == 0
+    *basins, summary = _records(out)
+    assert summary == {"n_starts": 8, "n_converged": 4, "n_basins": len(basins)}
+    assert [b["basin"] for b in basins] == list(range(len(basins)))
+    assert basins[0]["count"] == 4
+    header, rows = _csv(tmp_path / "basins.csv")
+    names = sorted(basins[0]["values"])
+    assert header == names + ["residual", "count"]
+    assert rows == [[b["values"][k] for k in names] + [b["residual"], b["count"]]
+                    for b in basins]
+    assert err == f"fit: {len(basins)} basin(s) from 8 starts (4 converged)\n"
+
+
+def test_count_constraints_record_precedes_the_fit(capsys, tmp_path):
+    code, out, err = _run(capsys, ["fit", "--config", str(CONFIGS / "fit_gardner.yaml"),
+                                   "--out", str(tmp_path)])
+    assert code == 0
+    count, fit = _records(out)
+    assert count == {"constraint_count": 3, "free_parameters": ["A", "B", "v"]}
+    assert fit["status"] == "converged"
+    assert err.startswith("fit: 3 independent constraints on 3 free parameters\n")
+    header, rows = _csv(tmp_path / "fit.csv")
+    assert header == sorted(fit["values"]) == ["A", "B", "Delta", "v"]
+    assert rows == [[fit["values"][k] for k in header]]
+
+
+def test_verify_out_writes_each_report_to_residuals_csv(capsys, tmp_path):
+    code, out, _ = _run(capsys, ["verify", "--config", str(CONFIGS / "verify_catalog.yaml"),
+                                 "--out", str(tmp_path)])
+    assert code == 0
+    header, rows = _csv(tmp_path / "residuals.csv")
+    assert header == ["norm_inf", "norm_2", "scale", "relative", "tolerance"]
+    assert rows == [[r[k] for k in header] for r in _records(out)]
+    assert len(rows) == 5
+
+
+def test_symmetry_out_writes_each_row_to_symmetry_csv(capsys, tmp_path):
+    code, out, _ = _run(capsys, ["symmetry", "--seed", "7", "--out", str(tmp_path)])
+    assert code == 0
+    header, rows = _csv(tmp_path / "symmetry.csv")
+    assert header == ["algebraic_defect", "pass"]
+    assert rows == [[r["algebraic_defect_value"], float(r["pass"])] for r in _records(out)]
+    assert len(rows) == 48
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("fit", {k: v for k, v in FIT_DOC.items() if k != "equation"},
+     "missing required key 'equation'"),
+    ("profile", {**PROFILE_DOC, "medium": {"alpha": 0.1}}, "missing required key 'medium.beta'"),
+    ("profile", {**PROFILE_DOC, "times": []}, "'times' must be a non-empty list of reals"),
+    ("verify", {"equation": "kdv"}, "'equation' is read only by a case, and there are no 'cases'"),
+    ("verify", {"grid": VERIFY_DOC["cases"][0]["grid"]},
+     "'grid' is read only by a case, and there are no 'cases'"),
+    ("verify", {"wave": {"family": "kdv_soliton", "A": 1.0}},
+     "'wave' is read only by a case, and there are no 'cases'"),
+    ("verify", {**VERIFY_DOC, "cases": [{"equation": "kdv",
+                                         "wave": {"family": "kdv_soliton", "A": 1.0}}]},
+     "missing required key 'cases[0].grid'"),
+    ("symmetry", {"select": "soliton/airy", "n_seeds": 0},
+     "'select' matches no case label: 'soliton/airy'"),
+    ("verify", _case({"family": "kdv_superposition_plus", "A": -1.0, "m": 0.5}),
+     "invalid 'cases[0].wave': superposition default width requires alpha*A > 0, "
+     "got alpha=0.1, A=-1.0"),
+])
+def test_a_config_the_command_cannot_run_exits_two_and_says_why(capsys, tmp_path, command, doc,
+                                                               message):
+    cfg = _write(tmp_path, "bad.yaml", doc)
+    code, out, err = _run(capsys, [command, "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"
+
+
+def test_a_config_root_that_is_not_a_mapping_exits_two(capsys, tmp_path):
+    path = tmp_path / "list.yaml"
+    path.write_text("- verify\n- fit\n")
+    code, out, err = _run(capsys, ["verify", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "config error: config root must be a mapping, got list\n"

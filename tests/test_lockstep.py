@@ -1,7 +1,7 @@
 """Multi-start fits advance their starts in lockstep.
 
-One round stacks the residual evaluations, the Jacobians, the SVDs and the
-damped least-squares solves of all running starts; every result must still
+One round stacks the residual evaluations, the Jacobians and the damped
+least-squares solves of all running starts; every result must still
 be, bit for bit, the fit from that start alone, and the fits of the shipped
 ladder must stay the values frozen below.
 """

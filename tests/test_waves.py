@@ -402,6 +402,15 @@ def test_superposition_width_defaults_to_the_soliton_of_its_amplitude():
                     == make_kdv_superposition(params, A, 0.5, B, sign=sign))
 
 
+@pytest.mark.parametrize("A,params", [(-1.0, P), (1.0, P.flipped()), (0.0, P)])
+def test_superposition_default_width_names_the_superposition(A, params):
+    with pytest.raises(ValueError, match=r"^superposition default width requires "
+                                         r"alpha\*A > 0, got alpha="):
+        make_kdv_superposition(params, A, 0.5)
+    # a given width needs no sign agreement
+    assert make_kdv_superposition(params, A, 0.5, 0.8).B == 0.8
+
+
 def test_soliton_needs_alpha_amplitude_agreement():
     with pytest.raises(ValueError):
         make_kdv_soliton(P, -1.0)  # alpha*A < 0: imaginary width
