@@ -30,7 +30,7 @@ from kdvwaves import (
     default_matrix,
     ramp_bottom,
     residual,
-    run_case,
+    run_matrix,
 )
 
 
@@ -73,10 +73,8 @@ def main():
                              "min_unflipped": min(controls)})
 
     print("\ncatalog solutions (upright / mirrored / unflipped control):")
-    for case in default_matrix(params=None, seeds=range(1)):
-        if not case.is_solution:
-            continue
-        row = run_case(case)
+    solutions = [c for c in default_matrix(params=None, seeds=range(1)) if c.is_solution]
+    for case, row in zip(solutions, run_matrix(solutions)):
         print(f"{case.label:>34}  {row['upright_residual']:.2e} / "
               f"{row['mirrored_residual']:.2e} / {row['control_residual']:.2e}")
 

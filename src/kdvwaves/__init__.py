@@ -55,9 +55,7 @@ from .inversion import (
     RandomField,
     algebraic_defect,
     default_matrix,
-    negative_control,
     ramp_bottom,
-    run_case,
     run_matrix,
 )
 from .waves import (

@@ -43,6 +43,8 @@ def _complete(m: float) -> tuple[float, float, float]:
     the difference keeps full relative precision as m -> 0, where forming
     E/K first and then adding m - 1 would cancel every digit.
     """
+    if not 0.0 <= m < 1.0:
+        raise ValueError(f"K(m) requires 0 <= m < 1, got m={m!r}")
     a, _, c = _agm_chain(m)
     excess = 0.5 * m - sum(2.0 ** (i - 1) * ci * ci for i, ci in enumerate(c) if i > 0)
     return math.pi / (2.0 * a[-1]), excess + (1.0 - m), excess
@@ -54,8 +56,6 @@ def elliptic_K(m: float) -> float:
     Quadratic AGM iteration: K = pi / (2 agm(1, sqrt(1-m))).
     Requires 0 <= m < 1 (K diverges logarithmically as m -> 1).
     """
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"elliptic_K requires 0 <= m < 1, got m={m!r}")
     return _complete(m)[0]
 
 

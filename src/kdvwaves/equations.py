@@ -377,15 +377,21 @@ def _tau_flags(kind: EquationKind, params: MediumParams) -> tuple[str, ...]:
     return ()
 
 
+def relative_residual(norm_inf: float, scale: float) -> float:
+    """norm_inf over scale, the largest single term; 0.0 at a zero scale,
+    where every term vanishes (residual_report fails it as zero_field)."""
+    return float(norm_inf / scale) if scale > 0.0 else 0.0
+
+
 def residual_report(equation: str, res: np.ndarray, scale: float, dx: float,
                     tolerance: float, flags: tuple[str, ...] = ()) -> ResidualReport:
     """The report of a residual field whose largest single term reaches scale."""
     norm_inf = float(np.max(np.abs(res)))
-    relative = norm_inf / scale if scale > 0.0 else 0.0
+    relative, zero = relative_residual(norm_inf, scale), not scale > 0.0
     return ResidualReport(equation=equation, norm_inf=norm_inf,
                           norm_2=float(math.sqrt(dx * np.sum(res * res))), scale=scale,
-                          relative=relative, passed=bool(relative <= tolerance),
-                          tolerance=tolerance, flags=flags)
+                          relative=relative, passed=bool(not zero and relative <= tolerance),
+                          tolerance=tolerance, flags=flags + ("zero_field",) * zero)
 
 
 def residual_rows(u: np.ndarray, u_t: np.ndarray, derivs: dict[int, np.ndarray],

@@ -25,6 +25,7 @@ import numpy as np
 # the gufunc under np.linalg.lstsq: lstsq refuses a stack, its gufunc takes one
 from numpy.linalg._umath_linalg import lstsq as _lstsq
 
+from .elliptic import _complete
 from .equations import EquationKind, equation_terms, linearised_terms, sum_terms
 from .waves import (Frame, MediumParams, TravellingWave, WaveFamily,
                     make_fifth_order_soliton, make_gardner_soliton,
@@ -165,7 +166,7 @@ class _Point(NamedTuple):
     scale: float                # (S,) when stacked
     rows: np.ndarray            # f ... f^(6) at the nodes
     unit_rows: np.ndarray       # the rows at A = 1 and D = 0
-    unit_mean: np.ndarray | None  # their period mean (zero_mean only)
+    unit_mean: float | np.ndarray | None  # their period mean (zero_mean only)
 
 
 def _fit_residual(kind: EquationKind, params: MediumParams,
@@ -173,23 +174,20 @@ def _fit_residual(kind: EquationKind, params: MediumParams,
                   values: dict[str, float]) -> _Point:
     """The travelling ODE's residual vector and scale at the nodes, or
     stacked, at S starts' nodes (S, n) and (S, 1) columns of values."""
-    unit, unit_rows = _unit_rows(ansatz, xi, values)
+    _, unit_rows = _unit_rows(ansatz, xi, values)
     rows = _scaled(values, unit_rows)
     terms = equation_terms(kind, params, Frame.FIXED, rows[0], rows,
                            u_t=-values["v"] * rows[1])
     res, scale = sum_terms(terms)
     unit_mean = None
     if ansatz.zero_mean:
-        unit_mean = np.reshape([_period_mean(replace(unit, B=b)) for b in np.ravel(unit.B)],
-                               np.shape(unit.B))
+        # over a period, cn^2 has mean (E/K + m - 1)/m (1/2 at m = 0) and
+        # (dn^2 +- sqrt(m) cn dn)/2 has E/(2K); _complete refuses m = 1
+        m = values["m"]
+        _, ek, excess = _complete(m)
+        unit_mean = (excess / m if m else 0.5) if ansatz.shape == "cn2" else 0.5 * ek
         res = np.hstack([res, values["A"] * unit_mean + values.get("D", 0.0)])
     return _Point(res, scale, rows, unit_rows, unit_mean)
-
-
-def _period_mean(wave: TravellingWave, n_samples: int = 256) -> float:
-    """Profile mean over one period (rectangle rule is spectrally exact)."""
-    xi = wave.wavelength() * np.arange(n_samples) / n_samples
-    return float(np.mean(wave.profile(xi)))
 
 
 def _jacobian(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
@@ -202,7 +200,7 @@ def _jacobian(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
     m, on which the Jacobi functions depend through K(m), takes a central
     difference.  Under the mirror (A, D, alpha) -> -(A, D, alpha) the A and
     D columns stay bitwise and every other column is negated exactly.
-    Stacked, one matrix per start, whose m column is left unset.
+    Stacked, one matrix per start.
     """
     exact = [p for p in ansatz.free if p != "m"]
     # each parameter's derivative of rows 0..5 (the orders the terms read)
@@ -229,12 +227,15 @@ def _jacobian(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
                            for p in exact]], axis=-1)
         for p, column in zip(exact, columns):
             jac[..., ansatz.free.index(p)] = column
-    if "m" in ansatz.free and xi.ndim == 1:
-        jac[:, ansatz.free.index("m")] = _m_column(kind, params, ansatz, xi, values, point)
+    if "m" in ansatz.free:
+        lead, j = xi.shape[:-1], ansatz.free.index("m")     # lead: () or (S,)
+        for i in np.ndindex(lead):
+            at = {p: np.broadcast_to(x, lead + (1,))[i].item() for p, x in values.items()}
+            jac[i][:, j] = _m_column(kind, params, ansatz, xi[i], at, point.res[i])
     return jac
 
 
-def _m_column(kind, params, ansatz, xi, values, point) -> np.ndarray:
+def _m_column(kind, params, ansatz, xi, values, res) -> np.ndarray:
     """d(residual)/dm by a central difference, h = 1e-6 (1 + |m|): K(m)
     varies steeply, and this step beats eps^(1/3) on the cn2 null space.
     Where one side cannot be evaluated (m near 0 or 1), the one-sided
@@ -252,7 +253,7 @@ def _m_column(kind, params, ansatz, xi, values, point) -> np.ndarray:
     for near, step in ((up, h), (down, -h)):
         far = at(2.0 * step) if near is not None else None
         if far is not None:
-            return (4.0 * near - 3.0 * point.res - far) / (2.0 * step)
+            return (4.0 * near - 3.0 * res - far) / (2.0 * step)
     raise ValueError("cannot perturb parameter 'm' at the base point")
 
 
@@ -299,8 +300,7 @@ def _evaluate(kind, params, ansatz, xi, coeffs) -> list[_Point | None]:
         for k, i in enumerate(idx):
             if point is not None:
                 out[i] = _Point(point.res[k], float(point.scale[k]), point.rows[:, k],
-                                point.unit_rows[:, k], None if point.unit_mean is None
-                                else point.unit_mean[k])
+                                point.unit_rows[:, k], point.unit_mean)
             elif len(idx) > 1:
                 out[i] = _evaluate(kind, params, ansatz, xi[[i]], coeffs[[i]])[0]
     return out
@@ -310,7 +310,7 @@ def _stack(points: list[_Point]) -> _Point:
     res, scale, rows, unit_rows, means = zip(*points)
     return _Point(np.array(res), np.array(scale), np.stack(rows, axis=1),
                   np.stack(unit_rows, axis=1),
-                  None if means[0] is None else np.array(means))
+                  None if means[0] is None else np.reshape(means, (-1, 1)))
 
 
 # the step budget and collapse rules of fit_travelling_wave (see its docstring)
@@ -382,16 +382,22 @@ def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
               rtol: float = 1e-10) -> list[FitResult]:
     """fit_travelling_wave from every start, the starts advanced together.
 
-    Each start runs _iterate, which pauses wherever it needs a Jacobian's
-    exact columns, a damped least-squares step or a residual.  A round
-    answers all the Jacobians pending, then all the solves, then all the
-    residuals, each in one stacked call, so each result is the one-start
-    fit's, bit for bit.
+    Each start runs _iterate, which pauses wherever it needs a Jacobian, a
+    damped least-squares step or a residual.  A round answers all the
+    Jacobians pending, then all the solves, then all the residuals, each in
+    one stacked call, so each result is the one-start fit's, bit for bit.
     """
+    def jacobians(xi, cs, points):
+        # one stacked call, or where a start's m column cannot be formed, one per start
+        try:
+            return list(_jacobian(kind, params, ansatz, np.array(xi),
+                                  _columns(ansatz, np.array(cs)), _stack(points)))
+        except ValueError:
+            return [None] if len(xi) == 1 else [
+                jacobians([x], [c], [p])[0] for x, c, p in zip(xi, cs, points)]
+
     stacked = {
-        "jacobian": lambda xi, cs, points: list(_jacobian(
-            kind, params, ansatz, np.array(xi), _columns(ansatz, np.array(cs)),
-            _stack(points))),
+        "jacobian": jacobians,
         "solve": _solve,
         "residual": lambda xi, cs: _evaluate(kind, params, ansatz, np.array(xi), np.array(cs)),
     }
@@ -424,10 +430,10 @@ def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
 def _iterate(kind, params, ansatz, start, n_points, rtol):
     """One start's damped Gauss-Newton.  It yields ("residual", xi, c),
     ("jacobian", xi, c, point) and ("solve", aug, rhs), is sent the point
-    (None where c cannot be evaluated), the exact columns and the
-    least-squares step, and returns the FitResult.  It takes one SVD, as
-    the fit ends: the rank of its last complete Jacobian, which the result
-    reports and which tells a dead end's status."""
+    (None where c cannot be evaluated), the Jacobian (None where m cannot be
+    differenced) and the least-squares step, and returns the FitResult.  It
+    takes one SVD, as the fit ends: the rank of its last Jacobian, which the
+    result reports and which tells a dead end's status."""
     missing = [p for p in ansatz.free if p not in start]
     if missing:
         raise ValueError(f"start is missing free parameters {missing}")
@@ -474,13 +480,9 @@ def _iterate(kind, params, ansatz, start, n_points, rtol):
         if cur_rel <= rtol:
             return finish("converged", it - 1)
         columns = yield "jacobian", xi, c, cur
-        if "m" in ansatz.free:
-            try:
-                columns[:, ansatz.free.index("m")] = _m_column(
-                    kind, params, ansatz, xi, ansatz.values(c), cur)
-            except ValueError:
-                return finish("singular_jacobian", it)
-        jac = columns       # complete: the Jacobian whose rank the fit reports
+        if columns is None:     # m cannot be differenced next to c
+            return finish("singular_jacobian", it)
+        jac = columns       # the Jacobian whose rank the fit reports
         # Marquardt scaling keeps the damping meaningful when the
         # columns (parameters) live on very different scales
         col = np.sqrt(np.sum(jac * jac, axis=0))

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import (SOLUTION_TOL, BottomProfile, EquationId, EquationKind, Field,
-                        Grid, ResidualReport, _required_orders, derivative_set, residual,
-                        residual_report, residual_rows, solution_fields)
+                        Grid, ResidualReport, _required_orders, derivative_set,
+                        relative_residual, residual, residual_report, residual_rows,
+                        solution_fields)
 from .waves import (Frame, MediumParams, SolitonLadder, make_fifth_order_soliton,
                     make_gardner_soliton, make_kdv2_soliton, make_kdv_cnoidal,
                     make_kdv_soliton, make_kdv_superposition)
@@ -34,12 +35,10 @@ __all__ = [
     "RandomField",
     "InversionCase",
     "algebraic_defect",
-    "negative_control",
     "ramp_bottom",
     "catalog",
     "default_matrix",
     "run_matrix",
-    "run_case",
 ]
 
 ALGEBRAIC_TOL = 1e-13
@@ -96,19 +95,6 @@ def algebraic_defect(u: Field, ut: Field, eq: EquationId,
     rep_m, res_m = residual(*_negated(u, ut), eq, params.flipped())
     return residual_report(eq.label(), res_p.values + res_m.values,
                            max(rep_p.scale, rep_m.scale), u.grid.dx, ALGEBRAIC_TOL)
-
-
-def negative_control(u: Field, ut: Field, eq: EquationId, params: MediumParams,
-                     backend: str = "spectral") -> ResidualReport:
-    """Residual of the negated pair with alpha left unchanged.
-
-    For any genuinely nonlinear solution this must NOT be small: the
-    quadratic term keeps its sign while the rest flips, so the residual
-    is of the order of the quadratic term itself.  A small value here
-    would mean the inversion checks were passing vacuously.
-    """
-    report, _ = residual(*_negated(u, ut), eq, params, backend=backend)
-    return report
 
 
 def ramp_bottom(grid: Grid, height: float = 0.3) -> BottomProfile:
@@ -241,8 +227,7 @@ def run_matrix(cases: list[InversionCase], backend: str = "spectral",
 
 def _relative(res: np.ndarray, scale: np.ndarray) -> list[float]:
     """Each row's max|res| over its scale, as residual_report takes it."""
-    return [float(r / s) if s > 0.0 else 0.0
-            for r, s in zip(np.max(np.abs(res), axis=-1), scale)]
+    return list(map(relative_residual, np.max(np.abs(res), axis=-1), scale))
 
 
 def _row(case: InversionCase, tolerance: float, defect: float, *solution: float) -> dict:
@@ -259,9 +244,3 @@ def _row(case: InversionCase, tolerance: float, defect: float, *solution: float)
                    control_pass=control >= CONTROL_MIN)
     row["pass"] = all(v for k, v in row.items() if k.endswith("_pass"))
     return row
-
-
-def run_case(case: InversionCase, backend: str = "spectral",
-             tolerance: float = ALGEBRAIC_TOL) -> dict:
-    """run_matrix's row of one case."""
-    return run_matrix([case], backend, tolerance)[0]

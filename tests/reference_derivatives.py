@@ -5,7 +5,9 @@ through the package's backends; time_derivative differentiates any
 profile in t by finite differences; profile_derivatives reads the exact
 profile rows the fits use; fd8_roll_diffs sums the fd8 stencils over one
 rolled copy per tap; mirrored_residual is the residual of the negated pair
-under the alpha-negated equation, one case at a time.
+under the alpha-negated equation, one case at a time, and negative_control
+that of the negated pair with alpha kept; period_mean samples a periodic
+wave's mean over one period.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from kdvwaves.equations import (EquationId, Field, Grid, ResidualReport, _fd8_di
                                  _fd8_stencil, _spectral_diffs, residual)
 from kdvwaves.fitting import AnsatzFamily, _scaled, _unit_rows
 from kdvwaves.inversion import _negated
-from kdvwaves.waves import MediumParams
+from kdvwaves.waves import MediumParams, TravellingWave
 
 DERIVATIVE_ORDERS = (1, 2, 3, 5)
 
@@ -76,3 +78,22 @@ def mirrored_residual(u: Field, ut: Field, eq: EquationId,
                       params: MediumParams) -> ResidualReport:
     """Residual of the negated pair under the alpha-negated equation."""
     return residual(*_negated(u, ut), eq, params.flipped())[0]
+
+
+def negative_control(u: Field, ut: Field, eq: EquationId, params: MediumParams,
+                     backend: str = "spectral") -> ResidualReport:
+    """Residual of the negated pair with alpha left unchanged.
+
+    For any genuinely nonlinear solution this must NOT be small: the
+    quadratic term keeps its sign while the rest flips, so the residual
+    is of the order of the quadratic term itself.  A small value here
+    would mean the inversion checks were passing vacuously.
+    """
+    return residual(*_negated(u, ut), eq, params, backend=backend)[0]
+
+
+def period_mean(wave: TravellingWave, n_samples: int = 256) -> float:
+    """Profile mean over one period by the rectangle rule, which is
+    spectrally exact for a smooth periodic profile."""
+    xi = wave.wavelength() * np.arange(n_samples) / n_samples
+    return float(np.mean(wave.profile(xi)))

@@ -34,7 +34,6 @@ from kdvwaves.inversion import (
     algebraic_defect,
     catalog,
     default_matrix,
-    negative_control,
     ramp_bottom,
 )
 from kdvwaves.waves import (
@@ -48,6 +47,7 @@ from kdvwaves.waves import (
     make_kdv_soliton,
     make_kdv_superposition,
 )
+from reference_derivatives import negative_control
 
 P = MediumParams(alpha=0.1, beta=0.1)
 PG = MediumParams(alpha=0.1, beta=0.3, tau=0.0)

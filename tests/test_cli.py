@@ -132,6 +132,25 @@ def test_verify_mismatch_fails_with_exit_one(capsys, tmp_path):
     assert rec["relative"] >= 1e-3
 
 
+def test_verify_a_field_that_vanishes_on_the_grid_fails_as_zero_field(capsys, tmp_path):
+    # at t = 1e6 the soliton has left the grid and u underflows to 0 there,
+    # so every term of any equation is 0: the report checks nothing and fails
+    doc = {
+        "medium": {"alpha": 0.1, "beta": 0.1, "tau": 0.0},
+        "grid": {"x0": -50.0, "length": 100.0, "n": 1024},
+        "cases": [{"label": "gone", "equation": "gardner", "t": 1.0e6,
+                   "wave": {"family": "kdv_soliton", "A": 1.0}}],
+    }
+    cfg = _write(tmp_path, "vz.yaml", doc)
+    code, out, err = _run(capsys, ["verify", "--config", cfg])
+    assert code == 1
+    (rec,) = [json.loads(line, parse_constant=pytest.fail) for line in out.splitlines()]
+    assert rec["scale"] == 0.0 and rec["relative"] == 0.0
+    assert not rec["passed"]
+    assert rec["flags"] == ["zero_field"]
+    assert "0/1 passed" in err
+
+
 def test_verify_empty_request_succeeds(capsys, tmp_path):
     cfg = _write(tmp_path, "ve.yaml", {"cases": []})
     code, out, _ = _run(capsys, ["verify", "--config", cfg])

@@ -1,6 +1,7 @@
 """Residual operators, derivative backends, and the bottom profile."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,11 +18,14 @@ from kdvwaves.equations import (
     EquationKind,
     Field,
     Grid,
+    bottom_coefficients,
     bottom_eval,
     residual,
+    residual_report,
     solution_fields,
     travelling_residual,
 )
+from kdvwaves import inversion
 from kdvwaves.inversion import RandomField
 from kdvwaves.waves import (
     Frame,
@@ -292,6 +296,19 @@ def test_travelling_residual_of_a_ladder_is_the_residual_of_its_fields(backend, 
         travelling_residual(ladder, EquationId(EquationKind.KDV, bottom=bottom), p, grid)
 
 
+def test_a_zero_scale_report_fails_as_zero_field_with_the_sweeps_relative():
+    # every term vanishes: nothing is checked, so no tolerance passes it, and
+    # relative reads the sweep rows' 0.0 (valid JSON: no NaN, no Infinity)
+    zero = residual_report("kdv/fixed", np.zeros(8), 0.0, 0.5, 1.0)
+    assert (zero.relative, zero.passed, zero.flags) == (0.0, False, ("zero_field",))
+    res = np.array([[0.0, 3e-9, -1e-9], [0.0, 0.0, 0.0]])
+    rows = inversion._relative(res, np.array([0.5, 0.0]))
+    assert rows == [residual_report("kdv/fixed", res[0], 0.5, 0.5, 1e-8).relative, 0.0]
+    flagged = residual_report("gardner/fixed", res[0], 0.5, 0.5, 1e-8,
+                              ("dispersion_sign_change",))
+    assert flagged.passed and flagged.flags == ("dispersion_sign_change",)
+
+
 def test_residual_report_flags_reversed_dispersion():
     p = MediumParams(alpha=0.1, beta=0.1, tau=0.4)
     grid = Grid(-20.0, 40.0, 256)
@@ -349,3 +366,54 @@ def test_flux_derivative_is_the_monomial(orders):
                for w, flux_orders in FLUXES[orders])
     flux_x = spectral_derivative(Field(grid, flux), 1).values
     assert np.max(np.abs(flux_x - monomial)) <= 1e-12 * np.max(np.abs(monomial))
+
+
+# --- the sign-inversion theorem, term by term ------------------------------------
+
+MEDIA = st.builds(MediumParams,
+                  alpha=st.floats(0.001, 10.0) | st.floats(-10.0, -0.001),
+                  beta=st.floats(0.001, 10.0), tau=st.floats(0.0, 2.0),
+                  delta=st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=MEDIA)
+def test_every_term_is_odd_under_the_joint_flip(params):
+    # a term of degree d in u picks up (-1)^d from u -> -u, so under
+    # (u, alpha) -> (-u, -alpha) it is negated iff its coefficient picks up
+    # (-1)^(d+1) from alpha -> -alpha, bit for bit
+    flipped = params.flipped()
+    for kind, terms in TERMS.items():
+        for name, coefficient, orders in terms:
+            sign = (-1.0) ** (len(orders) + 1)
+            assert coefficient(flipped).hex() == (sign * coefficient(params)).hex(), \
+                (kind, name)
+
+
+@settings(max_examples=50, deadline=None)
+@given(params=MEDIA, seed=st.integers(0, 2**32 - 1))
+def test_bottom_coefficients_do_not_read_alpha(params, seed):
+    # the depth term is linear in u, so it flips with u alone
+    rng = np.random.default_rng(seed)
+    pair = rng.uniform(-1.0, 1.0, (2, 16))
+    for up, down in zip(bottom_coefficients(params, pair),
+                        bottom_coefficients(params.flipped(), pair)):
+        assert up.tobytes() == down.tobytes()
+
+
+def _monomial(orders) -> tuple[int, ...]:
+    return tuple(sorted(orders))
+
+
+@pytest.mark.parametrize("orders", sorted(FLUXES))
+def test_flux_expands_to_its_monomial_in_exact_arithmetic(orders):
+    # d/dx of a product of derivatives, by Leibniz: each factor in turn
+    # takes one more derivative; weights as the rationals they round
+    expanded: dict[tuple[int, ...], Fraction] = {}
+    for weight, flux_orders in FLUXES[orders]:
+        exact = Fraction(weight).limit_denominator(100)
+        assert float(exact) == weight
+        for j in range(len(flux_orders)):
+            term = _monomial(o + (i == j) for i, o in enumerate(flux_orders))
+            expanded[term] = expanded.get(term, Fraction(0)) + exact
+    assert {k: c for k, c in expanded.items() if c} == {_monomial(orders): Fraction(1)}

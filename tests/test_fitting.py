@@ -27,7 +27,7 @@ from kdvwaves.waves import (
     make_kdv_cnoidal,
     make_kdv_soliton,
 )
-from reference_derivatives import profile_derivatives
+from reference_derivatives import period_mean, profile_derivatives
 
 P = MediumParams(alpha=0.1, beta=0.1)
 
@@ -533,3 +533,43 @@ def test_m_column_is_one_sided_where_one_side_cannot_be_evaluated():
                 for s in (h, -h))
     column = jac[:, 0]
     assert np.max(np.abs(column - (up - down) / (2 * h))) <= 1e-6 * np.max(np.abs(column))
+
+
+# --- the zero-mean row's period mean ------------------------------------------
+
+PERIODIC = [("cn2", 1), ("dn2_pm_cndn", 1), ("dn2_pm_cndn", -1)]
+
+
+def _unit_mean(shape, sign, m):
+    values = {"A": 1.0, "B": 0.9, "v": 1.0, "D": 0.0, "m": m}
+    ansatz = AnsatzFamily(shape, ("A",), {k: x for k, x in values.items() if k != "A"},
+                          sign=sign, zero_mean=True)
+    xi = fitting.collocation_points(ansatz, values, 9)
+    return ansatz, values, fitting._fit_residual(EquationKind.KDV, P, ansatz, xi, values)
+
+
+@pytest.mark.parametrize("m", [1e-7, 1e-3, 0.5, 0.9, 0.999, 1.0 - 1e-7])
+@pytest.mark.parametrize("shape,sign", PERIODIC)
+def test_period_mean_closed_form_matches_the_sampled_mean(shape, sign, m):
+    ansatz, values, point = _unit_mean(shape, sign, m)
+    sampled = period_mean(ansatz.wave(values))
+    assert abs(point.unit_mean - sampled) <= 16 * np.spacing(sampled)
+    # the row is A <f> + D
+    assert point.res[-1] == point.unit_mean
+
+
+@pytest.mark.parametrize("shape,sign", PERIODIC)
+def test_period_mean_at_m_zero_is_exactly_one_half(shape, sign):
+    # cn^2 -> cos^2 and (dn^2 +- sqrt(m) cn dn)/2 -> 1/2: no 0/0 at m = 0
+    assert _unit_mean(shape, sign, 0.0)[2].unit_mean == 0.5
+
+
+@pytest.mark.parametrize("shape,sign", PERIODIC)
+def test_zero_mean_residual_at_m_one_is_refused(shape, sign):
+    # the rows exist at m = 1 (sech^2), but the period, and so its mean, does not
+    ansatz, values, _ = _unit_mean(shape, sign, 0.5)
+    values = {**values, "m": 1.0}
+    xi = fitting.collocation_points(ansatz, values, 9)
+    assert fitting._try_eval(EquationKind.KDV, P, ansatz, xi, values) is None
+    plain = AnsatzFamily(shape, ansatz.free, ansatz.fixed, sign=sign)
+    assert fitting._try_eval(EquationKind.KDV, P, plain, xi, values) is not None

@@ -12,12 +12,11 @@ from kdvwaves.inversion import (
     RandomField,
     algebraic_defect,
     default_matrix,
-    negative_control,
     ramp_bottom,
-    run_case,
+    run_matrix,
 )
 from kdvwaves.waves import Frame, MediumParams
-from reference_derivatives import mirrored_residual
+from reference_derivatives import mirrored_residual, negative_control
 
 GRID = Grid(-32.0, 64.0, 256)
 
@@ -87,7 +86,7 @@ def test_default_matrix_random_rows_are_fresh_random_fields():
 
 
 def test_full_matrix_passes():
-    rows = [run_case(c) for c in default_matrix(seeds=range(3))]
+    rows = [run_matrix([c])[0] for c in default_matrix(seeds=range(3))]
     assert all(r["pass"] for r in rows)
     worst = max(r["algebraic_defect_value"] for r in rows)
     assert worst <= ALGEBRAIC_TOL
@@ -96,7 +95,7 @@ def test_full_matrix_passes():
 def test_run_case_tolerance_zero_passes_exactly_zero_defects():
     # every defect of the matrix is exactly zero, so a zero tolerance holds
     for case in default_matrix(seeds=range(1)):
-        row = run_case(case, tolerance=0.0)
+        row = run_matrix([case], tolerance=0.0)[0]
         assert row["algebraic_defect_value"] == 0.0
         assert row["algebraic_tol"] == 0.0
         assert row["algebraic_pass"] and row["pass"]
@@ -104,7 +103,7 @@ def test_run_case_tolerance_zero_passes_exactly_zero_defects():
 
 def test_solution_rows_carry_all_checks():
     case = next(c for c in default_matrix(seeds=range(1)) if c.is_solution)
-    row = run_case(case)
+    row = run_matrix([case])[0]
     for key in ("upright_residual", "mirrored_residual", "control_residual"):
         assert key in row
     assert row["mirrored_pass"]          # negated solution still solves

@@ -194,6 +194,29 @@ def test_cnoidal_starts_with_free_m_fit_as_alone(free, fixed, zero_mean):
                                   [{p: s[p] for p in free} for s in starts])
 
 
+def test_a_start_whose_m_column_cannot_be_formed_ends_alone(monkeypatch):
+    # next to m = 0.5 nothing but m = 0.5 itself evaluates, so that start's
+    # first Jacobian has no m column: its stacked call falls back to one
+    # call per start, and the start ends singular_jacobian as alone
+    real = fitting._fit_residual
+
+    def no_bumps(kind, params, ansatz, xi, values):
+        if values["m"] != 0.5 and abs(values["m"] - 0.5) < 1e-4:
+            raise ValueError("bumped")
+        return real(kind, params, ansatz, xi, values)
+
+    monkeypatch.setattr(fitting, "_fit_residual", no_bumps)
+    wave = make_kdv_cnoidal(P, 1.0, 0.9)
+    ansatz = AnsatzFamily("cn2", ("A", "B", "v", "m"), {"D": wave.D})
+    starts = [{"A": 1.0, "B": wave.B * g, "v": wave.v, "m": m}
+              for g, m in ((1.1, 0.9), (1.0, 0.5), (0.9, 0.9))]
+    _assert_each_start_fits_alone(EquationKind.KDV, P, ansatz, starts)
+    results = [fit_travelling_wave(EquationKind.KDV, P, ansatz, s) for s in starts]
+    assert [(r.status, r.n_iterations, r.rank) for r in results][1] == \
+        ("singular_jacobian", 1, None)
+    assert all(r.rank == 4 for r in results[::2])
+
+
 @pytest.mark.parametrize("n_points", [2, 0])
 def test_fewer_nodes_than_free_parameters_are_refused(n_points):
     with pytest.raises(ValueError, match="n_points"):

@@ -18,9 +18,9 @@ from kdvwaves.inversion import (
     ALGEBRAIC_TOL,
     algebraic_defect,
     default_matrix,
-    negative_control,
     run_matrix,
 )
+from reference_derivatives import negative_control
 
 
 @settings(max_examples=25, deadline=None)
