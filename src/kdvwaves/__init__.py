@@ -70,6 +70,7 @@ from .waves import (
     make_kdv_cnoidal,
     make_kdv_soliton,
     make_kdv_superposition,
+    make_soliton_ladder,
 )
 
 __version__ = "0.1.0"

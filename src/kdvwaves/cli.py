@@ -54,6 +54,7 @@ from .equations import (
 )
 from .evolve import EvolveConfig, NumericalAbort, estimate_speed, evolve, monitors
 from .fitting import (
+    RTOL,
     AnsatzFamily,
     StartError,
     amplitude_starts,
@@ -71,13 +72,13 @@ from .inversion import (
 from .waves import (
     Frame,
     MediumParams,
-    SolitonLadder,
     make_fifth_order_soliton,
     make_gardner_soliton,
     make_kdv2_soliton,
     make_kdv_cnoidal,
     make_kdv_soliton,
     make_kdv_superposition,
+    make_soliton_ladder,
 )
 
 __all__ = ["main", "ConfigError"]
@@ -140,7 +141,9 @@ def _path(where: str, key) -> str:
 
 
 def _build(where: str, ctor, **kwargs):
-    # funnel the dataclass validators' ValueErrors into config errors
+    """ctor(**kwargs), its ValueError or TypeError raised as a ConfigError
+    naming `where`: the one path from a constructor, a fit's start or a
+    constraint count that refuses its input to exit 2."""
     try:
         return ctor(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -207,10 +210,8 @@ FAMILIES = {
     "fifth_order_soliton": ({}, make_fifth_order_soliton),
     "gardner_soliton": ({"Delta": (_finite, REQUIRED), "sign_B": (_int, 1)},
                         make_gardner_soliton),
-    "two_soliton": ({"amplitudes": (_list(_finite, 2), REQUIRED)},
-                    lambda params, amplitudes: SolitonLadder(amplitudes)),
-    "three_soliton": ({"amplitudes": (_list(_finite, 3), REQUIRED)},
-                      lambda params, amplitudes: SolitonLadder(amplitudes)),
+    "two_soliton": ({"amplitudes": (_list(_finite, 2), REQUIRED)}, make_soliton_ladder),
+    "three_soliton": ({"amplitudes": (_list(_finite, 3), REQUIRED)}, make_soliton_ladder),
 }
 
 _family = _type(f"one of {list(FAMILIES)}", FAMILIES.__getitem__)
@@ -276,7 +277,7 @@ VERIFY = {"tolerance": (_tolerance, SOLUTION_TOL), "cases": (_list(_dict), None)
              for key, (kind, default) in VERIFY_CASE.items() if key != "label"}}
 SYMMETRY = {"medium": (MEDIUM, None), "n_seeds": (_count, 5), "select": (_str, None)}
 FIT = {"equation": (_kind, REQUIRED), "medium": (MEDIUM, REQUIRED),
-       "ansatz": (ANSATZ, REQUIRED), "n_points": (_int, None), "rtol": (_tolerance, None),
+       "ansatz": (ANSATZ, REQUIRED), "n_points": (_int, None), "rtol": (_tolerance, RTOL),
        "count_constraints": (_bool, False), "start": (_mapping(_float), None),
        "starts": (_starts, None)}
 EVOLVE = {"equation": (_kind, REQUIRED), "medium": (MEDIUM, REQUIRED),
@@ -418,16 +419,15 @@ def cmd_symmetry(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _read(_load_config(args.config), FIT, "")
     params, kind, ansatz = cfg["medium"], cfg["equation"], cfg["ansatz"]
-    fit_kwargs = {"n_points": cfg["n_points"]}
-    if cfg["n_points"] is not None and cfg["n_points"] < len(ansatz.free):
+    n_points = cfg["n_points"]
+    if n_points is not None and n_points < len(ansatz.free):
         raise ConfigError(f"'n_points' must be at least the number of free parameters "
-                          f"({len(ansatz.free)}), got {cfg['n_points']}")
+                          f"({len(ansatz.free)}), got {n_points}")
     rtol = cfg["rtol"] if args.tolerance is None else args.tolerance
-    if rtol is not None:
-        fit_kwargs["rtol"] = rtol
 
     if cfg["count_constraints"]:
-        k = count_constraints(kind, params, ansatz)
+        k = _build("count_constraints", count_constraints,
+                   kind=kind, params=params, ansatz=ansatz)
         _emit({"constraint_count": k, "free_parameters": list(ansatz.free)})
         _say(f"fit: {k} independent constraints on {len(ansatz.free)} free parameters")
 
@@ -437,10 +437,8 @@ def cmd_fit(args) -> int:
                           "or 'starts' (multi-start)")
 
     if start is not None:
-        try:
-            result = fit_travelling_wave(kind, params, ansatz, start, **fit_kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"invalid 'start': {exc}")
+        result = _build("start", fit_travelling_wave, kind=kind, params=params,
+                        ansatz=ansatz, start=start, n_points=n_points, rtol=rtol)
         _emit({"values": result.values, "residual": result.residual,
                "status": result.status, "n_iterations": result.n_iterations,
                "rank": result.rank})
@@ -454,7 +452,8 @@ def cmd_fit(args) -> int:
 
     start_list = starts(params)
     try:
-        basins, results = multi_start_fit(kind, params, ansatz, start_list, **fit_kwargs)
+        basins, results = multi_start_fit(kind, params, ansatz, start_list,
+                                          n_points=n_points, rtol=rtol)
     except StartError as exc:
         raise ConfigError(f"invalid 'starts[{exc.index}]': {exc}")
     for i, b in enumerate(basins):
@@ -487,7 +486,7 @@ def cmd_evolve(args) -> int:
     u0, _ = solution_fields(built, eff, grid, 0.0, eq.frame)
     aborted = None
     try:
-        traj = evolve(config, u0)
+        traj = evolve(config, u0.values)
     except NumericalAbort as exc:
         aborted = str(exc)
         traj = exc.trajectory

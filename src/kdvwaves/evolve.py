@@ -32,8 +32,8 @@ import numpy as np
 # without np.fft's argument handling, which costs a transform's time at n = 256
 from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
-from .equations import (FLUXES, TERMS, BottomProfile, EquationId, Field, Grid,
-                        bottom_coefficients, bottom_eval, equation_table)
+from .equations import (FLUXES, TERMS, EquationId, Field, Grid, bottom_coefficients,
+                        bottom_eval, equation_table)
 from .waves import MediumParams
 
 __all__ = [
@@ -80,18 +80,17 @@ class EvolveConfig:
                 "(snapshots are only defined on step boundaries)")
         if self.output_stride < 0:
             raise ValueError("output_stride must be >= 0")
-        if self.eq.bottom is not None:
-            self._check_knots(self.eq.bottom, self.grid)
-
-    @staticmethod
-    def _check_knots(bottom: BottomProfile, grid: Grid):
+        if self.eq.bottom is None:
+            return
+        grid = self.grid
         # a kink exactly on a sample would make the slope there ambiguous
-        for kx, _ in bottom.knots:
+        for kx, _ in self.eq.bottom.knots:
             frac = (kx - grid.x0) / grid.dx
             if abs(frac - round(frac)) * grid.dx < 1e-9 * grid.dx:
                 raise ValueError(
                     f"bottom knot at x={kx!r} coincides with a grid point; "
                     "shift it by a fraction of dx")
+        bottom_eval(self.eq.bottom, grid)       # refuses knots that span a period
 
     @property
     def n_steps(self) -> int:
@@ -247,19 +246,13 @@ class ETDRK4:
 def evolve(config: EvolveConfig, u0) -> Trajectory:
     """Run the stepper from the initial profile; returns the trajectory.
 
-    u0 may be a Field on the configured grid or a plain array of samples.
-    Raises NumericalAbort (with the partial trajectory attached) if the
-    state stops being finite.
+    u0 is the initial state's samples on the configured grid (a Field's
+    `values`).  Raises NumericalAbort (with the partial trajectory
+    attached) if the state stops being finite.
     """
-    if isinstance(u0, Field):
-        if u0.grid != config.grid:
-            raise ValueError("u0 grid does not match the configuration grid")
-        values = u0.values
-    else:
-        values = np.asarray(u0, dtype=float)
-        if values.shape != (config.grid.n,):
-            raise ValueError(f"u0 has shape {values.shape}, "
-                             f"expected ({config.grid.n},)")
+    values = np.asarray(u0, dtype=float)
+    if values.shape != (config.grid.n,):
+        raise ValueError(f"u0 has shape {values.shape}, expected ({config.grid.n},)")
     stepper = ETDRK4(config)
     traj = Trajectory(config)
     traj.append(0.0, values)

@@ -313,7 +313,8 @@ def _stack(points: list[_Point]) -> _Point:
                   None if means[0] is None else np.reshape(means, (-1, 1)))
 
 
-# the step budget and collapse rules of fit_travelling_wave (see its docstring)
+# the tolerance, step budget and collapse rules of fit_travelling_wave (see its docstring)
+RTOL = 1e-10
 MAX_ITERATIONS = 200
 TRIVIAL_WINDOW = 8
 TRIVIAL_MIN_GAIN = 2.0
@@ -325,7 +326,7 @@ MERGE_TOL = 1e-6
 
 def fit_travelling_wave(kind: EquationKind, params: MediumParams,
                         ansatz: AnsatzFamily, start: dict[str, float],
-                        n_points: int | None = None, rtol: float = 1e-10) -> FitResult:
+                        n_points: int | None = None, rtol: float = RTOL) -> FitResult:
     """Damped Gauss-Newton on the collocation residual.
 
     start must provide every free parameter.  Collocation nodes are laid
@@ -379,7 +380,7 @@ def _solve(augs, rhss) -> list[np.ndarray]:
 
 def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
               starts: list[dict[str, float]], n_points: int | None = None,
-              rtol: float = 1e-10) -> list[FitResult]:
+              rtol: float = RTOL) -> list[FitResult]:
     """fit_travelling_wave from every start, the starts advanced together.
 
     Each start runs _iterate, which pauses wherever it needs a Jacobian, a

@@ -30,6 +30,7 @@ __all__ = [
     "TravellingWave",
     "SolitonLadder",
     "make_kdv_soliton",
+    "make_soliton_ladder",
     "make_kdv_cnoidal",
     "make_kdv_superposition",
     "make_kdv2_soliton",
@@ -235,9 +236,8 @@ class SolitonLadder:
     """Amplitudes of an interacting N-soliton state, 2 <= N <= 8.
 
     Amplitudes are strictly ordered by magnitude and share one sign; an
-    all-negative ladder is the inverted state, evaluated by negating the
-    upright profile (magnitudes + global flag, so the two are exact
-    pointwise mirrors).  The tau-function sums 2^N terms, hence the cap.
+    all-negative ladder is the inverted state, which solves the equation
+    with alpha negated.  The tau-function sums 2^N terms, hence the cap.
     """
 
     amplitudes: tuple[float, ...]
@@ -277,15 +277,12 @@ class SolitonLadder:
 
             u = c Var_p(K),   u_t = -c E_p[(K - mean K)^2 (W - mean W)],
 
-        c = 4 beta/(3|alpha|), both exact.  v_i is the speed in `frame`.
-        The sign of the ladder is applied last, so the inverted state is
-        the bitwise negation of the upright one.
+        c = 4 beta/(3 alpha), both exact.  v_i is the speed in `frame`.
+        k_i and v_i read alpha A_i only and c is odd in alpha, so the
+        inverted ladder in the mirror medium is the upright one negated,
+        bit for bit; make_kdv_soliton refuses A_i against alpha's sign.
         """
-        if self.inverted != (params.alpha < 0.0):
-            raise ValueError("ladder amplitudes and alpha must share one sign "
-                             f"(amplitudes {self.amplitudes}, alpha {params.alpha!r})")
-        upright = params.flipped() if self.inverted else params
-        waves = [make_kdv_soliton(upright, a) for a in self.magnitudes]
+        waves = [make_kdv_soliton(params, a) for a in self.amplitudes]
         k = np.array([2.0 * w.B for w in waves])
         v = np.array([w.speed_in(frame) for w in waves])
         n = len(k)
@@ -312,9 +309,8 @@ class SolitonLadder:
             p_dK2 = p * (K - (p * K).sum(axis=0)) ** 2
             var[block] = p_dK2.sum(axis=0)
             mixed[block] = (p_dK2 * (W - (p * W).sum(axis=0))).sum(axis=0)
-        c = 4.0 * upright.beta / (3.0 * upright.alpha)
-        u, u_t = c * var.reshape(x.shape), -c * mixed.reshape(x.shape)
-        return (-u, -u_t) if self.inverted else (u, u_t)
+        c = 4.0 * params.beta / (3.0 * params.alpha)
+        return c * var.reshape(x.shape), -c * mixed.reshape(x.shape)
 
     def evaluate(self, x, t: float, params: MediumParams, frame: Frame = Frame.FIXED):
         """The interacting profile u at time t (see fields)."""
@@ -411,6 +407,14 @@ def make_kdv_soliton(params: MediumParams, A: float) -> TravellingWave:
     B = math.sqrt(3.0 * params.alpha * A / (4.0 * params.beta))
     v = 1.0 + params.alpha * A / 2.0
     return TravellingWave(WaveFamily.KDV_SOLITON, A=A, B=B, v=v)
+
+
+def make_soliton_ladder(params: MediumParams, amplitudes) -> SolitonLadder:
+    """The interacting state of kdv solitons of these amplitudes (see
+    SolitonLadder), refused where make_kdv_soliton refuses them."""
+    ladder = SolitonLadder(amplitudes)
+    make_kdv_soliton(params, ladder.amplitudes[0])      # one sign: alpha*A > 0 for all
+    return ladder
 
 
 def make_kdv_cnoidal(params: MediumParams, A: float, m: float) -> TravellingWave:

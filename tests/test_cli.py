@@ -858,3 +858,48 @@ def test_a_config_root_that_is_not_a_mapping_exits_two(capsys, tmp_path):
     code, out, err = _run(capsys, ["verify", "--config", str(path)])
     assert (code, out) == (2, "")
     assert err == "config error: config root must be a mapping, got list\n"
+
+
+INVERTED_MEDIUM = {"alpha": -0.1, "beta": 0.1}
+UPRIGHT_LADDER = {"family": "two_soliton", "amplitudes": [1.0, 2.0]}
+LADDER_REFUSED = "soliton requires alpha*A > 0, got alpha=-0.1, A=1.0"
+COUNTED_FIT = {**{k: v for k, v in FIT_DOC.items() if k != "starts"},
+               "count_constraints": True}
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    # an upright ladder in an inverted medium, as each command reads it
+    ("verify", {**_case(UPRIGHT_LADDER), "medium": INVERTED_MEDIUM},
+     f"invalid 'cases[0].wave': {LADDER_REFUSED}"),
+    ("profile", {**PROFILE_DOC, "medium": INVERTED_MEDIUM, "wave": UPRIGHT_LADDER},
+     f"invalid 'wave': {LADDER_REFUSED}"),
+    ("evolve", {**EVOLVE_DOC, "medium": INVERTED_MEDIUM, "bottom": None,
+                "initial": {"family": "three_soliton", "amplitudes": [1.0, 2.0, 3.0]}},
+     f"invalid 'initial': {LADDER_REFUSED}"),
+    # constraint counts with no catalog point to count at
+    ("fit", {**COUNTED_FIT, "ansatz": {"shape": "cn2", "free": ["A", "B", "v", "D"],
+                                       "fixed": {"m": 0.9}},
+             "start": {"A": 1.0, "B": 0.9, "v": 1.0, "D": -0.4}},
+     "invalid 'count_constraints': no catalog solution for (kdv2, cn2)"),
+    ("fit", {**COUNTED_FIT, "equation": "fifth_order",
+             "ansatz": {"shape": "sech4", "free": ["A", "B", "v"], "fixed": {"D": 0.0}},
+             "start": {"A": 1.0, "B": 0.5, "v": 1.0}},
+     "invalid 'count_constraints': no real sech^4 width: need opposite-sign dispersion "
+     "coefficients, got b3=0.016666666666666666, b5=0.0005277777777777778 (tau=0.0)"),
+    ("fit", {**COUNTED_FIT, "equation": "gardner", "medium": {"alpha": 0.1, "beta": 0.3},
+             "ansatz": {"shape": "gardner", "free": ["A", "B", "v"], "fixed": {"Delta": 0.1}},
+             "start": {"A": 1.0, "B": 0.5, "v": 1.0}},
+     "invalid 'count_constraints': Gardner soliton needs beta'/Delta^2 <= 1, "
+     "got 4.999999999999998"),
+    # a bottom whose knots span the grid's period
+    ("evolve", {**EVOLVE_DOC, "medium": {"alpha": 0.1, "beta": 0.1, "delta": 0.1},
+                "grid": {"x0": -50.0, "length": 100.0, "n": 256},
+                "bottom": {"knots": [[10.1, 0.0], [150.1, 0.25]]}},
+     "invalid 'evolve': BottomProfile knots must span less than one period"),
+])
+def test_a_config_the_command_cannot_solve_exits_two_and_names_its_key(capsys, tmp_path,
+                                                                       command, doc, message):
+    cfg = _write(tmp_path, "bad.yaml", doc)
+    code, out, err = _run(capsys, [command, "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"

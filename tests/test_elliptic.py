@@ -199,3 +199,10 @@ def test_jacobi_frozen_points_near_m_one():
     for m, u, ref in NEAR_ONE_REF:
         assert_allclose(jacobi_sn_cn_dn(u, m), ref, rtol=0.0, atol=1e-11,
                         err_msg=f"m = {m!r}, u = {u}")
+
+
+def test_second_kind_integral_at_m_one_and_its_range():
+    assert elliptic_E(1.0) == 1.0
+    for m in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=rf"^elliptic_E requires 0 <= m <= 1, got m={m!r}$"):
+            elliptic_E(m)

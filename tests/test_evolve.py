@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kdvwaves.equations import EquationId, EquationKind, Grid
+from kdvwaves.equations import BottomProfile, EquationId, EquationKind, Field, Grid
 from kdvwaves.evolve import (
     EvolveConfig,
     NumericalAbort,
@@ -375,3 +375,33 @@ def test_etdrk4_coefficients_match_the_mpmath_values():
         want = want.conj() if y < 0.0 else want
         got = np.array([phi[i] for phi in phis])
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), (y, got - want)
+
+
+def test_estimated_speed_of_a_leftward_shift_wraps_to_a_negative_speed():
+    # the correlation peak lies past half the period, so the shift wraps
+    w = make_kdv_soliton(P, 1.0)
+    first = Field(GRID, w.profile(GRID.x), 0.0)
+    last = Field(GRID, w.profile(GRID.x + 5.0), 2.0)
+    assert_allclose(estimate_speed(first, last), -2.5, rtol=1e-3)
+
+
+def test_estimated_speed_refuses_other_grids_and_equal_times():
+    values = make_kdv_soliton(P, 1.0).profile(GRID.x)
+    other = Grid(-30.0, 60.0, 256)
+    with pytest.raises(ValueError, match="^snapshots live on different grids$"):
+        estimate_speed(Field(GRID, values, 0.0), Field(other, values[::2], 1.0))
+    with pytest.raises(ValueError, match="^snapshots at equal times$"):
+        estimate_speed(Field(GRID, values, 1.0), Field(GRID, values, 1.0))
+
+
+def test_config_refuses_t_end_below_dt():
+    with pytest.raises(ValueError, match=r"^t_end \(= 0.05\) must be >= dt$"):
+        EvolveConfig(eq=KDV, params=P, grid=GRID, dt=0.1, t_end=0.05)
+
+
+def test_config_refuses_knots_spanning_a_period():
+    # refused as the run is configured, before the stepper samples the bottom
+    bottom = BottomProfile(((10.1, 0.0), (150.1, 0.25)))
+    with pytest.raises(ValueError, match="^BottomProfile knots must span less than one period$"):
+        EvolveConfig(eq=EquationId(EquationKind.KDV, bottom=bottom), params=P,
+                     grid=Grid(-50.0, 100.0, 256), dt=0.01, t_end=0.02)

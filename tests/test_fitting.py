@@ -573,3 +573,31 @@ def test_zero_mean_residual_at_m_one_is_refused(shape, sign):
     assert fitting._try_eval(EquationKind.KDV, P, ansatz, xi, values) is None
     plain = AnsatzFamily(shape, ansatz.free, ansatz.fixed, sign=sign)
     assert fitting._try_eval(EquationKind.KDV, P, plain, xi, values) is not None
+
+
+def test_ansatz_refuses_a_free_name_given_twice():
+    with pytest.raises(ValueError, match="^free parameter names must be unique$"):
+        AnsatzFamily("sech2", ("A", "B", "A", "v"), {"D": 0.0})
+
+
+def test_gardner_fit_with_free_width_reports_its_width_unsigned():
+    # the shape is even in Delta: a start at negative Delta lands on the
+    # mirror of the positive-start fit, and the result folds its sign
+    p = MediumParams(alpha=0.1, beta=0.3, tau=0.0)
+    w = make_gardner_soliton(p, Delta=1.0)
+    ansatz = AnsatzFamily("gardner", ("A", "B", "v", "Delta"), {})
+    start = {"A": 0.95 * w.A, "B": 0.95 * w.B, "v": 1.0}
+    down = fit_travelling_wave(EquationKind.GARDNER, p, ansatz, {**start, "Delta": -1.05})
+    up = fit_travelling_wave(EquationKind.GARDNER, p, ansatz, {**start, "Delta": 1.05})
+    assert down.converged and up.converged
+    assert down.values["Delta"] > 0.0
+    for name, value in up.values.items():
+        assert_allclose(down.values[name], value, rtol=1e-9)
+
+
+def test_a_fit_without_a_verdict_after_the_step_budget_reports_max_iterations(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 2)
+    result = fit_travelling_wave(EquationKind.KDV2, P, KDV2_SECH2,
+                                 {"A": 1.0, "B": 0.5, "v": 1.0})
+    assert (result.status, result.n_iterations) == ("max_iterations", 2)
+    assert result.residual > fitting.RTOL

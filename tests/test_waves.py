@@ -24,6 +24,7 @@ from kdvwaves.waves import (
     make_kdv_cnoidal,
     make_kdv_soliton,
     make_kdv_superposition,
+    make_soliton_ladder,
 )
 from reference_derivatives import time_derivative
 
@@ -438,3 +439,57 @@ def test_periodic_families_move_monotonically_towards_m_one():
             vals = [value(w) for w in waves]
             assert vals[0] < vals[1] < vals[2], (waves[0].family, name, vals)
         assert waves[-1].v < 1.05 and waves[-1].D < 0.0
+
+
+# a ladder's amplitudes: 2 to 5 distinct multiples of 0.1, at least 0.1 apart
+LADDER_AMPLITUDES = st.lists(st.integers(1, 30), min_size=2, max_size=5, unique=True).map(
+    lambda ks: tuple(0.1 * k for k in sorted(ks)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(amplitudes=LADDER_AMPLITUDES, alpha=st.floats(0.01, 0.5), beta=st.floats(0.05, 0.5),
+       upright=st.booleans(), frame=st.sampled_from(Frame), t=st.floats(-20.0, 20.0))
+def test_negated_ladder_in_the_flipped_medium_is_the_bitwise_negation(
+        amplitudes, alpha, beta, upright, frame, t):
+    # fields() evaluates the signed amplitudes in the given medium; the
+    # inversion is exact through its sign-symmetric arithmetic alone
+    params = MediumParams(alpha if upright else -alpha, beta)
+    amps = amplitudes if upright else tuple(-a for a in amplitudes)
+    x = np.linspace(-40.0, 40.0, 257)
+    u, ut = SolitonLadder(amps).fields(x, t, params, frame)
+    mirror = SolitonLadder(tuple(-a for a in amps)).fields(x, t, params.flipped(), frame)
+    for got, want in zip(mirror, (u, ut)):
+        assert np.array_equal((-want).view(np.uint64), got.view(np.uint64))
+
+
+@pytest.mark.parametrize("amplitudes,params", [((1.0, 2.0), P.flipped()),
+                                               ((-1.0, -2.0, -3.0), P)])
+def test_soliton_ladder_refuses_amplitudes_against_alpha(amplitudes, params):
+    # as make_kdv_soliton refuses the smallest of them
+    message = f"soliton requires alpha*A > 0, got alpha={params.alpha!r}, A={amplitudes[0]!r}"
+    for build in (lambda: make_soliton_ladder(params, amplitudes),
+                  lambda: SolitonLadder(amplitudes).fields(np.zeros(1), 0.0, params)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+    assert make_soliton_ladder(params.flipped(), amplitudes) == SolitonLadder(amplitudes)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: make_kdv_cnoidal(P, 1.0, 1.0), "cnoidal parameter m must be in (0, 1), got 1.0"),
+    (lambda: make_kdv_cnoidal(P, 1.0, 0.0), "cnoidal parameter m must be in (0, 1), got 0.0"),
+    (lambda: make_kdv_superposition(P, 1.0, 0.5, sign=0),
+     "superposition sign must be +1 or -1, got 0"),
+    (lambda: make_kdv_superposition(P, 1.0, 0.5, B=-0.5),
+     "superposition B must be positive, got -0.5"),
+    (lambda: make_kdv_superposition(P, 1.0, 1.0),
+     "superposition parameter m must be in (0, 1), got 1.0"),
+    (lambda: make_gardner_soliton(P, 0.0), "Gardner width Delta must be nonzero"),
+    (lambda: make_gardner_soliton(P, 1.0, sign_B=0), "sign_B must be +1 or -1, got 0"),
+    (lambda: MediumParams(0.1, 0.1, tau=-0.1), "MediumParams.tau must be >= 0, got -0.1"),
+    (lambda: SolitonLadder((0.0, 1.0)), "SolitonLadder amplitudes must be nonzero"),
+])
+def test_constructors_refuse_out_of_range_values_by_name(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
