@@ -61,6 +61,7 @@ from .fitting import (
     count_constraints,
     fit_travelling_wave,
     multi_start_fit,
+    node_count,
 )
 from .inversion import (
     ALGEBRAIC_TOL,
@@ -141,12 +142,13 @@ def _path(where: str, key) -> str:
 
 
 def _build(where: str, ctor, **kwargs):
-    """ctor(**kwargs), its ValueError or TypeError raised as a ConfigError
-    naming `where`: the one path from a constructor, a fit's start or a
-    constraint count that refuses its input to exit 2."""
+    """ctor(**kwargs), its ValueError, TypeError or ArithmeticError raised
+    as a ConfigError naming `where`: the one path from a constructor, a
+    fit's start, node count or constraint count that refuses its input to
+    exit 2."""
     try:
         return ctor(**kwargs)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         raise ConfigError(f"invalid '{where}': {exc}")
 
 
@@ -419,10 +421,7 @@ def cmd_symmetry(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _read(_load_config(args.config), FIT, "")
     params, kind, ansatz = cfg["medium"], cfg["equation"], cfg["ansatz"]
-    n_points = cfg["n_points"]
-    if n_points is not None and n_points < len(ansatz.free):
-        raise ConfigError(f"'n_points' must be at least the number of free parameters "
-                          f"({len(ansatz.free)}), got {n_points}")
+    n_points = _build("n_points", node_count, ansatz=ansatz, n_points=cfg["n_points"])
     rtol = cfg["rtol"] if args.tolerance is None else args.tolerance
 
     if cfg["count_constraints"]:

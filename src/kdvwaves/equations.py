@@ -231,39 +231,27 @@ def _spectral_diffs(values: np.ndarray, grid: Grid, orders) -> dict[int, np.ndar
     return dict(zip(orders, np.fft.irfft(rows, grid.n)))
 
 
-def _fornberg_weights(order: int, offsets: np.ndarray) -> np.ndarray:
-    """Finite-difference weights for d^order/dx^order at 0 on the given nodes
-    (Fornberg 1988, Math. Comp. 51)."""
-    n = len(offsets)
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = offsets[0]
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = offsets[i]
-        for j in range(i):
-            c3 = offsets[i] - offsets[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
-
-
 @lru_cache(maxsize=None)
 def _fd8_stencil(order: int) -> tuple[np.ndarray, np.ndarray]:
-    # half-width chosen so the centred stencil is at least 8th-order accurate
+    """(offsets, weights) of the centred d^order/dx^order stencil at unit
+    spacing; half-width (order + 9) // 2 makes it at least 8th-order.
+
+    Weight j, the order-th derivative at 0 of the Lagrange basis polynomial
+    prod_{i != j} (x - i)/(j - i), is order! times the numerator's x^order
+    coefficient over the denominator: exact integers, so one correctly
+    rounded division.  Odd stencils are antisymmetric bit for bit, centre 0.
+    """
     half = (order + 9) // 2
-    offsets = np.arange(-half, half + 1)
-    return offsets, _fornberg_weights(order, offsets.astype(float))
+    offsets = range(-half, half + 1)
+    weights = []
+    for j in offsets:
+        poly, denominator = [1], 1      # prod (x - i) over i != j, lowest power first
+        for i in offsets:
+            if i != j:
+                poly = [a - i * b for a, b in zip([0] + poly, poly + [0])]
+                denominator *= j - i
+        weights.append(math.factorial(order) * poly[order] / denominator)
+    return np.array(offsets), np.array(weights)
 
 
 def _fd8_diffs(values: np.ndarray, grid: Grid, orders) -> dict[int, np.ndarray]:

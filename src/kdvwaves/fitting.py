@@ -41,6 +41,7 @@ __all__ = [
     "multi_start_fit",
     "amplitude_starts",
     "count_constraints",
+    "node_count",
 ]
 
 # config shape -> (catalog family, parameter names)
@@ -90,6 +91,8 @@ class AnsatzFamily:
             if unknown:
                 raise ValueError(f"{role} parameters {unknown} not in shape "
                                  f"{self.shape!r} parameters {names}")
+        if not self.free:
+            raise ValueError("ansatz has no free parameters")
         if len(set(self.free)) != len(self.free):
             raise ValueError("free parameter names must be unique")
         for p, value in self.fixed.items():
@@ -144,6 +147,17 @@ def _scaled(values: dict[str, float], unit_rows: np.ndarray) -> np.ndarray:
 
 
 # --- collocation residual ---------------------------------------------------
+
+def node_count(ansatz: AnsatzFamily, n_points: int | None = None) -> int:
+    """A fit's number of collocation nodes: n_points, by default
+    max(3 n_free, 9); fewer than n_free nodes are refused."""
+    n_free = len(ansatz.free)
+    n = max(3 * n_free, 9) if n_points is None else n_points
+    if n < n_free:
+        raise ValueError(f"n_points must be at least the number of free parameters "
+                         f"({n_free}), got {n}")
+    return n
+
 
 def collocation_points(ansatz: AnsatzFamily, values: dict[str, float],
                        n_points: int) -> np.ndarray:
@@ -346,8 +360,8 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
     |A| with full steps on their way to a real solution.  Reading |A|
     only, fits and mirrors stop alike.  A constant solves every equation too,
     so a converged profile whose spread over the nodes is at most FLAT_TOL
-    (1e-6) of its size (B -> 0) is reported as trivial.  n_points, the
-    number of nodes (default max(3 n_free, 9)), must be at least n_free.
+    (1e-6) of its size (B -> 0) is reported as trivial.  n_points is
+    the number of nodes (see node_count).
 
     This is multi_start_fit's lockstep loop with one start.
     """
@@ -439,17 +453,11 @@ def _iterate(kind, params, ansatz, start, n_points, rtol):
     if missing:
         raise ValueError(f"start is missing free parameters {missing}")
     n_free = len(ansatz.free)
-    if n_free == 0:
-        raise ValueError("ansatz has no free parameters")
-    n_pts = n_points if n_points is not None else max(3 * n_free, 9)
-    if n_pts < n_free:
-        raise ValueError(f"n_points must be at least the number of free parameters "
-                         f"({n_free}), got {n_pts}")
     c = np.array([float(start[p]) for p in ansatz.free])
     for p, value in zip(ansatz.free, c.tolist()):
         if not math.isfinite(value):
             raise ValueError(f"start value {p} must be finite, got {value!r}")
-    xi = collocation_points(ansatz, ansatz.values(c), n_pts)
+    xi = collocation_points(ansatz, ansatz.values(c), node_count(ansatz, n_points))
 
     def rel(point):
         a = float(np.max(np.abs(point.res)))

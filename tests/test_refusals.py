@@ -1,0 +1,120 @@
+"""Inputs the library and the CLI refuse, each by name.
+
+The library's guards raise ValueError; through the CLI, a refused config
+exits 2 with empty stdout and a message that names the key.
+"""
+
+import numpy as np
+import pytest
+import yaml
+
+from kdvwaves.cli import main
+from kdvwaves.equations import (EquationId, EquationKind, Field, Grid, derivative_set,
+                                residual)
+from kdvwaves.evolve import EvolveConfig, evolve
+from kdvwaves.fitting import (AnsatzFamily, StartError, _fit_residual, collocation_points,
+                              fit_travelling_wave)
+from kdvwaves.inversion import InversionCase, run_matrix
+from kdvwaves.waves import MediumParams, make_kdv_cnoidal
+
+P = MediumParams(0.1, 0.1)
+KDV = EquationId(EquationKind.KDV)
+GRID = Grid(-20.0, 40.0, 64)
+
+
+def _split_pair() -> tuple[Field, Field]:
+    """u and u_t sampled on two different grids."""
+    other = Grid(-20.0, 40.0, 32)
+    return Field(GRID, np.sin(GRID.x)), Field(other, np.cos(other.x))
+
+
+def test_an_unknown_backend_is_refused():
+    with pytest.raises(ValueError, match="backend must be one of .* got 'fd4'"):
+        derivative_set("fd4")
+
+
+def test_residual_refuses_u_and_u_t_on_different_grids():
+    with pytest.raises(ValueError, match="u and u_t must share a grid"):
+        residual(*_split_pair(), KDV, P)
+
+
+def test_run_matrix_refuses_a_case_on_two_grids():
+    u, ut = _split_pair()
+    case = InversionCase("split", KDV, P, u, ut, is_solution=False)
+    with pytest.raises(ValueError, match="split: u and u_t must share a grid"):
+        run_matrix([case])
+
+
+def test_evolve_refuses_samples_of_another_grid():
+    config = EvolveConfig(eq=KDV, params=P, grid=GRID, dt=0.05, t_end=1.0)
+    with pytest.raises(ValueError, match=r"u0 has shape \(32,\), expected \(64,\)"):
+        evolve(config, np.zeros(32))
+
+
+def test_a_gardner_start_at_zero_width_is_refused():
+    ansatz = AnsatzFamily("gardner", ("A", "B", "v", "Delta"))
+    start = {"A": 1.0, "B": 0.5, "v": 1.0, "Delta": 0.0}
+    xi = collocation_points(ansatz, start, 9)
+    with pytest.raises(ValueError, match="Delta must be nonzero"):
+        _fit_residual(EquationKind.GARDNER, P, ansatz, xi, start)
+    with pytest.raises(StartError, match="cannot be evaluated at the start values"):
+        fit_travelling_wave(EquationKind.GARDNER, P, ansatz, start)
+
+
+@pytest.mark.parametrize("alpha,A", [(0.1, -1.0), (-0.1, 1.0), (0.1, 0.0)])
+def test_a_cnoidal_wave_needs_alpha_times_A_positive(alpha, A):
+    with pytest.raises(ValueError, match="cnoidal wave requires alpha\\*A > 0"):
+        make_kdv_cnoidal(MediumParams(alpha, 0.1), A, 0.5)
+
+
+def test_an_ansatz_without_free_parameters_is_refused():
+    with pytest.raises(ValueError, match="ansatz has no free parameters"):
+        AnsatzFamily("sech2", (), {"A": 1.0, "B": 0.5, "v": 1.05, "D": 0.0})
+
+
+GARDNER_MEDIUM = {"alpha": 0.1, "beta": 0.3, "tau": 0.0}
+GARDNER_GRID = {"x0": -40.0, "length": 80.0, "n": 256}
+NO_FREE = {"equation": "kdv", "medium": {"alpha": 0.1, "beta": 0.1},
+           "ansatz": {"shape": "sech2", "free": [],
+                      "fixed": {"A": 1.0, "B": 0.5, "v": 1.05, "D": 0.0}},
+           "start": {}}
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    # an ansatz with nothing to fit, counted or fitted
+    ("fit", {**NO_FREE, "count_constraints": True},
+     "invalid 'ansatz': ansatz has no free parameters"),
+    ("fit", NO_FREE, "invalid 'ansatz': ansatz has no free parameters"),
+    # arithmetic that a width next to 0 or infinity cannot do
+    ("verify", {"medium": GARDNER_MEDIUM,
+                "cases": [{"equation": "gardner", "grid": GARDNER_GRID,
+                           "wave": {"family": "gardner_soliton", "Delta": 1.0e-300}}]},
+     "invalid 'cases[0].wave': float division by zero"),
+    ("profile", {"medium": GARDNER_MEDIUM, "grid": GARDNER_GRID,
+                 "wave": {"family": "gardner_soliton", "Delta": 1.0e-200}},
+     "invalid 'wave': float division by zero"),
+    ("fit", {"equation": "gardner", "medium": GARDNER_MEDIUM, "count_constraints": True,
+             "ansatz": {"shape": "gardner", "free": ["A", "B", "v"],
+                        "fixed": {"Delta": 1.0e300}},
+             "start": {"A": 1.0, "B": 0.5, "v": 1.0}},
+     "invalid 'count_constraints': (34, 'Numerical result out of range')"),
+    # a ladder is solitary: it has no period to lay a default grid on
+    ("verify", {"medium": {"alpha": 0.1, "beta": 0.1},
+                "cases": [{"equation": "kdv",
+                           "wave": {"family": "two_soliton", "amplitudes": [1.0, 2.0]}}]},
+     "missing required key 'cases[0].grid'"),
+    # the library's node rule, as the CLI reports it
+    ("fit", {**NO_FREE, "ansatz": {"shape": "sech2", "free": ["A", "B", "v"],
+                                   "fixed": {"D": 0.0}},
+             "count_constraints": True, "n_points": 2,
+             "start": {"A": 1.0, "B": 0.5, "v": 1.05}},
+     "invalid 'n_points': n_points must be at least the number of free parameters (3), "
+     "got 2"),
+])
+def test_a_refused_config_exits_two_and_names_its_key(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"config error: {message}\n"
