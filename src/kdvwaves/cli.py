@@ -35,7 +35,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from functools import lru_cache, partial
 from itertools import chain, islice
 from pathlib import Path
@@ -378,7 +377,7 @@ def cmd_verify(args) -> int:
     for label, eq, params, solution, grid, t in _verify_cases(cfg):
         report, _ = travelling_residual(solution, eq, params, grid, t=t,
                                         tolerance=tolerance, backend=args.backend)
-        _emit({"label": label, **asdict(report)})
+        _emit({"label": label, **vars(report)})
         rows.append((label, report))
         any_fail = any_fail or not report.passed
 

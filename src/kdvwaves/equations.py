@@ -317,10 +317,10 @@ def equation_terms(kind: EquationKind, params: MediumParams, frame: Frame,
                    ) -> list[tuple[str, np.ndarray]]:
     """Named residual terms; their sum is the equation's left-hand side."""
     terms = [("u_t", u_t)]
-    for name, coefficient, orders in equation_table(kind, frame):
-        value = coefficient(params)
-        for o in orders:
-            value = value * (derivs[o] if o else u)
+    for name, coefficient, (first, *rest) in equation_table(kind, frame):
+        value = coefficient(params) * (derivs[first] if first else u)
+        for o in rest:
+            value *= derivs[o] if o else u
         terms.append((name, value))
     if bottom_pair is not None:
         c_ux, c_u = bottom_coefficients(params, bottom_pair)
@@ -352,11 +352,16 @@ def linearised_terms(kind: EquationKind, params: MediumParams, frame: Frame,
 
 def sum_terms(terms: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, float | np.ndarray]:
     """(sum of the terms, largest magnitude any single term reaches); for
-    terms stacked as rows, that magnitude row by row."""
-    res = terms[0][1]
+    terms stacked as rows, that magnitude row by row.  The sum is a new
+    array, accumulated in table order; no term is written."""
+    res = terms[0][1] + terms[1][1]
+    for _, t in terms[2:]:
+        res += t
+    magnitude = np.empty_like(res)
+    scale = np.abs(terms[0][1], out=magnitude).max(axis=-1)
     for _, t in terms[1:]:
-        res = res + t
-    return res, np.max([np.max(np.abs(t), axis=-1) for _, t in terms], axis=0)
+        scale = np.maximum(scale, np.abs(t, out=magnitude).max(axis=-1))
+    return res, scale
 
 
 def _tau_flags(kind: EquationKind, params: MediumParams) -> tuple[str, ...]:
@@ -404,11 +409,38 @@ def residual(u: Field, u_t: Field, eq: EquationId, params: MediumParams,
     diffs = derivative_set(backend)
     if u.grid != u_t.grid:
         raise ValueError("u and u_t must share a grid")
-    derivs = diffs(u.values, u.grid, _required_orders(eq.kind))
+    return _report(u, u_t, diffs(u.values, u.grid, _required_orders(eq.kind)), eq,
+                   params, tolerance)
+
+
+def _report(u: Field, u_t: Field, derivs: dict[int, np.ndarray], eq: EquationId,
+            params: MediumParams, tolerance: float) -> tuple[ResidualReport, Field]:
+    """residual's report and field, given u's derivative set."""
     res, scale = residual_rows(u.values, u_t.values, derivs, eq, params, u.grid)
     report = residual_report(eq.label(), res, scale, u.grid.dx, tolerance,
                              _tau_flags(eq.kind, params))
     return report, Field(u.grid, res, u.time)
+
+
+def _fields_and_diffs(solution: TravellingWave | SolitonLadder, params: MediumParams,
+                      grid: Grid, t: float, frame: Frame, orders=(),
+                      ) -> tuple[Field, Field, dict[int, np.ndarray] | None]:
+    """(u, u_t, spectral derivative set of u) of a catalog solution.
+
+    A ladder's u_t is its exact tau-function derivative, and it has no
+    set (None).  A travelling wave's u_t is -v u_x, with u_x row 1 of one
+    spectral set over {1} and the given orders: one rfft and one stacked
+    irfft, each row equal to its own transform pair bit for bit.
+    """
+    if isinstance(solution, SolitonLadder):
+        u, ut = solution.fields(grid.x, t, params, frame)
+        return Field(grid, u, t), Field(grid, ut, t), None
+    u = Field(grid, solution.evaluate(grid.x, t, frame), t)
+    # The exact profile rows would give u_x as well, with residuals within
+    # 0.5% of these on every catalog case, but at n = 8192 their derivative
+    # chain's temporaries cost more time and peak memory than one FFT pair.
+    derivs = _spectral_diffs(u.values, grid, sorted({1, *orders}))
+    return u, Field(grid, -solution.speed_in(frame) * derivs[1], t), derivs
 
 
 def solution_fields(solution: TravellingWave | SolitonLadder, params: MediumParams,
@@ -418,17 +450,11 @@ def solution_fields(solution: TravellingWave | SolitonLadder, params: MediumPara
 
     A ladder's u_t is its exact tau-function derivative.  A travelling
     wave's is -v u_x with the spectral u_x, whatever backend the residual
-    then takes, so every command that checks a wave checks the same pair.
+    then takes, so every command that checks a wave checks the same pair
+    (travelling_residual takes the residual's spectral derivatives from the
+    transform that gave u_x).
     """
-    if isinstance(solution, SolitonLadder):
-        u, ut = solution.fields(grid.x, t, params, frame)
-        return Field(grid, u, t), Field(grid, ut, t)
-    u = Field(grid, solution.evaluate(grid.x, t, frame), t)
-    # The exact profile rows would give u_x as well, with residuals within
-    # 0.5% of these on every catalog case, but at n = 8192 their derivative
-    # chain's temporaries cost more time and peak memory than one FFT pair.
-    ux = _spectral_diffs(u.values, grid, (1,))[1]
-    return u, Field(grid, -solution.speed_in(frame) * ux, t)
+    return _fields_and_diffs(solution, params, grid, t, frame)[:2]
 
 
 def travelling_residual(solution: TravellingWave | SolitonLadder, eq: EquationId,
@@ -436,6 +462,11 @@ def travelling_residual(solution: TravellingWave | SolitonLadder, eq: EquationId
                         tolerance: float = SOLUTION_TOL, backend: str = "spectral",
                         ) -> tuple[ResidualReport, Field]:
     """Residual of a catalog solution's (u, u_t) from solution_fields.
+
+    Bit for bit residual(*solution_fields(...)).  On the spectral backend
+    a travelling wave is transformed once: the rfft that gives its u_x
+    gives the equation's derivative set too.  A ladder, or any solution
+    on fd8, takes its derivative set from residual's backend.
 
     Any solution may be checked against any flat-bottom equation (a
     mismatched pair is simply reported as failing); a bottom profile is
@@ -445,5 +476,10 @@ def travelling_residual(solution: TravellingWave | SolitonLadder, eq: EquationId
     if eq.bottom is not None:
         raise ValueError("catalog solutions assume a flat bottom; "
                          "evaluate residual() directly for bottom terms")
-    return residual(*solution_fields(solution, params, grid, t, eq.frame), eq, params,
-                    tolerance=tolerance, backend=backend)
+    diffs, orders = derivative_set(backend), _required_orders(eq.kind)
+    spectral = diffs is _spectral_diffs
+    u, u_t, derivs = _fields_and_diffs(solution, params, grid, t, eq.frame,
+                                       orders if spectral else ())
+    if derivs is None or not spectral:
+        derivs = diffs(u.values, grid, orders)
+    return _report(u, u_t, derivs, eq, params, tolerance)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -521,15 +522,22 @@ def make_gardner_soliton(params: MediumParams, Delta: float,
     """
     if Delta == 0.0:
         raise ValueError("Gardner width Delta must be nonzero")
+    try:
+        square = Delta**2
+    except OverflowError:
+        square = math.inf
+    if not sys.float_info.min <= square <= sys.float_info.max:
+        raise ValueError(
+            f"Gardner width Delta must be finite with Delta**2 a normal float, got {Delta!r}")
     if sign_B not in (+1, -1):
         raise ValueError(f"sign_B must be +1 or -1, got {sign_B!r}")
     bp = params.beta_prime()
-    disc = 1.0 - bp / Delta**2
+    disc = 1.0 - bp / square
     if disc < 0.0:
         raise ValueError(
-            f"Gardner soliton needs beta'/Delta^2 <= 1, got {bp / Delta**2!r}")
-    A = 4.0 * bp / (params.alpha * Delta**2)
+            f"Gardner soliton needs beta'/Delta^2 <= 1, got {bp / square!r}")
+    A = 4.0 * bp / (params.alpha * square)
     B = sign_B * math.sqrt(disc)
-    v = 1.0 + bp / Delta**2
+    v = 1.0 + bp / square
     return TravellingWave(WaveFamily.GARDNER_SOLITON, A=A, B=B, v=v, Delta=Delta)
 

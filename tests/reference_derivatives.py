@@ -7,7 +7,8 @@ profile rows the fits use; fd8_roll_diffs sums the fd8 stencils over one
 rolled copy per tap; mirrored_residual is the residual of the negated pair
 under the alpha-negated equation, one case at a time, and negative_control
 that of the negated pair with alpha kept; period_mean samples a periodic
-wave's mean over one period.
+wave's mean over one period; sum_terms_reference is the residual sum and
+scale as first written, one new array per addition.
 """
 from __future__ import annotations
 
@@ -97,3 +98,12 @@ def period_mean(wave: TravellingWave, n_samples: int = 256) -> float:
     spectrally exact for a smooth periodic profile."""
     xi = wave.wavelength() * np.arange(n_samples) / n_samples
     return float(np.mean(wave.profile(xi)))
+
+
+def sum_terms_reference(terms: list[tuple[str, np.ndarray]]):
+    """(sum, scale) of equations.sum_terms, as first written: a new array
+    per addition and one |t| temporary and one maximum per term."""
+    res = terms[0][1]
+    for _, t in terms[1:]:
+        res = res + t
+    return res, np.max([np.max(np.abs(t), axis=-1) for _, t in terms], axis=0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from kdvwaves import equations
@@ -41,6 +42,7 @@ from reference_derivatives import (
     fd8_derivative,
     fd8_roll_diffs,
     spectral_derivative,
+    sum_terms_reference,
 )
 
 P = MediumParams(alpha=0.1, beta=0.1)
@@ -294,6 +296,70 @@ def test_travelling_residual_of_a_ladder_is_the_residual_of_its_fields(backend, 
     bottom = BottomProfile(((10.05, 0.0), (30.05, 0.2)))
     with pytest.raises(ValueError, match="flat bottom"):
         travelling_residual(ladder, EquationId(EquationKind.KDV, bottom=bottom), p, grid)
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd8"])
+@pytest.mark.parametrize("frame", list(Frame))
+@pytest.mark.parametrize("flipped", [False, True], ids=["default", "flipped"])
+def test_travelling_residual_is_the_residual_of_solution_fields_bit_for_bit(
+        flipped, frame, backend):
+    # the reference transforms u once for u_t and again for the residual;
+    # a spectral wave check reads both from one transform
+    medium = inversion.DEFAULT_MEDIUM.flipped() if flipped else inversion.DEFAULT_MEDIUM
+    for label, kind, params, solution, grid in inversion.catalog(medium):
+        eq = EquationId(kind, frame)
+        report, res = travelling_residual(solution, eq, params, grid, t=1.5, backend=backend)
+        expected, expected_res = residual(*solution_fields(solution, params, grid, 1.5, frame),
+                                          eq, params, backend=backend)
+        assert report == expected, label
+        assert res.values.tobytes() == expected_res.values.tobytes(), label
+        assert res.time == expected_res.time == 1.5
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd8"])
+@pytest.mark.parametrize("case", inversion.catalog(P), ids=lambda case: case[0])
+def test_a_catalog_check_makes_one_fft_pair_at_most(case, backend, monkeypatch):
+    """A wave's check takes one rfft and one stacked irfft on either backend
+    (spectrally, u_t's u_x is a row of the equation's derivative set); a
+    ladder's takes the spectral pair of its derivative set, or none on fd8."""
+    label, kind, params, solution, grid = case
+    calls = []
+
+    def counted(name):
+        real = getattr(np.fft, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    travelling_residual(solution, EquationId(kind), params, grid, backend=backend)
+    ladder = isinstance(solution, SolitonLadder)
+    assert calls == ([] if ladder and backend == "fd8" else ["rfft", "irfft"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from([(), (1,), (3,)]), n=st.integers(1, 24),
+       count=st.integers(2, 8), data=st.data())
+def test_sum_terms_is_the_first_formula_bit_for_bit_and_writes_no_term(
+        shape, n, count, data):
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    terms = [(f"t{i}", hnp.arrays(float, shape + (n,), elements=values))
+             for i in range(count)]
+    terms = [(name, data.draw(array)) for name, array in terms]
+    before = [t.tobytes() for _, t in terms]
+    # the full float range: sums that overflow must overflow alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        res, scale = equations.sum_terms(terms)
+        want, want_scale = sum_terms_reference(terms)
+    assert res.tobytes() == want.tobytes()
+    assert type(scale) is type(want_scale)
+    assert np.shape(scale) == np.shape(want_scale) == shape
+    assert np.asarray(scale).tobytes() == np.asarray(want_scale).tobytes()
+    assert [t.tobytes() for _, t in terms] == before
+    assert not any(np.shares_memory(res, t) for _, t in terms)
 
 
 def test_a_zero_scale_report_fails_as_zero_field_with_the_sweeps_relative():

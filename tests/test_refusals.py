@@ -4,6 +4,8 @@ The library's guards raise ValueError; through the CLI, a refused config
 exits 2 with empty stdout and a message that names the key.
 """
 
+import math
+
 import numpy as np
 import pytest
 import yaml
@@ -15,7 +17,7 @@ from kdvwaves.evolve import EvolveConfig, evolve
 from kdvwaves.fitting import (AnsatzFamily, StartError, _fit_residual, collocation_points,
                               fit_travelling_wave)
 from kdvwaves.inversion import InversionCase, run_matrix
-from kdvwaves.waves import MediumParams, make_kdv_cnoidal
+from kdvwaves.waves import MediumParams, make_gardner_soliton, make_kdv_cnoidal
 
 P = MediumParams(0.1, 0.1)
 KDV = EquationId(EquationKind.KDV)
@@ -72,8 +74,40 @@ def test_an_ansatz_without_free_parameters_is_refused():
         AnsatzFamily("sech2", (), {"A": 1.0, "B": 0.5, "v": 1.05, "D": 0.0})
 
 
+# widths whose square is not a normal float: each used to fail in the
+# arithmetic (float division by zero, a beta'/Delta^2 of inf, or an
+# OverflowError) with a message that did not name Delta
+FAR_WIDTHS = [1e-300, -1e-300, 1e-200, 1e-160, 1e-154, 2e154, -1e300, 1e300,
+              float("inf"), float("-inf"), float("nan")]
+
+
+@pytest.mark.parametrize("Delta", FAR_WIDTHS)
+def test_a_gardner_width_whose_square_is_not_normal_is_refused_by_name(Delta):
+    with pytest.raises(ValueError) as err:
+        make_gardner_soliton(MediumParams(0.1, 0.3), Delta)
+    assert str(err.value) == ("Gardner width Delta must be finite with Delta**2 "
+                              f"a normal float, got {Delta!r}")
+
+
+@pytest.mark.parametrize("Delta", [1.5e-154, 1e-3, 1.0, 1e154])
+def test_a_gardner_width_whose_square_is_normal_is_built(Delta):
+    p = MediumParams(-0.1, 0.3, tau=0.5)    # beta' < 0: any width has a soliton
+    wave = make_gardner_soliton(p, Delta)
+    bp = p.beta_prime()
+    assert (wave.A, wave.B, wave.v, wave.Delta) == (
+        4.0 * bp / (p.alpha * Delta**2), math.sqrt(1.0 - bp / Delta**2),
+        1.0 + bp / Delta**2, Delta)
+
+
 GARDNER_MEDIUM = {"alpha": 0.1, "beta": 0.3, "tau": 0.0}
 GARDNER_GRID = {"x0": -40.0, "length": 80.0, "n": 256}
+
+
+def _far_width(key: str, Delta: float) -> str:
+    return (f"invalid '{key}': Gardner width Delta must be finite with Delta**2 "
+            f"a normal float, got {Delta!r}")
+
+
 NO_FREE = {"equation": "kdv", "medium": {"alpha": 0.1, "beta": 0.1},
            "ansatz": {"shape": "sech2", "free": [],
                       "fixed": {"A": 1.0, "B": 0.5, "v": 1.05, "D": 0.0}},
@@ -85,19 +119,19 @@ NO_FREE = {"equation": "kdv", "medium": {"alpha": 0.1, "beta": 0.1},
     ("fit", {**NO_FREE, "count_constraints": True},
      "invalid 'ansatz': ansatz has no free parameters"),
     ("fit", NO_FREE, "invalid 'ansatz': ansatz has no free parameters"),
-    # arithmetic that a width next to 0 or infinity cannot do
+    # a width whose square is not a normal float, refused by name
     ("verify", {"medium": GARDNER_MEDIUM,
                 "cases": [{"equation": "gardner", "grid": GARDNER_GRID,
                            "wave": {"family": "gardner_soliton", "Delta": 1.0e-300}}]},
-     "invalid 'cases[0].wave': float division by zero"),
+     _far_width("cases[0].wave", 1.0e-300)),
     ("profile", {"medium": GARDNER_MEDIUM, "grid": GARDNER_GRID,
                  "wave": {"family": "gardner_soliton", "Delta": 1.0e-200}},
-     "invalid 'wave': float division by zero"),
+     _far_width("wave", 1.0e-200)),
     ("fit", {"equation": "gardner", "medium": GARDNER_MEDIUM, "count_constraints": True,
              "ansatz": {"shape": "gardner", "free": ["A", "B", "v"],
                         "fixed": {"Delta": 1.0e300}},
              "start": {"A": 1.0, "B": 0.5, "v": 1.0}},
-     "invalid 'count_constraints': (34, 'Numerical result out of range')"),
+     _far_width("count_constraints", 1.0e300)),
     # a ladder is solitary: it has no period to lay a default grid on
     ("verify", {"medium": {"alpha": 0.1, "beta": 0.1},
                 "cases": [{"equation": "kdv",
@@ -110,6 +144,10 @@ NO_FREE = {"equation": "kdv", "medium": {"alpha": 0.1, "beta": 0.1},
              "start": {"A": 1.0, "B": 0.5, "v": 1.05}},
      "invalid 'n_points': n_points must be at least the number of free parameters (3), "
      "got 2"),
+    # a subnormal Delta**2, whose beta'/Delta^2 overflows
+    ("profile", {"medium": GARDNER_MEDIUM, "grid": GARDNER_GRID,
+                 "wave": {"family": "gardner_soliton", "Delta": 1.0e-160}},
+     _far_width("wave", 1.0e-160)),
 ])
 def test_a_refused_config_exits_two_and_names_its_key(capsys, tmp_path, command, doc, message):
     path = tmp_path / "bad.yaml"
