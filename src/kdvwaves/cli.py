@@ -143,8 +143,8 @@ def _path(where: str, key) -> str:
 def _build(where: str, ctor, **kwargs):
     """ctor(**kwargs), its ValueError, TypeError or ArithmeticError raised
     as a ConfigError naming `where`: the one path from a constructor, a
-    fit's start, node count or constraint count that refuses its input to
-    exit 2."""
+    catalog, a fit's starts, node count or constraint count that refuses
+    its input to exit 2."""
     try:
         return ctor(**kwargs)
     except (ValueError, TypeError, ArithmeticError) as exc:
@@ -351,8 +351,8 @@ def _verify_cases(cfg: dict):
             if cfg[key] is not None:
                 raise ConfigError(f"'{key}' is read only by a case, and there are no 'cases'")
         medium = cfg["medium"] or DEFAULT_MEDIUM
-        for label, kind, params, solution, grid in catalog(
-                medium.flipped() if cfg["inverted"] else medium):
+        for label, kind, params, solution, grid in _build(
+                "medium", catalog, params=medium.flipped() if cfg["inverted"] else medium):
             yield label, EquationId(kind, cfg["frame"]), params, solution, grid, cfg["t"]
         return
     table = {key: (kind, default if cfg.get(key) is None else cfg[key])
@@ -372,30 +372,29 @@ def cmd_verify(args) -> int:
     cfg = _read(_load_config(args.config), VERIFY, "")
     tolerance = cfg["tolerance"] if args.tolerance is None else args.tolerance
 
-    any_fail = False
-    rows = []
+    reports = []
     for label, eq, params, solution, grid, t in _verify_cases(cfg):
         report, _ = travelling_residual(solution, eq, params, grid, t=t,
                                         tolerance=tolerance, backend=args.backend)
         _emit({"label": label, **vars(report)})
-        rows.append((label, report))
-        any_fail = any_fail or not report.passed
+        reports.append(report)
 
-    if args.out and rows:
+    if args.out and reports:
         _write_csv(Path(args.out) / "residuals.csv",
                    ["norm_inf", "norm_2", "scale", "relative", "tolerance"],
                    [(r.norm_inf, r.norm_2, r.scale, r.relative, r.tolerance)
-                    for _, r in rows])
-    n_pass = sum(r.passed for _, r in rows)
-    _say(f"verify: {n_pass}/{len(rows)} passed (tolerance {tolerance:g})")
-    return 1 if any_fail else 0
+                    for r in reports])
+    n_pass = sum(r.passed for r in reports)
+    _say(f"verify: {n_pass}/{len(reports)} passed (tolerance {tolerance:g})")
+    return 0 if n_pass == len(reports) else 1
 
 
 def cmd_symmetry(args) -> int:
     cfg = _read(_load_config(args.config) if args.config else {}, SYMMETRY, "")
     n_seeds, select = cfg["n_seeds"], cfg["select"]
     base = args.seed or 0
-    cases = default_matrix(cfg["medium"], seeds=range(base, base + n_seeds))
+    cases = _build("medium", default_matrix, params=cfg["medium"],
+                   seeds=range(base, base + n_seeds))
 
     if select is not None:
         cases = [c for c in cases if c.label == select]
@@ -412,9 +411,10 @@ def cmd_symmetry(args) -> int:
         _write_csv(Path(args.out) / "symmetry.csv",
                    ["algebraic_defect", "pass"],
                    [(r["algebraic_defect_value"], float(r["pass"])) for r in rows])
-    _say(f"symmetry: {sum(r['pass'] for r in rows)}/{len(rows)} passed, "
+    n_pass = sum(r["pass"] for r in rows)
+    _say(f"symmetry: {n_pass}/{len(rows)} passed, "
          f"worst antisymmetry defect {worst:.3e} (tolerance {tolerance:g})")
-    return 0 if all(r["pass"] for r in rows) else 1
+    return 0 if n_pass == len(rows) else 1
 
 
 def cmd_fit(args) -> int:
@@ -448,7 +448,7 @@ def cmd_fit(args) -> int:
              f"relative residual {result.residual:.3e}")
         return 0 if result.converged else 1
 
-    start_list = starts(params)
+    start_list = _build("starts", starts, params=params)
     try:
         basins, results = multi_start_fit(kind, params, ansatz, start_list,
                                           n_points=n_points, rtol=rtol)
@@ -509,14 +509,13 @@ def cmd_evolve(args) -> int:
         "u_min": float(mon["min"][-1]),
         "u_max": float(mon["max"][-1]),
     }
-    if len(traj.snapshots) >= 2 and aborted is None:
-        record["estimated_speed"] = estimate_speed(traj.snapshots[0], traj.final)
     if aborted is not None:
-        record["aborted"] = aborted
-    _emit(record)
-    if aborted is not None:
+        _emit({**record, "aborted": aborted})
         _say(f"evolve: numerical abort at t={traj.times[-1]:g}: {aborted}")
         return 3
+    if len(traj.snapshots) >= 2:
+        record["estimated_speed"] = estimate_speed(traj.snapshots[0], traj.final)
+    _emit(record)
     _say(f"evolve: reached t={traj.times[-1]:g} in {config.n_steps} steps, "
          f"{len(traj.snapshots)} snapshots")
     return 0

@@ -19,20 +19,18 @@ _AGM_EPS = 1e-17
 _AGM_MAX_ITER = 64
 
 
-def _agm_chain(m: float) -> tuple[list[float], list[float], list[float]]:
-    """AGM sequences a_i, b_i, c_i started from (1, sqrt(1-m), sqrt(m))."""
+def _agm_chain(m: float) -> tuple[list[float], list[float]]:
+    """AGM sequences a_i, c_i started from (1, sqrt(1-m), sqrt(m)); b_i runs as a scalar."""
     a = [1.0]
-    b = [math.sqrt(1.0 - m)]
+    b = math.sqrt(1.0 - m)
     c = [math.sqrt(m)]
     while abs(c[-1]) > _AGM_EPS * a[-1] and len(a) < _AGM_MAX_ITER:
-        an = 0.5 * (a[-1] + b[-1])
-        bn = math.sqrt(a[-1] * b[-1])
+        an = 0.5 * (a[-1] + b)
+        b = math.sqrt(a[-1] * b)
         # same as (a - b)/2 but free of the subtractive cancellation
-        cn = c[-1] * c[-1] / (4.0 * an)
+        c.append(c[-1] * c[-1] / (4.0 * an))
         a.append(an)
-        b.append(bn)
-        c.append(cn)
-    return a, b, c
+    return a, c
 
 
 def _complete(m: float) -> tuple[float, float, float]:
@@ -45,7 +43,7 @@ def _complete(m: float) -> tuple[float, float, float]:
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"K(m) requires 0 <= m < 1, got m={m!r}")
-    a, _, c = _agm_chain(m)
+    a, c = _agm_chain(m)
     excess = 0.5 * m - sum(2.0 ** (i - 1) * ci * ci for i, ci in enumerate(c) if i > 0)
     return math.pi / (2.0 * a[-1]), excess + (1.0 - m), excess
 
@@ -97,7 +95,7 @@ def jacobi_sn_cn_dn(u, m: float):
         cn = sech(u_arr)
         dn = cn.copy()
     else:
-        a, _, c = _agm_chain(m)
+        a, c = _agm_chain(m)
         n_steps = len(a) - 1
         phi = (2.0 ** n_steps) * a[-1] * u_arr
         for i in range(n_steps, 0, -1):

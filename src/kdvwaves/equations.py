@@ -77,6 +77,8 @@ _TENSION_DISPERSION: Term = ("dispersion_3", MediumParams.beta_prime, (3,))
 # it nonlinear.  Residuals sum the terms in table order.
 TERMS: dict[EquationKind, tuple[Term, ...]] = {
     EquationKind.KDV: (_ADVECTION, _QUADRATIC, _KDV_DISPERSION),
+    # transcribed from Karczewska, Rozmej and Rutkowski, Phys. Scr. 89, 054026
+    # (2014); the soliton's term values reach rank 3 of these 8 columns (u_t too)
     EquationKind.KDV2: (
         _ADVECTION, _QUADRATIC, _KDV_DISPERSION, _CUBIC,
         ("cross_1", lambda p: p.alpha * p.beta * (23.0 / 24.0), (1, 2)),

@@ -179,7 +179,7 @@ class ETDRK4:
             powers = groups.setdefault(tuple(o for o in orders if o), {})
             powers[orders.count(0)] = powers.get(orders.count(0), 0.0) + c
         orders = sorted({0}.union(*groups))
-        # the grid's own (ik)^o rows past order 0: row 0, (ik)^0 v, is v itself
+        # the grid's own (ik)^o rows past order 0: row 0, (ik)^0 v, is a copy of v
         self._ik = [grid.derivative_multiplier(o) for o in orders[1:]]
         # Horner in u, then the factors: adds[0] f[rows[0]], then (term + adds[j]) f[rows[j]]
         self._groups = [([powers.get(p) for p in range(max(powers), -len(factors), -1)],
@@ -198,13 +198,10 @@ class ETDRK4:
         """rfft of the nonlinear (and bottom) part of du/dt, written into
         `out` if given, else into a new array."""
         f = self._f
-        if self._ik:
-            self._rows[0] = v
-            for ik, row in zip(self._ik, self._rows[1:]):
-                np.multiply(ik, v, out=row)
-            _irfft(self._rows, self._inv_n, f)
-        else:
-            _irfft(v, self._inv_n, f[0])
+        self._rows[0] = v
+        for ik, row in zip(self._ik, self._rows[1:]):
+            np.multiply(ik, v, out=row)
+        _irfft(self._rows, self._inv_n, f)
         acc = None
         for adds, rows in self._groups:
             term = np.multiply(adds[0], f[rows[0]], out=self._acc if acc is None else self._term)

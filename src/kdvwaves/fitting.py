@@ -556,7 +556,9 @@ def amplitude_starts(params: MediumParams, n: int = 8,
     kdv soliton of each amplitude (make_kdv_soliton)."""
     sign = 1.0 if params.alpha > 0 else -1.0
     out = []
-    for mag in np.geomspace(span[0], span[1], n):
+    # Python floats: an overflowing B or v is inf, which make_kdv_soliton
+    # refuses by name, where numpy's scalars would warn first
+    for mag in np.geomspace(span[0], span[1], n).tolist():
         sol = make_kdv_soliton(params, sign * mag)
         out.append({"A": sol.A, "B": sol.B, "v": sol.v})
     return out

@@ -97,8 +97,8 @@ def algebraic_defect(u: Field, ut: Field, eq: EquationId,
                            max(rep_p.scale, rep_m.scale), u.grid.dx, ALGEBRAIC_TOL)
 
 
-def ramp_bottom(grid: Grid, height: float = 0.3) -> BottomProfile:
-    """Trapezoidal ramp: flat, up, plateau, down, flat over one period.
+def ramp_bottom(grid: Grid) -> BottomProfile:
+    """Trapezoidal ramp of height 0.3: flat, up, plateau, down, flat over one period.
 
     Knots sit halfway between grid points so the piecewise-linear kinks
     never coincide with samples (kinks on samples would make the slope
@@ -109,8 +109,8 @@ def ramp_bottom(grid: Grid, height: float = 0.3) -> BottomProfile:
 
     return BottomProfile((
         (knot_x(0.15), 0.0),
-        (knot_x(0.35), height),
-        (knot_x(0.65), height),
+        (knot_x(0.35), 0.3),
+        (knot_x(0.65), 0.3),
         (knot_x(0.85), 0.0),
     ))
 

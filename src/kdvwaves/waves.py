@@ -133,9 +133,12 @@ class TravellingWave:
         S waves in one call, each row as its wave alone gives it.
         """
         xi = np.asarray(xi, dtype=float)
-        rows = (self._gardner_rows(np.atleast_1d(xi), order)
-                if self.family is WaveFamily.GARDNER_SOLITON
-                else self._monomial_rows(xi, order))
+        if self.family is WaveFamily.GARDNER_SOLITON:
+            # u w = A with w = 1 + B cosh(xi/Delta): Leibniz gives a recursion for u^(k)
+            _, w, _ = self._gardner_weights(np.atleast_1d(xi), order)
+            rows = _leibniz_quotient(w, [self.A] + [0.0] * order)
+        else:
+            rows = self._monomial_rows(xi, order)
         rows[0] += self.D
         return rows.reshape((order + 1,) + xi.shape)
 
@@ -175,11 +178,6 @@ class TravellingWave:
         # row 0 as a profile has it: the chain may round it otherwise
         rows[0] = f
         return rows
-
-    def _gardner_rows(self, xi: np.ndarray, order: int) -> np.ndarray:
-        # u w = A with w = 1 + B cosh(xi/Delta): Leibniz gives a recursion for u^(k)
-        _, w, _ = self._gardner_weights(xi, order)
-        return _leibniz_quotient(w, [self.A] + [0.0] * order)
 
     def _gardner_weights(self, xi: np.ndarray, order: int):
         """(cosh, sinh) of xi/Delta, the derivatives w^(j), j = 0..order,
@@ -336,11 +334,9 @@ def _leibniz_quotient(w: list[np.ndarray], source) -> np.ndarray:
                 acc = acc - math.comb(k, j) * w[j] * rows[k - j]
             rows.append(acc / w[0])
     rows = np.array(rows)
-    if len(rows) > 1:
-        rows[1:, np.isinf(w[0])] = 0.0      # s/inf is 0 already; inf * 0 is not
-        bad = ~np.isfinite(rows[1:])
-        if bad.any():
-            rows[1:][bad & _overflow_band(w, len(rows) - 1)] = 0.0
+    bad = ~np.isfinite(rows[1:])
+    if bad.any():
+        rows[1:][bad & _overflow_band(w, len(rows) - 1)] = 0.0
     return rows
 
 
@@ -398,6 +394,16 @@ def _derivative_chain(family: WaveFamily, m: float,
     return exponents, coefficients
 
 
+def _finite(wave: TravellingWave) -> TravellingWave:
+    """The wave, refused by name if A, B, v or D overflowed (or a division
+    by an underflowed medium did): such a wave has no finite samples."""
+    for name in ("A", "B", "v", "D"):
+        if not math.isfinite(getattr(wave, name)):
+            raise ValueError(f"{wave.family.value} coefficient {name} must be finite, "
+                             f"got {getattr(wave, name)!r}")
+    return wave
+
+
 def make_kdv_soliton(params: MediumParams, A: float) -> TravellingWave:
     """Solitary wave A sech^2(B(x - vt)), B = sqrt(3 alpha A/(4 beta)),
     v = 1 + alpha A / 2.  Requires alpha*A > 0 (elevation for alpha > 0,
@@ -407,14 +413,15 @@ def make_kdv_soliton(params: MediumParams, A: float) -> TravellingWave:
             f"soliton requires alpha*A > 0, got alpha={params.alpha!r}, A={A!r}")
     B = math.sqrt(3.0 * params.alpha * A / (4.0 * params.beta))
     v = 1.0 + params.alpha * A / 2.0
-    return TravellingWave(WaveFamily.KDV_SOLITON, A=A, B=B, v=v)
+    return _finite(TravellingWave(WaveFamily.KDV_SOLITON, A=A, B=B, v=v))
 
 
 def make_soliton_ladder(params: MediumParams, amplitudes) -> SolitonLadder:
     """The interacting state of kdv solitons of these amplitudes (see
-    SolitonLadder), refused where make_kdv_soliton refuses them."""
+    SolitonLadder), refused where make_kdv_soliton refuses one of them."""
     ladder = SolitonLadder(amplitudes)
-    make_kdv_soliton(params, ladder.amplitudes[0])      # one sign: alpha*A > 0 for all
+    for a in ladder.amplitudes:
+        make_kdv_soliton(params, a)
     return ladder
 
 
@@ -433,7 +440,7 @@ def make_kdv_cnoidal(params: MediumParams, A: float, m: float) -> TravellingWave
     B = math.sqrt(3.0 * params.alpha * A / (4.0 * params.beta * m))
     v = 1.0 + 0.5 * params.alpha * (A / m) * (2.0 - m - 3.0 * ek)
     D = -(A / m) * excess
-    return TravellingWave(WaveFamily.KDV_CNOIDAL, A=A, B=B, v=v, D=D, m=m)
+    return _finite(TravellingWave(WaveFamily.KDV_CNOIDAL, A=A, B=B, v=v, D=D, m=m))
 
 
 def make_kdv_superposition(params: MediumParams, A: float, m: float,
@@ -462,7 +469,7 @@ def make_kdv_superposition(params: MediumParams, A: float, m: float,
     D = -0.5 * A * ek
     family = (WaveFamily.KDV_SUPERPOSITION_PLUS if sign > 0
               else WaveFamily.KDV_SUPERPOSITION_MINUS)
-    return TravellingWave(family, A=A, B=B, v=v, D=D, m=m)
+    return _finite(TravellingWave(family, A=A, B=B, v=v, D=D, m=m))
 
 
 def make_kdv2_soliton(params: MediumParams) -> TravellingWave:
@@ -484,7 +491,7 @@ def make_kdv2_soliton(params: MediumParams) -> TravellingWave:
     A = p / params.alpha
     B = math.sqrt(q / params.beta)
     v = 1.0 + (2.0 / 3.0) * q + (38.0 / 45.0) * q * q
-    return TravellingWave(WaveFamily.KDV2_SOLITON, A=A, B=B, v=v)
+    return _finite(TravellingWave(WaveFamily.KDV2_SOLITON, A=A, B=B, v=v))
 
 
 def make_fifth_order_soliton(params: MediumParams) -> TravellingWave:
@@ -508,7 +515,7 @@ def make_fifth_order_soliton(params: MediumParams) -> TravellingWave:
     B2 = -b3 / (52.0 * b5)
     A = -1120.0 * b5 * B2 * B2 / params.alpha
     v = 1.0 + 16.0 * b3 * B2 + 256.0 * b5 * B2 * B2
-    return TravellingWave(WaveFamily.FIFTH_ORDER_SOLITON, A=A, B=math.sqrt(B2), v=v)
+    return _finite(TravellingWave(WaveFamily.FIFTH_ORDER_SOLITON, A=A, B=math.sqrt(B2), v=v))
 
 
 def make_gardner_soliton(params: MediumParams, Delta: float,
@@ -539,5 +546,5 @@ def make_gardner_soliton(params: MediumParams, Delta: float,
     A = 4.0 * bp / (params.alpha * square)
     B = sign_B * math.sqrt(disc)
     v = 1.0 + bp / square
-    return TravellingWave(WaveFamily.GARDNER_SOLITON, A=A, B=B, v=v, Delta=Delta)
+    return _finite(TravellingWave(WaveFamily.GARDNER_SOLITON, A=A, B=B, v=v, Delta=Delta))
 

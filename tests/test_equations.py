@@ -483,3 +483,113 @@ def test_flux_expands_to_its_monomial_in_exact_arithmetic(orders):
             term = _monomial(o + (i == j) for i, o in enumerate(flux_orders))
             expanded[term] = expanded.get(term, Fraction(0)) + exact
     assert {k: c for k, c in expanded.items() if c} == {_monomial(orders): Fraction(1)}
+
+
+# --- what the closed forms pin of TERMS ------------------------------------------
+#
+# A residual is linear in the coefficients, R = sum_i c_i T_i(u), so a wrong
+# coefficient vector c + dc is seen only where the stacked term values T see
+# dc.  The directions they leave unseen, past the scale of the whole table
+# (the true c), are each kind's unpinned directions; on a sech^2 soliton of
+# amplitude A and width B every kdv2 term lies in span{S T, S^2 T, S^3 T}
+# (S = sech^2(B xi), T = tanh(B xi)), which gives the three kdv2 relations.
+
+def _scale(params, wave, kind):
+    """The table itself: every solution's residual is zero."""
+    return {"u_t": 1.0, **{name: c(params) for name, c, _ in TERMS[kind]}}
+
+
+def _speed(params, wave, kind):
+    """u_t = -v u_x on one travelling wave."""
+    return {"u_t": 1.0, "u_x": wave.v}
+
+
+def _kdv2_dispersion_3(params, wave, kind):
+    """u_xxx = 4 B^2 u_x - (12 B^2/A) u u_x on a sech^2."""
+    A, B = wave.A, wave.B
+    return {"dispersion_3": 1.0, "u_x": -4.0 * B**2, "quadratic": 12.0 * B**2 / A}
+
+
+def _kdv2_dispersion_5(params, wave, kind):
+    """u_xxxxx = 16 B^4 u_x - (240 B^4/A) u u_x + (360 B^4/A^2) u^2 u_x on a sech^2."""
+    A, B = wave.A, wave.B
+    return {"dispersion_5": 1.0, "u_x": -16.0 * B**4, "quadratic": 240.0 * B**4 / A,
+            "cubic": -360.0 * B**4 / A**2}
+
+
+def _kdv2_cross(params, wave, kind):
+    """u_x u_xx - u u_xxx = (6 B^2/A) u^2 u_x on a sech^2; the random-field
+    law of test_kdv2_integral_of_u_squared_obeys_its_law_on_any_field sees it
+    (c_cross1 - 2 c_cross2 moves by 3 along it)."""
+    A, B = wave.A, wave.B
+    return {"cross_1": 1.0, "cross_2": -1.0, "cubic": -6.0 * B**2 / A}
+
+
+def _coverage_cases():
+    """(kind, [(params, solution, grid)], stated rank, unpinned directions) per id."""
+    by_kind: dict[EquationKind, list] = {}
+    for _, kind, params, solution, grid in inversion.catalog(P):
+        by_kind.setdefault(kind, []).append((params, solution, grid))
+    pg = MediumParams(P.alpha, P.beta, tau=0.0)
+    # grids scaled with the width, so no tail is cut at the edge
+    widths = [(pg, make_gardner_soliton(pg, Delta), Grid(-40.0 * Delta, 80.0 * Delta, 1024))
+              for Delta in (1.0, 1.5, 2.0, 3.0)]
+    K = EquationKind
+    return [
+        pytest.param(K.KDV, by_kind[K.KDV], 3, [_scale], id="kdv"),
+        pytest.param(K.KDV2, by_kind[K.KDV2], 3,
+                     [_scale, _speed, _kdv2_dispersion_3, _kdv2_dispersion_5, _kdv2_cross],
+                     id="kdv2"),
+        pytest.param(K.FIFTH_ORDER, by_kind[K.FIFTH_ORDER], 3, [_scale, _speed],
+                     id="fifth_order"),
+        pytest.param(K.GARDNER, by_kind[K.GARDNER], 3, [_scale, _speed], id="gardner"),
+        pytest.param(K.GARDNER, widths, 4, [_scale], id="gardner_widths"),
+    ]
+
+
+@pytest.mark.parametrize("kind,cases,rank,unpinned", _coverage_cases())
+def test_the_closed_forms_pin_the_term_table_up_to_the_named_directions(kind, cases, rank,
+                                                                         unpinned):
+    # columns: u_t, then each term of the fixed-frame table with its
+    # coefficient divided out, stacked over the cases; each scaled to unit norm
+    names = ["u_t"] + [name for name, _, _ in TERMS[kind]]
+    blocks = []
+    for params, solution, grid in cases:
+        u, ut = solution_fields(solution, params, grid)
+        d = {0: u.values,
+             **equations._spectral_diffs(u.values, grid, equations._required_orders(kind))}
+        blocks.append([ut.values] + [np.prod([d[o] for o in orders], axis=0)
+                                     for _, _, orders in TERMS[kind]])
+    values = np.hstack(blocks).T
+    norms = np.linalg.norm(values, axis=0)
+    s = np.linalg.svd(values / norms, compute_uv=False)
+    # measured at n = 1024: kept >= 3.1e-2 of the largest, dropped <= 1.9e-10
+    assert int(np.sum(s > 1e-6 * s[0])) == rank
+    params, wave, _ = cases[0]
+    directions = np.array([[f(params, wave, kind).get(name, 0.0) for name in names]
+                           for f in unpinned])
+    # each named direction is unseen at the same threshold, and together
+    # they span everything the stack leaves unseen
+    for direction in directions * norms:
+        seen = np.linalg.norm(values / norms @ direction)
+        assert seen <= 1e-6 * s[0] * np.linalg.norm(direction)
+    assert np.linalg.matrix_rank(directions) == len(unpinned) == len(names) - rank
+
+
+@pytest.mark.parametrize("alpha", [0.3, -0.3])
+@pytest.mark.parametrize("seed", range(6))
+def test_kdv2_integral_of_u_squared_obeys_its_law_on_any_field(seed, alpha):
+    # for every periodic u, by parts: -2 int u (the kdv2 terms but u_t)
+    # = (c_cross1 - 2 c_cross2) int u_x^3 = (alpha beta/8) int u_x^3
+    # (Karczewska, Rozmej, Infeld and Rowlands, Phys. Lett. A 381, 2017);
+    # measured at most 1.6e-12 relative over these fields
+    params = MediumParams(alpha, 0.2)
+    grid = Grid(-20.0, 40.0, 512)
+    u, ut = RandomField(seed).build(grid)
+    d = equations._spectral_diffs(u.values, grid,
+                                  equations._required_orders(EquationKind.KDV2))
+    terms = equations.equation_terms(EquationKind.KDV2, params, Frame.FIXED, u.values, d,
+                                     ut.values)
+    rate = -2.0 * np.sum(u.values * sum(t for name, t in terms if name != "u_t"))
+    law = params.alpha * params.beta / 8.0 * np.sum(d[1] ** 3)
+    assert abs(rate - law) <= 1e-10 * abs(law)

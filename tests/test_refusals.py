@@ -17,7 +17,9 @@ from kdvwaves.evolve import EvolveConfig, evolve
 from kdvwaves.fitting import (AnsatzFamily, StartError, _fit_residual, collocation_points,
                               fit_travelling_wave)
 from kdvwaves.inversion import InversionCase, run_matrix
-from kdvwaves.waves import MediumParams, make_gardner_soliton, make_kdv_cnoidal
+from kdvwaves.waves import (MediumParams, make_fifth_order_soliton, make_gardner_soliton,
+                            make_kdv2_soliton, make_kdv_cnoidal, make_kdv_soliton,
+                            make_kdv_superposition, make_soliton_ladder)
 
 P = MediumParams(0.1, 0.1)
 KDV = EquationId(EquationKind.KDV)
@@ -156,3 +158,80 @@ def test_a_refused_config_exits_two_and_names_its_key(capsys, tmp_path, command,
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"config error: {message}\n"
+
+
+def _not_finite(family: str, name: str, shown: str = "inf") -> str:
+    return f"{family} coefficient {name} must be finite, got {shown}"
+
+
+# closed forms whose coefficients overflow, or divide by a medium that
+# underflowed: each used to build a wave with no finite sample
+@pytest.mark.parametrize("build,message", [
+    (lambda: make_kdv_soliton(MediumParams(0.1, 1e-320), 1.0), _not_finite("kdv_soliton", "B")),
+    (lambda: make_kdv_soliton(MediumParams(1e300, 0.1), 1e300), _not_finite("kdv_soliton", "B")),
+    (lambda: make_kdv_cnoidal(MediumParams(0.1, 1e-320), 1.0, 0.5),
+     _not_finite("kdv_cnoidal", "B")),
+    (lambda: make_kdv_cnoidal(MediumParams(0.1, 0.1), 1e308, 0.5),
+     _not_finite("kdv_cnoidal", "v", "-inf")),
+    (lambda: make_kdv_superposition(MediumParams(1e300, 0.1), 1e300, 0.5, B=1.0),
+     _not_finite("kdv_superposition_plus", "v")),
+    (lambda: make_kdv_superposition(MediumParams(1e300, 0.1), 1e300, 0.5, B=1.0, sign=-1),
+     _not_finite("kdv_superposition_minus", "v")),
+    # the default width is the kdv soliton's
+    (lambda: make_kdv_superposition(MediumParams(0.1, 1e-320), 1.0, 0.5),
+     _not_finite("kdv_soliton", "B")),
+    (lambda: make_kdv2_soliton(MediumParams(1e-310, 0.1)), _not_finite("kdv2_soliton", "A")),
+    (lambda: make_fifth_order_soliton(MediumParams(1e-320, 0.1, tau=0.35)),
+     _not_finite("fifth_order_soliton", "A", "-inf")),
+    (lambda: make_gardner_soliton(MediumParams(1e-310, 0.1), 1.0),
+     _not_finite("gardner_soliton", "A")),
+    # every amplitude of a ladder, not only the first (1.0 alone builds)
+    (lambda: make_soliton_ladder(MediumParams(1e300, 0.1), (1.0, 1e10)),
+     _not_finite("kdv_soliton", "B")),
+])
+def test_a_closed_form_whose_coefficient_overflows_is_refused_by_name(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+OVERFLOWING_MEDIUM = {"alpha": 0.1, "beta": 1.0e200}     # beta**2 of beta5 overflows
+UNDERFLOWED_MEDIUM = {"alpha": 0.1, "beta": 1.0e-320}    # a soliton's B = inf
+SOLITON = {"family": "kdv_soliton", "A": 1.0}
+SMALL_GRID = {"x0": -20.0, "length": 40.0, "n": 64}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("verify", {"medium": OVERFLOWING_MEDIUM}),
+    ("verify", {"medium": OVERFLOWING_MEDIUM, "inverted": True}),
+    ("symmetry", {"medium": OVERFLOWING_MEDIUM}),
+])
+def test_a_catalog_whose_arithmetic_fails_exits_two_and_names_the_medium(capsys, tmp_path,
+                                                                         command, doc):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("config error: invalid 'medium': ")
+
+
+@pytest.mark.parametrize("command,doc,where", [
+    ("profile", {"medium": UNDERFLOWED_MEDIUM, "grid": SMALL_GRID, "wave": SOLITON}, "wave"),
+    ("verify", {"medium": UNDERFLOWED_MEDIUM,
+                "cases": [{"equation": "kdv", "grid": SMALL_GRID, "wave": SOLITON}]},
+     "cases[0].wave"),
+    ("evolve", {"equation": "kdv", "medium": UNDERFLOWED_MEDIUM, "grid": SMALL_GRID,
+                "initial": SOLITON, "dt": 0.1, "t_end": 0.2}, "initial"),
+    ("fit", {"equation": "kdv", "medium": UNDERFLOWED_MEDIUM,
+             "ansatz": {"shape": "sech2", "free": ["A", "B", "v"], "fixed": {"D": 0.0}},
+             "starts": {"amplitudes": {"n": 2}}}, "starts"),
+])
+def test_a_closed_form_whose_coefficient_overflows_exits_two_and_names_its_key(
+        capsys, tmp_path, command, doc, where):
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"config error: invalid '{where}': {_not_finite('kdv_soliton', 'B')}\n"
