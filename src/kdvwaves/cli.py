@@ -35,7 +35,7 @@ import json
 import math
 import os
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
 
@@ -65,21 +65,13 @@ from .fitting import (
 from .inversion import (
     ALGEBRAIC_TOL,
     DEFAULT_MEDIUM,
+    FAMILIES,
     catalog,
     default_matrix,
     run_matrix,
+    signed,
 )
-from .waves import (
-    Frame,
-    MediumParams,
-    make_fifth_order_soliton,
-    make_gardner_soliton,
-    make_kdv2_soliton,
-    make_kdv_cnoidal,
-    make_kdv_soliton,
-    make_kdv_superposition,
-    make_soliton_ladder,
-)
+from .waves import Frame, MediumParams
 
 __all__ = ["main", "ConfigError"]
 
@@ -199,30 +191,19 @@ def _mapping(item):
     return read
 
 
-_SUPERPOSITION = {"A": (_finite, REQUIRED), "m": (_finite, REQUIRED), "B": (_finite, None)}
-
-# family -> (its keys, its constructor from the medium and those keys)
-FAMILIES = {
-    "kdv_soliton": ({"A": (_finite, REQUIRED)}, make_kdv_soliton),
-    "kdv_cnoidal": ({"A": (_finite, REQUIRED), "m": (_finite, REQUIRED)}, make_kdv_cnoidal),
-    "kdv_superposition_plus": (_SUPERPOSITION, partial(make_kdv_superposition, sign=+1)),
-    "kdv_superposition_minus": (_SUPERPOSITION, partial(make_kdv_superposition, sign=-1)),
-    "kdv2_soliton": ({}, make_kdv2_soliton),
-    "fifth_order_soliton": ({}, make_fifth_order_soliton),
-    "gardner_soliton": ({"Delta": (_finite, REQUIRED), "sign_B": (_int, 1)},
-                        make_gardner_soliton),
-    "two_soliton": ({"amplitudes": (_list(_finite, 2), REQUIRED)}, make_soliton_ladder),
-    "three_soliton": ({"amplitudes": (_list(_finite, 3), REQUIRED)}, make_soliton_ladder),
-}
-
+# the reader of each key of a FAMILIES row; a ladder's amplitudes number as its row's
+_KEYS = {"A": (_finite, REQUIRED), "m": (_finite, REQUIRED), "B": (_finite, None),
+         "Delta": (_finite, REQUIRED), "sign_B": (_int, 1)}
 _family = _type(f"one of {list(FAMILIES)}", FAMILIES.__getitem__)
 
 
 def _wave(spec, where: str):
     """(where, constructor, keys) of a wave or ladder spec."""
-    keys = _dict(spec, where)
-    table, ctor = _family(keys.pop("family", None), f"{where}.family")
-    return where, ctor, _read(keys, table, where)
+    given = _dict(spec, where)
+    make, keys = _family(given.pop("family", None), f"{where}.family")[:2]
+    table = {key: (_list(_finite, len(value)), REQUIRED) if key == "amplitudes" else _KEYS[key]
+             for key, value in keys.items()}
+    return where, make, _read(given, table, where)
 
 
 def _solution(wave, params: MediumParams, inverted: bool):
@@ -235,12 +216,7 @@ def _solution(wave, params: MediumParams, inverted: bool):
     """
     where, ctor, keys = wave
     if inverted:
-        params = params.flipped()
-        keys = dict(keys)
-        if "A" in keys:
-            keys["A"] = -keys["A"]
-        if "amplitudes" in keys:
-            keys["amplitudes"] = tuple(-a for a in keys["amplitudes"])
+        params, keys = params.flipped(), signed(keys, -1)
     return _build(where, ctor, params=params, **keys), params
 
 

@@ -27,10 +27,8 @@ from numpy.linalg._umath_linalg import lstsq as _lstsq
 
 from .elliptic import _complete
 from .equations import EquationKind, equation_terms, linearised_terms, sum_terms
-from .waves import (Frame, MediumParams, TravellingWave, WaveFamily,
-                    make_fifth_order_soliton, make_gardner_soliton,
-                    make_kdv2_soliton, make_kdv_cnoidal, make_kdv_soliton,
-                    make_kdv_superposition)
+from .inversion import FAMILIES, signed
+from .waves import Frame, MediumParams, TravellingWave, WaveFamily, make_kdv_soliton
 
 __all__ = [
     "AnsatzFamily",
@@ -596,31 +594,13 @@ def multi_start_fit(kind: EquationKind, params: MediumParams,
 
 # --- constraint counting ------------------------------------------------------
 
-def _on_manifold_values(kind: EquationKind, params: MediumParams,
-                        ansatz: AnsatzFamily) -> dict[str, float]:
-    A = 1.0 if params.alpha > 0 else -1.0
-    fixed = ansatz.fixed
-    catalog = {
-        (EquationKind.KDV, "sech2"): lambda: make_kdv_soliton(params, A),
-        (EquationKind.KDV, "cn2"): lambda: make_kdv_cnoidal(params, A, fixed.get("m", 0.9)),
-        (EquationKind.KDV, "dn2_pm_cndn"): lambda: make_kdv_superposition(
-            params, A, fixed.get("m", 0.5), sign=ansatz.sign),
-        (EquationKind.KDV2, "sech2"): lambda: make_kdv2_soliton(params),
-        (EquationKind.FIFTH_ORDER, "sech4"): lambda: make_fifth_order_soliton(params),
-        (EquationKind.GARDNER, "gardner"):
-            lambda: make_gardner_soliton(params, fixed.get("Delta", 1.0)),
-    }
-    if (kind, ansatz.shape) not in catalog:
-        raise ValueError(f"no catalog solution for ({kind.value}, {ansatz.shape})")
-    w = catalog[kind, ansatz.shape]()
-    vals = {"A": w.A, "B": w.B, "v": w.v, "D": w.D, "m": w.m, "Delta": w.Delta}
-    return {name: x for name, x in vals.items() if x is not None}
-
-
 def count_constraints(kind: EquationKind, params: MediumParams,
                       ansatz: AnsatzFamily) -> int:
     """Rank of the residual Jacobian over the free parameters at the
-    catalog solution of the equation and shape.
+    catalog solution of the equation and shape: the first FAMILIES row of
+    that (kind, shape), its amplitude of alpha's sign, with each of its keys
+    that ansatz.fixed pins (A, m, B or Delta) at the pinned value.  A
+    pinned point off the solution manifold is refused.
 
     n_free minus this rank is the local dimension of the solution family:
     e.g. the single-bell shape under the first-order equation leaves a
@@ -639,7 +619,14 @@ def _rank(jac: np.ndarray, rcond: float) -> int:
 def _manifold_jacobian(kind: EquationKind, params: MediumParams,
                        ansatz: AnsatzFamily) -> np.ndarray:
     """The Jacobian whose rank count_constraints reads, at the catalog solution."""
-    values = {**ansatz.fixed, **_on_manifold_values(kind, params, ansatz)}
+    rows = [(make, keys) for make, keys, row_kind, shape, *_ in FAMILIES.values()
+            if (row_kind, shape) == (kind, ansatz.shape)]
+    if not rows:
+        raise ValueError(f"no catalog solution for ({kind.value}, {ansatz.shape})")
+    make, keys = rows[0]
+    keys = signed(keys, math.copysign(1.0, params.alpha))
+    wave = make(params, **{key: ansatz.fixed.get(key, value) for key, value in keys.items()})
+    values = {name: getattr(wave, name) for name in SHAPE_PARAMS[ansatz.shape]}
     xi = collocation_points(ansatz, values, max(4 * len(ansatz.free), 12))
     point = _fit_residual(kind, params, ansatz, xi, values)
     worst = float(np.max(np.abs(point.res)))

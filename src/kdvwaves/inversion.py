@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,11 +28,13 @@ from .equations import (SOLUTION_TOL, BottomProfile, EquationId, EquationKind, F
                         Grid, ResidualReport, _required_orders, derivative_set,
                         relative_residual, residual, residual_report, residual_rows,
                         solution_fields)
-from .waves import (Frame, MediumParams, SolitonLadder, make_fifth_order_soliton,
-                    make_gardner_soliton, make_kdv2_soliton, make_kdv_cnoidal,
-                    make_kdv_soliton, make_kdv_superposition)
+from .waves import (Frame, MediumParams, make_fifth_order_soliton, make_gardner_soliton,
+                    make_kdv2_soliton, make_kdv_cnoidal, make_kdv_soliton,
+                    make_kdv_superposition, make_soliton_ladder)
 
 __all__ = [
+    "FAMILIES",
+    "signed",
     "RandomField",
     "InversionCase",
     "algebraic_defect",
@@ -118,37 +121,55 @@ def ramp_bottom(grid: Grid) -> BottomProfile:
 DEFAULT_MEDIUM = MediumParams(alpha=0.1, beta=0.1)
 
 
-def catalog(params: MediumParams) -> list[tuple]:
-    """(label, kind, medium, solution, grid) of one closed-form solution per
-    family and ladder, each on a grid suited to it (one wavelength for the
-    periodic waves).
+# family -> (its constructor from (medium, **keys), its keys at their catalog
+# values for alpha > 0, the equation it solves, its fit shape (None for the
+# ladders), its catalog label (None: not in the catalog), its catalog grid's
+# (x0, length) at n = 1024 (None: one period), the catalog's tau (None: the medium's))
+_KDV = EquationKind.KDV
+FAMILIES = {
+    "kdv_soliton": (make_kdv_soliton, {"A": 1.0}, _KDV, "sech2", "soliton/kdv",
+                    (-50.0, 100.0), None),
+    "kdv_cnoidal": (make_kdv_cnoidal, {"A": 1.0, "m": 0.9}, _KDV, "cn2", "cnoidal/kdv",
+                    None, None),
+    "kdv_superposition_plus": (partial(make_kdv_superposition, sign=+1),
+                               {"A": 1.0, "m": 0.5, "B": None}, _KDV, "dn2_pm_cndn",
+                               "superposition/kdv", None, None),
+    "kdv_superposition_minus": (partial(make_kdv_superposition, sign=-1),
+                                {"A": 1.0, "m": 0.5, "B": None}, _KDV, "dn2_pm_cndn",
+                                None, None, None),
+    "kdv2_soliton": (make_kdv2_soliton, {}, EquationKind.KDV2, "sech2", "soliton/kdv2",
+                     (-40.0, 80.0), None),
+    "fifth_order_soliton": (make_fifth_order_soliton, {}, EquationKind.FIFTH_ORDER, "sech4",
+                            "soliton/fifth_order", (-60.0, 120.0), 0.35),
+    "gardner_soliton": (make_gardner_soliton, {"Delta": 1.0, "sign_B": 1},
+                        EquationKind.GARDNER, "gardner", "soliton/gardner", (-40.0, 80.0), 0.0),
+    "two_soliton": (make_soliton_ladder, {"amplitudes": (1.0, 2.0)}, _KDV, None,
+                    "two_soliton/kdv", (-64.0, 128.0), None),
+    "three_soliton": (make_soliton_ladder, {"amplitudes": (1.0, 2.0, 3.0)}, _KDV, None,
+                      "three_soliton/kdv", (-48.0, 96.0), None),
+}
 
-    Amplitudes take the sign of alpha, so catalog(params.flipped()) is the
-    mirror catalog.  The fifth-order and Gardner solitons set their own
-    tau (0.35 and 0).
-    """
+
+def signed(keys: dict, sign: float) -> dict:
+    """The keys with the amplitude keys (A, amplitudes) multiplied by sign."""
+    return {key: value * sign if key == "A"
+            else tuple(a * sign for a in value) if key == "amplitudes" else value
+            for key, value in keys.items()}
+
+
+def catalog(params: MediumParams) -> list[tuple]:
+    """(label, kind, medium, solution, grid) of each labelled FAMILIES row,
+    in table order.  Amplitudes take the sign of alpha, so
+    catalog(params.flipped()) is the mirror catalog."""
     sign = math.copysign(1.0, params.alpha)
-    p5 = MediumParams(params.alpha, params.beta, tau=0.35)
-    pg = MediumParams(params.alpha, params.beta, tau=0.0)
-    cn = make_kdv_cnoidal(params, sign, 0.9)
-    sol = make_kdv_soliton(params, sign)
-    sup = make_kdv_superposition(params, sign, 0.5)
-    kdv = EquationKind.KDV
-    return [
-        ("soliton/kdv", kdv, params, sol, Grid(-50.0, 100.0, 1024)),
-        ("cnoidal/kdv", kdv, params, cn, Grid(0.0, cn.wavelength(), 1024)),
-        ("superposition/kdv", kdv, params, sup, Grid(0.0, sup.wavelength(), 1024)),
-        ("soliton/kdv2", EquationKind.KDV2, params, make_kdv2_soliton(params),
-         Grid(-40.0, 80.0, 1024)),
-        ("soliton/fifth_order", EquationKind.FIFTH_ORDER, p5, make_fifth_order_soliton(p5),
-         Grid(-60.0, 120.0, 1024)),
-        ("soliton/gardner", EquationKind.GARDNER, pg, make_gardner_soliton(pg, Delta=1.0),
-         Grid(-40.0, 80.0, 1024)),
-        ("two_soliton/kdv", kdv, params, SolitonLadder((sign, 2.0 * sign)),
-         Grid(-64.0, 128.0, 1024)),
-        ("three_soliton/kdv", kdv, params, SolitonLadder((sign, 2.0 * sign, 3.0 * sign)),
-         Grid(-48.0, 96.0, 1024)),
-    ]
+    cases = []
+    for make, keys, kind, _, label, span, tau in FAMILIES.values():
+        if label is not None:
+            medium = params if tau is None else MediumParams(params.alpha, params.beta, tau=tau)
+            solution = make(medium, **signed(keys, sign))
+            span = span or (0.0, solution.wavelength())
+            cases.append((label, kind, medium, solution, Grid(*span, 1024)))
+    return cases
 
 
 def default_matrix(params: MediumParams | None = None,

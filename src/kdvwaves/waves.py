@@ -73,6 +73,13 @@ class MediumParams:
             raise ValueError(f"MediumParams.beta must be positive, got {self.beta!r}")
         if self.tau < 0.0:
             raise ValueError(f"MediumParams.tau must be >= 0, got {self.tau!r}")
+        try:
+            beta5 = self.beta5()
+        except OverflowError:
+            beta5 = math.inf
+        if not math.isfinite(beta5):
+            raise ValueError(f"MediumParams.beta={self.beta!r} and tau={self.tau!r} give a "
+                             "fifth-order coefficient beta5 that is not a finite float")
 
     def flipped(self) -> "MediumParams":
         """Parameters of the mirror medium: alpha -> -alpha, all else kept."""
@@ -254,14 +261,6 @@ class SolitonLadder:
         mags = tuple(abs(a) for a in amps)
         if any(m2 <= m1 for m1, m2 in zip(mags, mags[1:])):
             raise ValueError("SolitonLadder amplitudes must increase strictly in magnitude")
-
-    @property
-    def inverted(self) -> bool:
-        return self.amplitudes[0] < 0.0
-
-    @property
-    def magnitudes(self) -> tuple[float, ...]:
-        return tuple(abs(a) for a in self.amplitudes)
 
     def fields(self, x, t: float, params: MediumParams, frame: Frame = Frame.FIXED):
         """(u, u_t) at time t from Hirota's N-soliton tau-function.

@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdvwaves import cli
 from kdvwaves.equations import EquationId, EquationKind, Field, Grid, residual
+from kdvwaves.fitting import SHAPE_PARAMS, AnsatzFamily, count_constraints
 from kdvwaves.inversion import (
     ALGEBRAIC_TOL,
     CONTROL_MIN,
+    FAMILIES,
     RandomField,
     algebraic_defect,
+    catalog,
     default_matrix,
     ramp_bottom,
     run_matrix,
+    signed,
 )
 from kdvwaves.waves import Frame, MediumParams
 from reference_derivatives import mirrored_residual, negative_control
@@ -130,3 +135,48 @@ def test_ramp_bottom_knots_avoid_grid_points():
     for kx, _ in bottom.knots:
         frac = (kx - GRID.x0) / GRID.dx
         assert abs(frac - round(frac)) > 0.4
+
+
+# --- the family table: every row reachable from each of its readers -------------------
+
+def _row_medium(params: MediumParams, tau) -> MediumParams:
+    return params if tau is None else MediumParams(params.alpha, params.beta, tau=tau)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+@pytest.mark.parametrize("inverted", [False, True])
+def test_every_family_builds_through_a_config_wave_spec(name, inverted):
+    make, keys, _, _, _, _, tau = FAMILIES[name]
+    params = _row_medium(MediumParams(0.1, 0.1), tau)
+    spec = {"family": name, **{k: list(v) if isinstance(v, tuple) else v
+                               for k, v in keys.items() if v is not None}}
+    built, eff = cli._solution(cli._wave(spec, "wave"), params, inverted)
+    assert eff == (params.flipped() if inverted else params)
+    assert built == make(eff, **signed(keys, -1 if inverted else 1))
+
+
+@pytest.mark.parametrize("alpha", [0.1, -0.1])
+def test_each_labelled_row_is_in_the_catalog_and_the_sweep_once_in_table_order(alpha):
+    params = MediumParams(alpha, 0.1)
+    rows = [row for row in FAMILIES.values() if row[4] is not None]
+    labels = [row[4] for row in rows]
+    assert len(labels) == 8
+    cases = catalog(params)
+    assert [case[0] for case in cases] == labels
+    assert [c.label for c in default_matrix(params, seeds=range(1)) if c.is_solution] == labels
+    for (_, kind, medium, solution, grid), (make, keys, row_kind, _, _, span, tau) in zip(
+            cases, rows):
+        assert (kind, medium) == (row_kind, _row_medium(params, tau))
+        assert solution == make(medium, **signed(keys, 1.0 if alpha > 0 else -1.0))
+        assert grid == Grid(*(span or (0.0, solution.wavelength())), 1024)
+
+
+@pytest.mark.parametrize("name", [name for name, row in FAMILIES.items() if row[3] is not None])
+@pytest.mark.parametrize("alpha", [0.1, -0.1])
+def test_every_row_with_a_fit_shape_gives_a_constraint_count(name, alpha):
+    _, _, kind, shape, _, _, tau = FAMILIES[name]
+    params = _row_medium(MediumParams(alpha, 0.1), tau)
+    ansatz = AnsatzFamily(shape, SHAPE_PARAMS[shape], sign=-1 if name.endswith("minus") else 1)
+    k = count_constraints(kind, params, ansatz)
+    assert 1 <= k <= len(ansatz.free)
+    assert k == count_constraints(kind, params.flipped(), ansatz)

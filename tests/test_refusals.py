@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from kdvwaves import fitting
 from kdvwaves.cli import main
 from kdvwaves.equations import (EquationId, EquationKind, Field, Grid, derivative_set,
                                 residual)
@@ -235,3 +236,66 @@ def test_a_closed_form_whose_coefficient_overflows_exits_two_and_names_its_key(
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == f"config error: invalid '{where}': {_not_finite('kdv_soliton', 'B')}\n"
+
+
+# a constraint count is taken at the catalog point with the ansatz's fixed keys
+# (A, m, B, Delta) pinned where it pins them, not at the catalog's own values
+COUNTED = {"equation": "kdv", "medium": {"alpha": -0.1, "beta": 0.3}, "count_constraints": True}
+
+
+@pytest.mark.parametrize("ansatz,start,message", [
+    ({"shape": "sech2", "free": ["B", "v"], "fixed": {"A": 2.0, "D": 0.0}},
+     {"B": 0.5, "v": 1.0}, "soliton requires alpha*A > 0, got alpha=-0.1, A=2.0"),
+    ({"shape": "dn2_pm_cndn", "free": ["A", "v", "D"], "fixed": {"m": 0.6, "B": 0.8}},
+     {"A": -1.0, "v": 1.0, "D": 0.4},
+     "the catalog point is not on the solution manifold (relative residual 7.426e-02)"),
+])
+def test_a_count_honours_the_fixed_keys_of_its_ansatz(capsys, tmp_path, ansatz, start, message):
+    path = tmp_path / "count.yaml"
+    path.write_text(yaml.safe_dump({**COUNTED, "ansatz": ansatz, "start": start}))
+    code = main(["fit", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"config error: invalid 'count_constraints': {message}\n"
+
+
+@pytest.mark.parametrize("alpha", [0.1, -0.1])
+def test_a_count_is_taken_at_the_amplitude_its_ansatz_pins(alpha):
+    # the soliton of each pinned amplitude is on the solution family, with
+    # its own width and speed, so the two Jacobians differ and both count 2
+    params = MediumParams(alpha, 0.3)
+    ansatze = [AnsatzFamily("sech2", ("B", "v"), {"A": math.copysign(A, alpha), "D": 0.0})
+               for A in (1.0, 2.0)]
+    jacs = [fitting._manifold_jacobian(EquationKind.KDV, params, a) for a in ansatze]
+    assert not np.array_equal(*jacs)
+    assert [fitting.count_constraints(EquationKind.KDV, params, a) for a in ansatze] == [2, 2]
+
+
+def _beta5_refused(beta: float, tau: float) -> str:
+    return (f"MediumParams.beta={beta!r} and tau={tau!r} give a fifth-order coefficient "
+            "beta5 that is not a finite float")
+
+
+@pytest.mark.parametrize("beta,tau", [(1.0e200, 0.0), (1.4e154, 0.0), (0.1, 1.0e160),
+                                      (1.0e150, 1.0e10), (1.0e-100, 1.3e154)])
+def test_a_medium_whose_fifth_order_coefficient_is_not_finite_is_refused(beta, tau):
+    with pytest.raises(ValueError) as err:
+        MediumParams(0.1, beta, tau=tau)
+    assert str(err.value) == _beta5_refused(beta, tau)
+
+
+@pytest.mark.parametrize("beta,tau", [(3.0e153, 0.0), (0.1, 1.0e150), (1.0e-300, 1.0e150)])
+def test_a_medium_whose_fifth_order_coefficient_is_finite_is_built(beta, tau):
+    assert math.isfinite(MediumParams(0.1, beta, tau=tau).beta5())
+
+
+def test_an_evolve_whose_medium_overflows_beta5_exits_two_and_names_beta_and_tau(
+        capsys, tmp_path):
+    path = tmp_path / "evolve.yaml"
+    path.write_text(yaml.safe_dump({
+        "equation": "fifth_order", "medium": {"alpha": 0.1, "beta": 0.1, "tau": 1.0e160},
+        "grid": SMALL_GRID, "initial": SOLITON, "dt": 0.01, "t_end": 0.02}))
+    code = main(["evolve", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"config error: invalid 'medium': {_beta5_refused(0.1, 1.0e160)}\n"
