@@ -4,35 +4,53 @@ Self-contained double-precision implementations built on the
 arithmetic-geometric mean (AGM); no dependency on scipy.special.  The
 argument is the parameter m = k^2, following the convention of
 Abramowitz & Stegun chapters 16-17 (and DLMF 19/22), so that
-sn(u, 0) = sin(u) and sn(u, 1) = tanh(u).  One AGM path serves every
-0 <= m < 1; the only special case is m = 1, where K is infinite.
+sn(u, 0) = sin(u) and sn(u, 1) = tanh(u).  K and E come from one AGM
+chain; sn, cn, dn from Bulirsch's descending Gauss transformation
+(Numer. Math. 7, 1965, 78-90; DLMF 22.7(i)) on the same chain, with one
+tangent per point.  Every 0 <= m < 1 takes that one path; the only
+special case is m = 1, where K is infinite and sn, cn, dn keep their
+closed forms tanh, sech, sech.
 """
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["elliptic_K", "elliptic_E", "jacobi_sn_cn_dn", "sech"]
 
-_AGM_EPS = 1e-17
+_DECIMAL = Context(prec=40)
+_PI = Decimal("3.141592653589793238462643383279502884197")
+_AGM_EPS = Decimal("1e-38")
 _AGM_MAX_ITER = 64
+# a Gauss level with c_i <= 1e-17 a_i would give dn = 1 to rounding
+_LEVEL_EPS = Decimal("1e-17")
+# below this |tan| the Gauss chain's squares (~1/tan^2) would overflow
+_TINY = 1e-150
 
 
-def _agm_chain(m: float) -> tuple[list[float], list[float]]:
-    """AGM sequences a_i, c_i started from (1, sqrt(1-m), sqrt(m)); b_i runs as a scalar."""
-    a = [1.0]
-    b = math.sqrt(1.0 - m)
-    c = [math.sqrt(m)]
-    while abs(c[-1]) > _AGM_EPS * a[-1] and len(a) < _AGM_MAX_ITER:
-        an = 0.5 * (a[-1] + b)
-        b = math.sqrt(a[-1] * b)
+def _agm_chain(m: float) -> tuple[list[Decimal], list[Decimal], list[Decimal]]:
+    """40-digit AGM sequences a_i, b_i, c_i started from (1, sqrt(1-m), sqrt(m)).
+
+    Every double taken from the chain is rounded once from 40 digits, so K
+    and the Gauss levels come out correctly rounded, and 2K keeps the
+    digits that reducing a large argument by the half period needs.
+    """
+    ctx = _DECIMAL
+    a = [Decimal(1)]
+    b = [ctx.sqrt(ctx.subtract(a[0], Decimal(m)))]
+    c = [ctx.sqrt(Decimal(m))]
+    while c[-1] > ctx.multiply(_AGM_EPS, a[-1]) and len(a) < _AGM_MAX_ITER:
+        a.append(ctx.multiply(Decimal("0.5"), ctx.add(a[-1], b[-1])))
+        b.append(ctx.sqrt(ctx.multiply(a[-2], b[-1])))
         # same as (a - b)/2 but free of the subtractive cancellation
-        c.append(c[-1] * c[-1] / (4.0 * an))
-        a.append(an)
-    return a, c
+        c.append(ctx.divide(ctx.multiply(c[-1], c[-1]), ctx.multiply(4, a[-1])))
+    return a, b, c
 
 
+@lru_cache(maxsize=64)
 def _complete(m: float) -> tuple[float, float, float]:
     """(K, E/K, E/K + m - 1) for 0 <= m < 1 from one AGM chain.
 
@@ -43,16 +61,21 @@ def _complete(m: float) -> tuple[float, float, float]:
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"K(m) requires 0 <= m < 1, got m={m!r}")
-    a, c = _agm_chain(m)
-    excess = 0.5 * m - sum(2.0 ** (i - 1) * ci * ci for i, ci in enumerate(c) if i > 0)
-    return math.pi / (2.0 * a[-1]), excess + (1.0 - m), excess
+    ctx = _DECIMAL
+    a, _, c = _agm_chain(m)
+    excess = ctx.multiply(Decimal("0.5"), Decimal(m))
+    for i, ci in enumerate(c[1:]):
+        excess = ctx.subtract(excess, ctx.multiply(2 ** i, ctx.multiply(ci, ci)))
+    e_over_k = ctx.add(excess, ctx.subtract(1, Decimal(m)))
+    return float(ctx.divide(_PI, ctx.multiply(2, a[-1]))), float(e_over_k), float(excess)
 
 
 def elliptic_K(m: float) -> float:
     """Complete elliptic integral of the first kind, K(m).
 
-    Quadratic AGM iteration: K = pi / (2 agm(1, sqrt(1-m))).
-    Requires 0 <= m < 1 (K diverges logarithmically as m -> 1).
+    Quadratic AGM iteration: K = pi / (2 agm(1, sqrt(1-m))), at 40 digits
+    and rounded once.  Requires 0 <= m < 1 (K diverges logarithmically as
+    m -> 1).
     """
     return _complete(m)[0]
 
@@ -71,18 +94,44 @@ def elliptic_E(m: float) -> float:
     return K * e_over_k
 
 
+@lru_cache(maxsize=64)
+def _gauss_chain(m: float):
+    """What jacobi_sn_cn_dn needs of 0 <= m < 1: the AGM mean a_N, the
+    levels (a_{i-1} a_i, b_{i-1} a_i) of the descending recursion, last
+    level first, and the half period as 1/(2K) and C1 + C2 = 2K.
+
+    C1 keeps the leading 32 bits of 2K, so j C1 is exact for |j| < 2^21,
+    and u - j C1 - j C2 keeps the digits that a 2K rounded to a double
+    would lose at |u| >> K.
+    """
+    ctx = _DECIMAL
+    a, b, c = _agm_chain(m)
+    levels = tuple((float(ctx.multiply(a[i - 1], a[i])), float(ctx.multiply(b[i - 1], a[i])))
+                   for i in range(len(a) - 1, 0, -1) if c[i] > ctx.multiply(_LEVEL_EPS, a[i]))
+    two_k = ctx.divide(_PI, a[-1])
+    mantissa, exponent = math.frexp(float(two_k))
+    c1 = math.ldexp(math.floor(math.ldexp(mantissa, 32)), exponent - 32)
+    c2 = float(ctx.subtract(two_k, Decimal(c1)))
+    return float(a[-1]), levels, 1.0 / float(two_k), c1, c2
+
+
 def jacobi_sn_cn_dn(u, m: float):
     """Jacobi elliptic sn, cn, dn of real argument u for parameter m.
 
-    Descending AGM phi-recursion (A&S 16.4, DLMF 22.20(ii)): with the
-    chain of _agm_chain, set phi_N = 2^N a_N u and recurse
+    For 0 <= m < 1, Bulirsch's descending Gauss transformation (Numer.
+    Math. 7, 1965; DLMF 22.7(i)).  u is first reduced by the half period,
+    u = 2K j + r with |r| <= K, which flips the signs of sn and cn for odd
+    j.  With c = a_N = pi/(2K) the end of the AGM chain, t = tan(c r/2)
+    and cs = c cot(c r) = c (1 - t^2)/(2t), each level i of the chain with
+    c_i > 1e-17 a_i, last first, takes
 
-        phi_{i-1} = (phi_i + arcsin((c_i/a_i) sin phi_i)) / 2,
+        q = cs^2,  cs <- cs dn,  dn <- (b_{i-1} a_i + q)/(a_{i-1} a_i + q)
 
-    then sn = sin phi_0, cn = cos phi_0, dn = sqrt(1 - m + m cn^2).
-    Vectorized over u; scalar in, scalar out.  The recursion covers every
-    0 <= m < 1 (at m = 0 the chain is empty, so phi = u and dn = 1); the
-    only special case is m = 1, where K is infinite: (tanh, sech, sech).
+    from dn = 1; then sn(r) = sign(t)/sqrt(1 + cs^2) and cn(r) = cs sn(r).
+    One tangent per point; the rest is arithmetic.  Where |t| <= 1e-150
+    the squares would overflow, and sn(r) = r, cn(r) = dn(r) = 1 hold to
+    rounding.  NaN or +-inf give NaN.  At m = 1, where K is infinite:
+    (tanh, sech, sech).  Vectorized over u; scalar in, scalar out.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"jacobi_sn_cn_dn requires 0 <= m <= 1, got m={m!r}")
@@ -95,19 +144,53 @@ def jacobi_sn_cn_dn(u, m: float):
         cn = sech(u_arr)
         dn = cn.copy()
     else:
-        a, c = _agm_chain(m)
-        n_steps = len(a) - 1
-        phi = (2.0 ** n_steps) * a[-1] * u_arr
-        for i in range(n_steps, 0, -1):
-            # |c_i sin(phi)/a_i| <= c_i/a_i < 1 analytically; clip guards roundoff
-            phi = 0.5 * (phi + np.arcsin(np.clip(c[i] / a[i] * np.sin(phi), -1.0, 1.0)))
-        sn = np.sin(phi)
-        cn = np.cos(phi)
-        # cos(phi)/cos(phi1 - phi) is 0/0 at quarter periods.  Both terms
-        # of (1 - m) + m cn^2 are >= 0, so this sum never cancels (unlike
-        # 1 - m sn^2, which loses every digit of dn near sn = 1 as m -> 1)
-        # and gives dn(K) = sqrt(1 - m) exactly where cn = 0.
-        dn = np.sqrt((1.0 - m) + m * cn * cn)
+        a_n, levels, inv_two_k, c1, c2 = _gauss_chain(m)
+        j = np.multiply(u_arr, inv_two_k)
+        np.rint(j, out=j)
+        # r = u - 2K j; j c1 is exact, and so is u - j c1 (Sterbenz)
+        r = np.multiply(j, c1)
+        np.subtract(u_arr, r, out=r)
+        work = np.multiply(j, c2)
+        r -= work
+        t = np.multiply(r, 0.5 * a_n)
+        np.tan(t, out=t)
+        q = np.multiply(t, t)
+        tiny = np.flatnonzero(q <= _TINY * _TINY)
+        if tiny.size:
+            t[tiny] = q[tiny] = 1.0
+        # cs = c cot(c r) = c (1 - t^2)/(2t)
+        cs = np.subtract(1.0, q, out=q)
+        cs *= np.divide(0.5 * a_n, t, out=work)
+        q, num, dn = work, np.empty_like(cs), None
+        for aa, ba in levels:
+            np.multiply(cs, cs, out=q)
+            if dn is None:          # the first level starts from dn = 1
+                dn = np.empty_like(cs)
+            else:
+                cs *= dn
+            np.add(q, ba, out=num)
+            q += aa
+            np.divide(num, q, out=dn)
+        if dn is None:              # no level: dn = 1, and NaN where cs is
+            dn = cs * 0.0 + 1.0
+        # sn(u) has the sign of (-1)^j t, which (1/4 - (j/2 mod 1)) t carries
+        sign = np.multiply(j, 0.5, out=num)
+        np.subtract(np.floor(sign, out=q), sign, out=sign)
+        sign += 0.25
+        sign *= t
+        sn = np.multiply(cs, cs, out=q)
+        sn += 1.0
+        np.sqrt(sn, out=sn)
+        np.divide(1.0, sn, out=sn)
+        np.copysign(sn, sign, out=sn)
+        cn = np.multiply(cs, sn, out=cs)
+        if tiny.size:
+            # sn(r) = r and cn(r) = 1 there; with t = 1, sign is (-1)^j; and
+            # j = 0 leaves r = u but for the sign of a zero
+            flip = np.where(np.signbit(sign[tiny]), -1.0, 1.0)
+            sn[tiny] = np.where(j[tiny] == 0.0, u_arr[tiny], flip * r[tiny])
+            cn[tiny] = flip
+            dn[tiny] = 1.0
 
     if scalar:
         return float(sn[0]), float(cn[0]), float(dn[0])

@@ -31,6 +31,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+# np.fft.irfft/rfft's own gufuncs (numpy >= 2.0; Grid n is even): the same bits
+# without np.fft's argument handling, which costs a transform's time at n = 256
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .waves import Frame, MediumParams, SolitonLadder, TravellingWave
 
@@ -140,13 +143,32 @@ class Grid:
     def derivative_multiplier(self, order: int) -> np.ndarray:
         """(ik)^order on the rfft modes; odd orders zero the unmatched
         Nyquist mode, which carries no odd derivative.  Built once per
-        grid instance: every call returns the same read-only array."""
+        grid instance: every call returns the same read-only array.
+
+        The bits are those of the complex power (1j * k) ** order without
+        its cost: |k|^order from real products in numpy's integer-power
+        order (k k, (k k) k, (k k)(k k), k (k k)(k k), ...), and i^order
+        picks the part and the sign; the product with 1j gives the zero
+        real part of an odd order its sign, as the power does."""
         mult = self._multipliers.get(order)
         if mult is None:
             k = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.dx)
-            mult = (1j * k) ** order
-            if order % 2 == 1:
-                mult[-1] = 0.0
+            power, square, rest = None, k, order
+            while rest:
+                if rest & 1:
+                    power = square if power is None else power * square
+                rest >>= 1
+                if rest:
+                    square = square * square
+            if power is None:
+                mult = np.ones(k.shape, dtype=complex)
+            else:
+                if order % 4 >= 2:
+                    power = -power
+                mult = power * 1j if order % 2 == 1 else power.astype(complex)
+                mult[0] = 0.0       # the power's k = 0 is +0 in both parts
+                if order % 2 == 1:
+                    mult[-1] = 0.0
             mult.flags.writeable = False
             self._multipliers[order] = mult
         return mult
@@ -226,11 +248,11 @@ class ResidualReport:
 def _spectral_diffs(values: np.ndarray, grid: Grid, orders) -> dict[int, np.ndarray]:
     """{order: derivative} of the rows along the last axis of values, from
     one rfft and one irfft of the stacked (ik)^o multiples."""
-    coeffs = np.fft.rfft(values)
-    rows = np.empty((len(orders),) + coeffs.shape, dtype=coeffs.dtype)
+    coeffs = _rfft(values, 1.0, np.empty(values.shape[:-1] + (grid.n // 2 + 1,), dtype=complex))
+    rows = np.empty((len(orders),) + coeffs.shape, dtype=complex)
     for row, o in zip(rows, orders):
         np.multiply(grid.derivative_multiplier(o), coeffs, out=row)
-    return dict(zip(orders, np.fft.irfft(rows, grid.n)))
+    return dict(zip(orders, _irfft(rows, 1.0 / grid.n, np.empty(rows.shape[:-1] + (grid.n,)))))
 
 
 @lru_cache(maxsize=None)

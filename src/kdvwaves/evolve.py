@@ -28,12 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# np.fft.irfft/rfft's own gufuncs (numpy >= 2.0; Grid n is even): the same bits
-# without np.fft's argument handling, which costs a transform's time at n = 256
-from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
-from .equations import (FLUXES, TERMS, EquationId, Field, Grid, bottom_coefficients,
-                        bottom_eval, equation_table)
+from .equations import (FLUXES, TERMS, EquationId, Field, Grid, _irfft, _rfft,
+                        bottom_coefficients, bottom_eval, equation_table)
 from .waves import MediumParams
 
 __all__ = [

@@ -144,6 +144,21 @@ def test_a_grid_builds_each_multiplier_once_and_shares_it_read_only(order):
     assert np.array_equal(twin.derivative_multiplier(order), mult)
 
 
+@pytest.mark.parametrize("n", [16, 128, 256, 1024, 4096, 8192, 16384])
+def test_multipliers_are_the_complex_powers_bit_for_bit(n):
+    """(ik)^o is built from real products, yet keeps every bit of
+    (1j * k) ** o, down to the signs of its zero parts."""
+    for length in (1.0, 17.0, 2.0 * math.pi, 137.01766579681475, 640.0, 1.0e4):
+        grid = Grid(-3.0, length, n)
+        k = 2.0 * math.pi * np.fft.rfftfreq(n, d=grid.dx)
+        for order in range(6):
+            want = (1j * k) ** order
+            if order % 2 == 1:
+                want[-1] = 0.0
+            got = grid.derivative_multiplier(order)
+            assert got.tobytes() == want.tobytes(), (length, order)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(0.0, -1.0, 64)
@@ -326,15 +341,16 @@ def test_a_catalog_check_makes_one_fft_pair_at_most(case, backend, monkeypatch):
     calls = []
 
     def counted(name):
-        real = getattr(np.fft, name)
+        real = getattr(equations, "_" + name)
 
         def call(*args, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
         return call
 
+    # the derivative sets call the gufunc handles that kdvwaves.equations imports
     for name in ("rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counted(name))
+        monkeypatch.setattr(equations, "_" + name, counted(name))
     travelling_residual(solution, EquationId(kind), params, grid, backend=backend)
     ladder = isinstance(solution, SolitonLadder)
     assert calls == ([] if ladder and backend == "fd8" else ["rfft", "irfft"])

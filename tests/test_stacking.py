@@ -67,6 +67,9 @@ def test_a_default_sweep_takes_one_derivative_set_per_stack_and_sign(monkeypatch
 
     monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft, "fft"))
     monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft, "fft"))
+    # derivative sets go through the gufunc handles that equations imports
+    monkeypatch.setattr(equations, "_rfft", counted(equations._rfft, "fft"))
+    monkeypatch.setattr(equations, "_irfft", counted(equations._irfft, "fft"))
     monkeypatch.setattr(equations, "equation_terms",
                         counted(equations.equation_terms, "assembly"))
     out = io.StringIO()
