@@ -16,7 +16,7 @@ from kdvwaves import cli
 from kdvwaves.cli import main
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs")
-                         .glob("*.yaml"))
+                         .rglob("*.yaml"))
 
 
 def _load_both(path) -> list:
