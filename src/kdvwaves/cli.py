@@ -174,13 +174,17 @@ _frame = _type(f"one of {[f.value for f in Frame]}", Frame)
 _kind = _type(f"one of {[k.value for k in EquationKind]}", EquationKind)
 
 
-def _list(item, n: int | None = None):
-    """A list read item by item, as a tuple; n fixes its length."""
+def _list(item, n: int | None = None, nonempty: str | None = None):
+    """A list read item by item, as a tuple; n fixes its length, and a list
+    that names its items in `nonempty` must hold at least one."""
     check = _type("a list" if n is None else f"a list of {n} values", list,
                   lambda v: isinstance(v, list) and n in (None, len(v)))
 
     def read(value, where: str) -> tuple:
-        return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(check(value, where)))
+        values = tuple(item(v, f"{where}[{i}]") for i, v in enumerate(check(value, where)))
+        if nonempty and not values:
+            raise ConfigError(f"'{where}' must be a non-empty list of {nonempty}")
+        return values
     return read
 
 
@@ -193,7 +197,7 @@ def _mapping(item):
 
 # the reader of each key of a FAMILIES row; a ladder's amplitudes number as its row's
 _KEYS = {"A": (_finite, REQUIRED), "m": (_finite, REQUIRED), "B": (_finite, None),
-         "Delta": (_finite, REQUIRED), "sign_B": (_int, 1)}
+         "Delta": (_finite, REQUIRED)}
 _family = _type(f"one of {list(FAMILIES)}", FAMILIES.__getitem__)
 
 
@@ -224,7 +228,7 @@ def _starts(value, where: str):
     """'starts', as a function of the medium: a list of start points, or
     {amplitudes: {n, span}}, a geometric ladder of kdv-soliton warm starts."""
     if isinstance(value, list):
-        points = _list(_mapping(_float))(value, where)
+        points = _list(_mapping(_float), nonempty="start points")(value, where)
         return lambda params: list(points)
     ladder = _read(value, {"amplitudes": ((AMPLITUDES, dict), REQUIRED)}, where)
     return lambda params: amplitude_starts(params, **ladder["amplitudes"])
@@ -243,7 +247,7 @@ AMPLITUDES = {"n": (_positive_int, 8), "span": (_list(_positive, 2), (0.05, 3.0)
 # the top-level keys of each command
 PROFILE = {"medium": (MEDIUM, REQUIRED), "frame": (_frame, Frame.FIXED),
            "grid": (GRID, REQUIRED), "wave": (_wave, REQUIRED),
-           "inverted": (_bool, False), "times": (_list(_finite), (0.0,))}
+           "inverted": (_bool, False), "times": (_list(_finite, nonempty="reals"), (0.0,))}
 VERIFY_CASE = {"label": (_str, None), "equation": (_kind, REQUIRED),
                "medium": (MEDIUM, REQUIRED), "frame": (_frame, Frame.FIXED),
                "grid": (GRID, None), "wave": (_wave, REQUIRED),
@@ -295,8 +299,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def cmd_profile(args) -> int:
     cfg = _read(_load_config(args.config), PROFILE, "")
     grid, times = cfg["grid"], cfg["times"]
-    if not times:
-        raise ConfigError("'times' must be a non-empty list of reals")
 
     built, eff = _solution(cfg["wave"], cfg["medium"], cfg["inverted"])
     x = grid.x

@@ -141,34 +141,15 @@ class Grid:
         return self.x0 + self.dx * np.arange(self.n)
 
     def derivative_multiplier(self, order: int) -> np.ndarray:
-        """(ik)^order on the rfft modes; odd orders zero the unmatched
-        Nyquist mode, which carries no odd derivative.  Built once per
-        grid instance: every call returns the same read-only array.
-
-        The bits are those of the complex power (1j * k) ** order without
-        its cost: |k|^order from real products in numpy's integer-power
-        order (k k, (k k) k, (k k)(k k), k (k k)(k k), ...), and i^order
-        picks the part and the sign; the product with 1j gives the zero
-        real part of an odd order its sign, as the power does."""
+        """(ik)^order on the rfft modes, numpy's complex power (1j * k) ** order;
+        odd orders zero the unmatched Nyquist mode, which carries no odd
+        derivative.  Built once per grid instance: every call returns the
+        same read-only array."""
         mult = self._multipliers.get(order)
         if mult is None:
-            k = 2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.dx)
-            power, square, rest = None, k, order
-            while rest:
-                if rest & 1:
-                    power = square if power is None else power * square
-                rest >>= 1
-                if rest:
-                    square = square * square
-            if power is None:
-                mult = np.ones(k.shape, dtype=complex)
-            else:
-                if order % 4 >= 2:
-                    power = -power
-                mult = power * 1j if order % 2 == 1 else power.astype(complex)
-                mult[0] = 0.0       # the power's k = 0 is +0 in both parts
-                if order % 2 == 1:
-                    mult[-1] = 0.0
+            mult = (1j * (2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.dx))) ** order
+            if order % 2 == 1:
+                mult[-1] = 0.0
             mult.flags.writeable = False
             self._multipliers[order] = mult
         return mult

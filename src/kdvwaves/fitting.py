@@ -466,7 +466,7 @@ def _iterate(kind, params, ansatz, start, n_points, rtol):
         return math.sqrt(point.res.dot(point.res))
 
     def finish(status, n_iterations):
-        rank = None if jac is None else _rank(jac, 1e-12)
+        rank = None if jac is None else int(np.linalg.matrix_rank(jac, rtol=1e-12))
         if status is None:      # a dead end: no trial was accepted
             status = "singular_jacobian" if rank < n_free or not evaluable else "stalled"
         flat = np.ptp(cur.rows[0]) <= FLAT_TOL * np.max(np.abs(cur.rows[0]))
@@ -607,13 +607,7 @@ def count_constraints(kind: EquationKind, params: MediumParams,
     one-parameter family (amplitude), while the second-order equation
     pins every parameter.
     """
-    return _rank(_manifold_jacobian(kind, params, ansatz), 1e-6)
-
-
-def _rank(jac: np.ndarray, rcond: float) -> int:
-    """How many singular values of jac exceed rcond times the largest."""
-    sigma = np.linalg.svd(jac, compute_uv=False)
-    return int(np.sum(sigma > sigma[0] * rcond)) if sigma[0] > 0.0 else 0
+    return int(np.linalg.matrix_rank(_manifold_jacobian(kind, params, ansatz), rtol=1e-6))
 
 
 def _manifold_jacobian(kind: EquationKind, params: MediumParams,

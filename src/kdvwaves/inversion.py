@@ -141,7 +141,7 @@ FAMILIES = {
                      (-40.0, 80.0), None),
     "fifth_order_soliton": (make_fifth_order_soliton, {}, EquationKind.FIFTH_ORDER, "sech4",
                             "soliton/fifth_order", (-60.0, 120.0), 0.35),
-    "gardner_soliton": (make_gardner_soliton, {"Delta": 1.0, "sign_B": 1},
+    "gardner_soliton": (make_gardner_soliton, {"Delta": 1.0},
                         EquationKind.GARDNER, "gardner", "soliton/gardner", (-40.0, 80.0), 0.0),
     "two_soliton": (make_soliton_ladder, {"amplitudes": (1.0, 2.0)}, _KDV, None,
                     "two_soliton/kdv", (-64.0, 128.0), None),

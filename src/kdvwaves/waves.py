@@ -447,10 +447,10 @@ def make_kdv_superposition(params: MediumParams, A: float, m: float,
     """(A/2)[dn^2(B xi, m) +/- sqrt(m) cn(B xi, m) dn(B xi, m)] + D.
 
     v = 1 + (alpha A/8)(5 - m - 6E/K) and D = -(A/2)(E/K) (zero mean over
-    the 4K period).  The dispersion relation fixing B is not part of the
-    closed form here (fit_travelling_wave can solve for it); B defaults to
-    the width of the kdv soliton of amplitude A, which needs alpha*A > 0.
-    The two signs are mutual half-period translates.
+    the 4K period).  It solves the kdv equation at every m where B^2 =
+    3 alpha A/(4 beta), the kdv soliton width of A, and at no other B; B
+    defaults to that width, which needs alpha*A > 0.  The two signs are
+    mutual half-period translates.
     """
     if B is None:
         if params.alpha * A <= 0.0:
@@ -517,14 +517,12 @@ def make_fifth_order_soliton(params: MediumParams) -> TravellingWave:
     return _finite(TravellingWave(WaveFamily.FIFTH_ORDER_SOLITON, A=A, B=math.sqrt(B2), v=v))
 
 
-def make_gardner_soliton(params: MediumParams, Delta: float,
-                         sign_B: int = +1) -> TravellingWave:
+def make_gardner_soliton(params: MediumParams, Delta: float) -> TravellingWave:
     """Gardner soliton u = A / (1 + B cosh((x - vt)/Delta)).
 
     With beta' = (1 - 3 tau) beta / 6:  A = 4 beta'/(alpha Delta^2),
-    B = sign_B sqrt(1 - beta'/Delta^2), v = 1 + beta'/Delta^2.  The
-    shape runs from bell (B near 1) to table-top (B -> 0+).  sign_B = -1
-    selects the unbounded branch (the denominator has zeros).
+    B = sqrt(1 - beta'/Delta^2), v = 1 + beta'/Delta^2.  The shape runs
+    from bell (B near 1) to table-top (B -> 0+).
     """
     if Delta == 0.0:
         raise ValueError("Gardner width Delta must be nonzero")
@@ -535,15 +533,13 @@ def make_gardner_soliton(params: MediumParams, Delta: float,
     if not sys.float_info.min <= square <= sys.float_info.max:
         raise ValueError(
             f"Gardner width Delta must be finite with Delta**2 a normal float, got {Delta!r}")
-    if sign_B not in (+1, -1):
-        raise ValueError(f"sign_B must be +1 or -1, got {sign_B!r}")
     bp = params.beta_prime()
     disc = 1.0 - bp / square
     if disc < 0.0:
         raise ValueError(
             f"Gardner soliton needs beta'/Delta^2 <= 1, got {bp / square!r}")
     A = 4.0 * bp / (params.alpha * square)
-    B = sign_B * math.sqrt(disc)
+    B = math.sqrt(disc)
     v = 1.0 + bp / square
     return _finite(TravellingWave(WaveFamily.GARDNER_SOLITON, A=A, B=B, v=v, Delta=Delta))
 

@@ -52,3 +52,6 @@ def test_expectations_are_well_formed(table):
             assert tuple(sweep) in seen and label
         seen.add(tuple(entry.argv))
 
+
+def test_no_command_is_listed_twice(table):
+    assert all(entry not in table[:i] for i, entry in enumerate(table))

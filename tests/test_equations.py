@@ -146,8 +146,8 @@ def test_a_grid_builds_each_multiplier_once_and_shares_it_read_only(order):
 
 @pytest.mark.parametrize("n", [16, 128, 256, 1024, 4096, 8192, 16384])
 def test_multipliers_are_the_complex_powers_bit_for_bit(n):
-    """(ik)^o is built from real products, yet keeps every bit of
-    (1j * k) ** o, down to the signs of its zero parts."""
+    """(ik)^o keeps every bit of numpy's power (1j * k) ** o, down to the
+    signs of its zero parts, with an odd order's Nyquist mode zeroed."""
     for length in (1.0, 17.0, 2.0 * math.pi, 137.01766579681475, 640.0, 1.0e4):
         grid = Grid(-3.0, length, n)
         k = 2.0 * math.pi * np.fft.rfftfreq(n, d=grid.dx)

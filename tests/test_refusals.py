@@ -151,6 +151,15 @@ NO_FREE = {"equation": "kdv", "medium": {"alpha": 0.1, "beta": 0.1},
     ("profile", {"medium": GARDNER_MEDIUM, "grid": GARDNER_GRID,
                  "wave": {"family": "gardner_soliton", "Delta": 1.0e-160}},
      _far_width("wave", 1.0e-160)),
+    # a multi-start with no start to run, refused before its count could print
+    ("fit", {"equation": "kdv2", "medium": {"alpha": 0.1, "beta": 0.1},
+             "count_constraints": True, "starts": [],
+             "ansatz": {"shape": "sech2", "free": ["A", "B", "v"], "fixed": {"D": 0.0}}},
+     "'starts' must be a non-empty list of start points"),
+    # the Gardner soliton has one branch, so no key chooses it
+    ("profile", {"medium": GARDNER_MEDIUM, "grid": GARDNER_GRID,
+                 "wave": {"family": "gardner_soliton", "Delta": 1.0, "sign_B": 1}},
+     "unknown key 'wave.sign_B' (did you mean 'Delta'?)"),
 ])
 def test_a_refused_config_exits_two_and_names_its_key(capsys, tmp_path, command, doc, message):
     path = tmp_path / "bad.yaml"

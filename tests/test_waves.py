@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kdvwaves.elliptic import elliptic_E, elliptic_K
-from kdvwaves.equations import EquationId, EquationKind, Field, Grid, residual
+from kdvwaves.equations import (EquationId, EquationKind, Field, Grid, residual,
+                                travelling_residual)
 from kdvwaves.inversion import catalog
 from kdvwaves.waves import (
     Frame,
@@ -401,6 +402,22 @@ def test_superposition_width_defaults_to_the_soliton_of_its_amplitude():
                     == make_kdv_superposition(params, A, 0.5, B, sign=sign))
 
 
+@pytest.mark.parametrize("alpha", [0.1, -0.1])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_superposition_solves_kdv_at_the_soliton_width_alone(alpha, sign):
+    # B^2 = 3 alpha A/(4 beta) at every m: on one period the default width
+    # leaves a solution's residual, and a width 1% off one 1e4 times larger
+    params, kdv = MediumParams(alpha, 0.1), EquationId(EquationKind.KDV)
+    for m in (0.1, 0.5, 0.9, 0.99):
+        for A in (0.5, 1.0, 2.0):
+            wave = make_kdv_superposition(params, math.copysign(A, alpha), m, sign=sign)
+            for B in (wave.B, 0.99 * wave.B, 1.01 * wave.B):
+                w = make_kdv_superposition(params, wave.A, m, B, sign=sign)
+                report, _ = travelling_residual(w, kdv, params, Grid(0.0, w.wavelength(), 1024))
+                assert (report.relative < 1e-8 if B == wave.B
+                        else report.relative > 1e-4), (m, A, B, report.relative)
+
+
 @pytest.mark.parametrize("A,params", [(-1.0, P), (1.0, P.flipped()), (0.0, P)])
 def test_superposition_default_width_names_the_superposition(A, params):
     with pytest.raises(ValueError, match=r"^superposition default width requires "
@@ -483,7 +500,6 @@ def test_soliton_ladder_refuses_amplitudes_against_alpha(amplitudes, params):
     (lambda: make_kdv_superposition(P, 1.0, 1.0),
      "superposition parameter m must be in (0, 1), got 1.0"),
     (lambda: make_gardner_soliton(P, 0.0), "Gardner width Delta must be nonzero"),
-    (lambda: make_gardner_soliton(P, 1.0, sign_B=0), "sign_B must be +1 or -1, got 0"),
     (lambda: MediumParams(0.1, 0.1, tau=-0.1), "MediumParams.tau must be >= 0, got -0.1"),
     (lambda: SolitonLadder((0.0, 1.0)), "SolitonLadder amplitudes must be nonzero"),
 ])
