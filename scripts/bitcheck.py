@@ -4,10 +4,12 @@
 Runs each table entry in a fresh `python -W error` process on this tree's src/ and on
 TREE/src (default: this tree, a rerun); both read this tree's configs and write one --out.
 Exit code, stdout, stderr and listed CSVs must match byte for byte, and each run must meet
-its entry (exit code; no stdout on exit 2; `holds`; `row_of`), or the script exits 1.
+its entry (exit code; no stdout on exit 2; `holds`; `row_of`) and print every stdout line
+that starts with `{` as strict JSON, without NaN or Infinity, or the script exits 1.
 Compare two trees on one machine, never against recorded bytes: numpy's AVX-512 loops
 round differently on other CPUs.
 """
+import json
 import os
 import shutil
 import subprocess
@@ -84,6 +86,12 @@ def table(tmp: Path) -> list[Entry]:
         kdv("verify", *cfg("checks/verify_zero_field"), exit=1, holds='"flags": ["zero_field"]'),
         # exact fd8 weights rounded once hold the kdv2 soliton under 3e-9 at n = 4096
         kdv("verify", *cfg("checks/verify_fd8_kdv2"), "--backend", "fd8", "--tolerance", "3e-9"),
+        # residuals past 1e154 whose squares overflow: each norm_2 is still a finite number
+        kdv("verify", *cfg("checks/verify_tiny_alpha"), exit=1),
+        # max|u| = 1e306: the samples print, while their derivatives overflow and the
+        # check of the wave is a numerical abort
+        kdv("profile", *cfg("checks/profile_huge_soliton")),
+        kdv("verify", *cfg("checks/verify_huge_soliton"), exit=3),
         # refused: no free parameter, a fixed A of the wrong sign for alpha, a Gardner
         # width whose arithmetic fails, beta5 overflowing (beta**2, tau**2), B = inf,
         # a multi-start with no starts
@@ -117,6 +125,10 @@ def run(entry: Entry, src: Path, cwd: str) -> dict:
     return got
 
 
+def _not_json(constant: str):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
 def problems(entry: Entry, got: dict, stdouts: dict) -> list[str]:
     """Where one run misses its entry's expectations."""
     bad = [f"{name} missing" for name in entry.csvs if got[name] is None]
@@ -126,6 +138,13 @@ def problems(entry: Entry, got: dict, stdouts: dict) -> list[str]:
         bad.append("stdout on a refusal")
     if entry.holds is not None and entry.holds.encode() not in got["stdout"]:
         bad.append(f"stdout lacks {entry.holds}")
+    for line in got["stdout"].splitlines():
+        if line.startswith(b"{"):
+            try:
+                json.loads(line, parse_constant=_not_json)
+            except ValueError as exc:
+                bad.append(f"stdout record is not strict JSON: {exc}")
+                break
     if entry.row_of is not None:
         sweep, label = entry.row_of
         row = [line for line in stdouts[tuple(sweep)].splitlines(keepends=True)

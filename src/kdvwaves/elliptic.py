@@ -4,12 +4,12 @@ Self-contained double-precision implementations built on the
 arithmetic-geometric mean (AGM); no dependency on scipy.special.  The
 argument is the parameter m = k^2, following the convention of
 Abramowitz & Stegun chapters 16-17 (and DLMF 19/22), so that
-sn(u, 0) = sin(u) and sn(u, 1) = tanh(u).  K and E come from one AGM
-chain; sn, cn, dn from Bulirsch's descending Gauss transformation
-(Numer. Math. 7, 1965, 78-90; DLMF 22.7(i)) on the same chain, with one
-tangent per point.  Every 0 <= m < 1 takes that one path; the only
-special case is m = 1, where K is infinite and sn, cn, dn keep their
-closed forms tanh, sech, sech.
+sn(u, 0) = sin(u) and sn(u, 1) = tanh(u).  One cached 40-digit AGM walk
+per m gives K, E and the levels of Bulirsch's descending Gauss
+transformation (Numer. Math. 7, 1965, 78-90; DLMF 22.7(i)), which gives
+sn, cn, dn with one tangent per point.  Every 0 <= m < 1 takes that one
+path; the only special case is m = 1, where K is infinite and sn, cn, dn
+keep their closed forms tanh, sech, sech.
 """
 from __future__ import annotations
 
@@ -31,43 +31,47 @@ _LEVEL_EPS = Decimal("1e-17")
 _TINY = 1e-150
 
 
-def _agm_chain(m: float) -> tuple[list[Decimal], list[Decimal], list[Decimal]]:
-    """40-digit AGM sequences a_i, b_i, c_i started from (1, sqrt(1-m), sqrt(m)).
-
-    Every double taken from the chain is rounded once from 40 digits, so K
-    and the Gauss levels come out correctly rounded, and 2K keeps the
-    digits that reducing a large argument by the half period needs.
-    """
-    ctx = _DECIMAL
-    a = [Decimal(1)]
-    b = [ctx.sqrt(ctx.subtract(a[0], Decimal(m)))]
-    c = [ctx.sqrt(Decimal(m))]
-    while c[-1] > ctx.multiply(_AGM_EPS, a[-1]) and len(a) < _AGM_MAX_ITER:
-        a.append(ctx.multiply(Decimal("0.5"), ctx.add(a[-1], b[-1])))
-        b.append(ctx.sqrt(ctx.multiply(a[-2], b[-1])))
-        # same as (a - b)/2 but free of the subtractive cancellation
-        c.append(ctx.divide(ctx.multiply(c[-1], c[-1]), ctx.multiply(4, a[-1])))
-    return a, b, c
-
-
 @lru_cache(maxsize=64)
-def _complete(m: float) -> tuple[float, float, float]:
-    """(K, E/K, E/K + m - 1) for 0 <= m < 1 from one AGM chain.
+def _complete(m: float):
+    """(K, E/K, E/K + m - 1, a_N, levels, 1/(2K), C1, C2) for 0 <= m < 1
+    from one 40-digit AGM walk from (a, b, c) = (1, sqrt(1-m), sqrt(m)).
 
-    K = pi / (2 a_N) and E/K = 1 - sum_i 2^(i-1) c_i^2 with c_0^2 = m, so
+    Each double is rounded once from 40 digits.  K = pi / (2 a_N) and
+    E/K = 1 - sum_i 2^(i-1) c_i^2 with c_0^2 = m, so
     E/K + m - 1 = m/2 - sum_{i>=1} 2^(i-1) c_i^2.  That tail is O(m^2):
     the difference keeps full relative precision as m -> 0, where forming
-    E/K first and then adding m - 1 would cancel every digit.
+    E/K first and then adding m - 1 would cancel every digit.  The levels
+    (a_{i-1} a_i, b_{i-1} a_i) of jacobi_sn_cn_dn's recursion come last
+    first.  C1 keeps the leading 32 bits of 2K = C1 + C2, so j C1 is exact
+    for |j| < 2^21, and u - j C1 - j C2 keeps the digits that a 2K rounded
+    to a double would lose at |u| >> K.
     """
     if not 0.0 <= m < 1.0:
         raise ValueError(f"K(m) requires 0 <= m < 1, got m={m!r}")
     ctx = _DECIMAL
-    a, _, c = _agm_chain(m)
+    a = Decimal(1)
+    b = ctx.sqrt(ctx.subtract(a, Decimal(m)))
+    c = ctx.sqrt(Decimal(m))
     excess = ctx.multiply(Decimal("0.5"), Decimal(m))
-    for i, ci in enumerate(c[1:]):
-        excess = ctx.subtract(excess, ctx.multiply(2 ** i, ctx.multiply(ci, ci)))
+    levels = []
+    for i in range(_AGM_MAX_ITER - 1):
+        if not c > ctx.multiply(_AGM_EPS, a):
+            break
+        a_prev, b_prev = a, b
+        a = ctx.multiply(Decimal("0.5"), ctx.add(a_prev, b_prev))
+        b = ctx.sqrt(ctx.multiply(a_prev, b_prev))
+        # same as (a - b)/2 but free of the subtractive cancellation
+        c = ctx.divide(ctx.multiply(c, c), ctx.multiply(4, a))
+        excess = ctx.subtract(excess, ctx.multiply(2 ** i, ctx.multiply(c, c)))
+        if c > ctx.multiply(_LEVEL_EPS, a):
+            levels.append((float(ctx.multiply(a_prev, a)), float(ctx.multiply(b_prev, a))))
     e_over_k = ctx.add(excess, ctx.subtract(1, Decimal(m)))
-    return float(ctx.divide(_PI, ctx.multiply(2, a[-1]))), float(e_over_k), float(excess)
+    two_k = ctx.divide(_PI, a)
+    mantissa, exponent = math.frexp(float(two_k))
+    c1 = math.ldexp(math.floor(math.ldexp(mantissa, 32)), exponent - 32)
+    c2 = float(ctx.subtract(two_k, Decimal(c1)))
+    return (float(ctx.divide(_PI, ctx.multiply(2, a))), float(e_over_k), float(excess),
+            float(a), tuple(reversed(levels)), 1.0 / float(two_k), c1, c2)
 
 
 def elliptic_K(m: float) -> float:
@@ -90,29 +94,8 @@ def elliptic_E(m: float) -> float:
         raise ValueError(f"elliptic_E requires 0 <= m <= 1, got m={m!r}")
     if m == 1.0:
         return 1.0
-    K, e_over_k, _ = _complete(m)
+    K, e_over_k = _complete(m)[:2]
     return K * e_over_k
-
-
-@lru_cache(maxsize=64)
-def _gauss_chain(m: float):
-    """What jacobi_sn_cn_dn needs of 0 <= m < 1: the AGM mean a_N, the
-    levels (a_{i-1} a_i, b_{i-1} a_i) of the descending recursion, last
-    level first, and the half period as 1/(2K) and C1 + C2 = 2K.
-
-    C1 keeps the leading 32 bits of 2K, so j C1 is exact for |j| < 2^21,
-    and u - j C1 - j C2 keeps the digits that a 2K rounded to a double
-    would lose at |u| >> K.
-    """
-    ctx = _DECIMAL
-    a, b, c = _agm_chain(m)
-    levels = tuple((float(ctx.multiply(a[i - 1], a[i])), float(ctx.multiply(b[i - 1], a[i])))
-                   for i in range(len(a) - 1, 0, -1) if c[i] > ctx.multiply(_LEVEL_EPS, a[i]))
-    two_k = ctx.divide(_PI, a[-1])
-    mantissa, exponent = math.frexp(float(two_k))
-    c1 = math.ldexp(math.floor(math.ldexp(mantissa, 32)), exponent - 32)
-    c2 = float(ctx.subtract(two_k, Decimal(c1)))
-    return float(a[-1]), levels, 1.0 / float(two_k), c1, c2
 
 
 def jacobi_sn_cn_dn(u, m: float):
@@ -144,7 +127,7 @@ def jacobi_sn_cn_dn(u, m: float):
         cn = sech(u_arr)
         dn = cn.copy()
     else:
-        a_n, levels, inv_two_k, c1, c2 = _gauss_chain(m)
+        a_n, levels, inv_two_k, c1, c2 = _complete(m)[3:]
         j = np.multiply(u_arr, inv_two_k)
         np.rint(j, out=j)
         # r = u - 2K j; j c1 is exact, and so is u - j c1 (Sterbenz)

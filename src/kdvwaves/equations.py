@@ -386,8 +386,13 @@ def residual_report(equation: str, res: np.ndarray, scale: float, dx: float,
     """The report of a residual field whose largest single term reaches scale."""
     norm_inf = float(np.max(np.abs(res)))
     relative, zero = relative_residual(norm_inf, scale), not scale > 0.0
+    with np.errstate(over="ignore"):
+        norm_2 = math.sqrt(dx * np.sum(res * res))
+    if math.isinf(norm_2) and math.isfinite(norm_inf):
+        # the squares overflow past |res| ~ 1e154: sum them scaled by norm_inf
+        norm_2 = norm_inf * math.sqrt(dx * np.sum(np.square(res / norm_inf)))
     return ResidualReport(equation=equation, norm_inf=norm_inf,
-                          norm_2=float(math.sqrt(dx * np.sum(res * res))), scale=scale,
+                          norm_2=norm_2, scale=scale,
                           relative=relative, passed=bool(not zero and relative <= tolerance),
                           tolerance=tolerance, flags=flags + ("zero_field",) * zero)
 
@@ -440,7 +445,7 @@ def _fields_and_diffs(solution: TravellingWave | SolitonLadder, params: MediumPa
     if isinstance(solution, SolitonLadder):
         u, ut = solution.fields(grid.x, t, params, frame)
         return Field(grid, u, t), Field(grid, ut, t), None
-    u = Field(grid, solution.evaluate(grid.x, t, frame), t)
+    u = Field(grid, solution.evaluate(grid.x, t, params, frame), t)
     # The exact profile rows would give u_x as well, with residuals within
     # 0.5% of these on every catalog case, but at n = 8192 their derivative
     # chain's temporaries cost more time and peak memory than one FFT pair.

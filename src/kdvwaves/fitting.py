@@ -196,7 +196,7 @@ def _fit_residual(kind: EquationKind, params: MediumParams,
         # over a period, cn^2 has mean (E/K + m - 1)/m (1/2 at m = 0) and
         # (dn^2 +- sqrt(m) cn dn)/2 has E/(2K); _complete refuses m = 1
         m = values["m"]
-        _, ek, excess = _complete(m)
+        ek, excess = _complete(m)[1:3]
         unit_mean = (excess / m if m else 0.5) if ansatz.shape == "cn2" else 0.5 * ek
         res = np.hstack([res, values["A"] * unit_mean + values.get("D", 0.0)])
     return _Point(res, scale, rows, unit_rows, unit_mean)
@@ -598,9 +598,9 @@ def count_constraints(kind: EquationKind, params: MediumParams,
                       ansatz: AnsatzFamily) -> int:
     """Rank of the residual Jacobian over the free parameters at the
     catalog solution of the equation and shape: the first FAMILIES row of
-    that (kind, shape), its amplitude of alpha's sign, with each of its keys
-    that ansatz.fixed pins (A, m, B or Delta) at the pinned value.  A
-    pinned point off the solution manifold is refused.
+    that (kind, shape), its amplitude of alpha's sign, with every parameter
+    that ansatz.fixed pins at the pinned value.  A pinned point off the
+    solution manifold is refused.
 
     n_free minus this rank is the local dimension of the solution family:
     e.g. the single-bell shape under the first-order equation leaves a
@@ -620,7 +620,7 @@ def _manifold_jacobian(kind: EquationKind, params: MediumParams,
     make, keys = rows[0]
     keys = signed(keys, math.copysign(1.0, params.alpha))
     wave = make(params, **{key: ansatz.fixed.get(key, value) for key, value in keys.items()})
-    values = {name: getattr(wave, name) for name in SHAPE_PARAMS[ansatz.shape]}
+    values = {name: getattr(wave, name) for name in SHAPE_PARAMS[ansatz.shape]} | ansatz.fixed
     xi = collocation_points(ansatz, values, max(4 * len(ansatz.free), 12))
     point = _fit_residual(kind, params, ansatz, xi, values)
     worst = float(np.max(np.abs(point.res)))

@@ -233,7 +233,9 @@ class TravellingWave:
         """Profile f(xi) as a function of the co-moving coordinate."""
         return self.derivatives(xi, 0)[0]
 
-    def evaluate(self, x, t: float = 0.0, frame: Frame = Frame.FIXED):
+    def evaluate(self, x, t: float = 0.0, params: MediumParams | None = None,
+                 frame: Frame = Frame.FIXED):
+        """u at time t in `frame`; a wave's coefficients hold the medium: params is unread."""
         return self.profile(np.asarray(x, dtype=float) - self.speed_in(frame) * t)
 
 
@@ -435,7 +437,7 @@ def make_kdv_cnoidal(params: MediumParams, A: float, m: float) -> TravellingWave
             f"cnoidal wave requires alpha*A > 0, got alpha={params.alpha!r}, A={A!r}")
     if not 0.0 < m < 1.0:
         raise ValueError(f"cnoidal parameter m must be in (0, 1), got {m!r}")
-    _, ek, excess = _complete(m)
+    ek, excess = _complete(m)[1:3]
     B = math.sqrt(3.0 * params.alpha * A / (4.0 * params.beta * m))
     v = 1.0 + 0.5 * params.alpha * (A / m) * (2.0 - m - 3.0 * ek)
     D = -(A / m) * excess
@@ -463,7 +465,7 @@ def make_kdv_superposition(params: MediumParams, A: float, m: float,
         raise ValueError(f"superposition B must be positive, got {B!r}")
     if not 0.0 < m < 1.0:
         raise ValueError(f"superposition parameter m must be in (0, 1), got {m!r}")
-    _, ek, _ = _complete(m)
+    ek = _complete(m)[1]
     v = 1.0 + params.alpha * A / 8.0 * (5.0 - m - 6.0 * ek)
     D = -0.5 * A * ek
     family = (WaveFamily.KDV_SUPERPOSITION_PLUS if sign > 0

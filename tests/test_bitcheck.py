@@ -45,7 +45,7 @@ def test_every_command_parses_and_lists_only_csvs_it_writes(table):
 def test_expectations_are_well_formed(table):
     seen = set()
     for entry in table:
-        assert entry.exit in (0, 1, 2)
+        assert entry.exit in (0, 1, 2, 3)
         assert entry.holds is None or entry.row_of is None
         if entry.row_of is not None:
             sweep, label = entry.row_of
@@ -55,3 +55,13 @@ def test_expectations_are_well_formed(table):
 
 def test_no_command_is_listed_twice(table):
     assert all(entry not in table[:i] for i, entry in enumerate(table))
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_record_that_is_not_strict_json_misses_its_entry(constant):
+    entry = bitcheck.Entry(["-m", "kdvwaves", "verify"])
+    record = b'{"norm_inf": 1e+300, "norm_2": %s}\n' % constant.encode()
+    assert bitcheck.problems(entry, {"exit code": 0, "stdout": record}, {}) == [
+        f"stdout record is not strict JSON: {constant} is not a JSON number"]
+    finite = {"exit code": 0, "stdout": record.replace(constant.encode(), b"1.5e+300")}
+    assert bitcheck.problems(entry, finite, {}) == []

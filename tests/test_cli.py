@@ -422,6 +422,41 @@ def test_evolve_abort_exits_three(capsys, tmp_path):
     assert "abort" in err
 
 
+def test_verify_reports_a_finite_norm_2_where_the_squares_overflow(capsys, tmp_path):
+    # at alpha = 1e-300 the kdv2, fifth-order and gardner residuals pass 1e154
+    cfg = _write(tmp_path, "tiny.yaml", {"medium": {"alpha": 1.0e-300, "beta": 0.1}})
+    code, out, _ = _run(capsys, ["verify", "--config", cfg])
+    assert code == 1
+    recs = [json.loads(line, parse_constant=pytest.fail) for line in out.splitlines()]
+    assert max(r["norm_inf"] for r in recs) > 1e154
+    assert all(math.isfinite(r["norm_2"]) for r in recs)
+
+
+HUGE = {"medium": {"alpha": 1.0e-306, "beta": 0.1},
+        "grid": {"x0": -50.0, "length": 100.0, "n": 1024}}
+HUGE_SOLITON = {"family": "kdv_soliton", "A": 1.0e306}
+
+
+def test_profile_prints_finite_samples_whose_derivatives_overflow(capsys, tmp_path):
+    # profile reads u alone, as evolve does: no u_t is formed
+    cfg = _write(tmp_path, "huge.yaml", {**HUGE, "wave": HUGE_SOLITON})
+    code, out, _ = _run(capsys, ["profile", "--config", cfg])
+    assert code == 0
+    u = np.array([float(line.split(",")[1]) for line in out.splitlines()[1:]])
+    assert u.size == 1024 and np.all(np.isfinite(u))
+
+
+def test_verify_of_a_wave_whose_derivatives_overflow_is_a_numerical_abort(capsys, tmp_path):
+    cfg = _write(tmp_path, "huge.yaml", {**HUGE, "cases": [
+        {"label": "tame", "equation": "kdv", "medium": {"alpha": 0.1, "beta": 0.1},
+         "wave": {"family": "kdv_soliton", "A": 1.0}},
+        {"label": "huge", "equation": "kdv", "wave": HUGE_SOLITON}]})
+    code, out, err = _run(capsys, ["verify", "--config", cfg])
+    assert code == 3
+    assert [r["label"] for r in _records(out)] == ["tame"]
+    assert err.startswith("verify: numerical abort in case 'huge': overflow encountered in ")
+
+
 @pytest.mark.parametrize("key,value", [("dt", float("nan")), ("dt", float("inf")),
                                        ("t_end", float("nan")), ("t_end", float("inf"))])
 def test_evolve_non_finite_time_exits_two_and_names_it(capsys, tmp_path, key, value):

@@ -391,6 +391,18 @@ def test_a_zero_scale_report_fails_as_zero_field_with_the_sweeps_relative():
     assert flagged.passed and flagged.flags == ("dispersion_sign_change",)
 
 
+@pytest.mark.parametrize("size", [1e150, 1e200, 1e300])
+def test_norm_2_is_finite_where_the_squares_overflow(size):
+    # the plain sum of squares overflows past |res| ~ 1e154: the report sums
+    # them scaled by norm_inf instead, and a sum that stays finite is unchanged
+    res = np.tile([size, -3.0 * size], 32)
+    report = residual_report("kdv/fixed", res, 10.0 * size, 0.5, 1e-8)
+    assert report.norm_inf == 3.0 * size
+    assert_allclose(report.norm_2, math.sqrt(0.5 * 32 * 10.0) * size, rtol=1e-15)
+    if size < 1e154:
+        assert report.norm_2 == math.sqrt(0.5 * np.sum(res * res))
+
+
 def test_residual_report_flags_reversed_dispersion():
     p = MediumParams(alpha=0.1, beta=0.1, tau=0.4)
     grid = Grid(-20.0, 40.0, 256)

@@ -1,6 +1,7 @@
 """Collocation fitting: recovery of closed forms, bookkeeping, landscapes."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -500,7 +501,8 @@ def test_jacobian_columns_mirror_exactly(kind, params, shape, sign, zero_mean, v
     (EquationKind.GARDNER, PG, AnsatzFamily("gardner", ("A", "B", "v", "Delta"), {}),
      3, 1e-11),
     # the m column is a central difference
-    (EquationKind.KDV, P, AnsatzFamily("cn2", ("A", "B", "v", "m"), {"D": 0.0}), 2, 1e-10),
+    (EquationKind.KDV, P, AnsatzFamily("cn2", ("A", "B", "v", "m"),
+                                       {"D": make_kdv_cnoidal(P, 1.0, 0.9).D}), 2, 1e-10),
     (EquationKind.KDV, P, AnsatzFamily("cn2", ("A", "B", "v", "D", "m"), {}), 2, 1e-10),
     # rigid solutions: no null space
     (EquationKind.KDV2, P, KDV2_SECH2, 3, None),
@@ -512,7 +514,10 @@ def test_jacobian_columns_mirror_exactly(kind, params, shape, sign, zero_mean, v
 @pytest.mark.parametrize("flip", [False, True])
 def test_constraint_jacobian_separates_null_from_genuine(kind, params, ansatz, rank,
                                                          null_bound, flip):
-    params = params.flipped() if flip else params
+    if flip:
+        # a pinned pedestal D, like the catalog's amplitude, takes alpha's sign
+        params, ansatz = params.flipped(), replace(ansatz, fixed={
+            k: -x if k == "D" else x for k, x in ansatz.fixed.items()})
     jac = fitting._manifold_jacobian(kind, params, ansatz)
     sigma = np.linalg.svd(jac, compute_uv=False)
     assert np.all(sigma[:rank] >= 1e-4 * sigma[0])

@@ -268,6 +268,20 @@ def test_a_count_honours_the_fixed_keys_of_its_ansatz(capsys, tmp_path, ansatz, 
     assert captured.err == f"config error: invalid 'count_constraints': {message}\n"
 
 
+@pytest.mark.parametrize("kind,ansatz,relative", [
+    (EquationKind.KDV, AnsatzFamily("sech2", ("A", "B"), {"v": 5.0, "D": 0.0}), "7.900e-01"),
+    (EquationKind.KDV2, AnsatzFamily("sech2", ("B", "v"), {"A": 7.0, "D": 0.0}), "2.804e-01"),
+    (EquationKind.KDV, AnsatzFamily("sech2", ("A", "v"), {"B": 3.0, "D": 0.0}), "6.706e-01"),
+])
+def test_a_count_refuses_a_pinned_value_off_the_manifold(kind, ansatz, relative):
+    # v, D and a rigid soliton's A and B are no keys of a family row, so
+    # the catalog wave leaves them at its own values; the count does not
+    with pytest.raises(ValueError) as err:
+        fitting.count_constraints(kind, MediumParams(0.1, 0.1), ansatz)
+    assert str(err.value) == ("the catalog point is not on the solution manifold "
+                              f"(relative residual {relative})")
+
+
 @pytest.mark.parametrize("alpha", [0.1, -0.1])
 def test_a_count_is_taken_at_the_amplitude_its_ansatz_pins(alpha):
     # the soliton of each pinned amplitude is on the solution family, with
