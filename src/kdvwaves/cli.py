@@ -483,15 +483,21 @@ def cmd_evolve(args) -> int:
                    zip(mon["time"], mon["mass"], mon["momentum"],
                        mon["min"], mon["max"]))
 
+    # a drift of a series that overflows is no number: null, and named in non_finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        drifts = {f"{k}_drift": float(np.max(np.abs(mon[k] - mon[k][0])))
+                  for k in ("mass", "momentum")}
+    non_finite = [k for k, d in drifts.items() if not math.isfinite(d)]
     record = {
         "equation": eq.label(),
         "t_final": traj.times[-1],
         "n_snapshots": len(traj.snapshots),
-        "mass_drift": float(np.max(np.abs(mon["mass"] - mon["mass"][0]))),
-        "momentum_drift": float(np.max(np.abs(mon["momentum"] - mon["momentum"][0]))),
+        **{k: None if k in non_finite else d for k, d in drifts.items()},
         "u_min": float(mon["min"][-1]),
         "u_max": float(mon["max"][-1]),
     }
+    if non_finite:
+        record["non_finite"] = non_finite
     if aborted is not None:
         _emit({**record, "aborted": aborted})
         _say(f"evolve: numerical abort at t={traj.times[-1]:g}: {aborted}")

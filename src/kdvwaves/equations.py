@@ -121,7 +121,6 @@ class Grid:
     x0: float
     length: float
     n: int
-    _multipliers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in (("x0", self.x0), ("length", self.length)):
@@ -143,16 +142,18 @@ class Grid:
     def derivative_multiplier(self, order: int) -> np.ndarray:
         """(ik)^order on the rfft modes, numpy's complex power (1j * k) ** order;
         odd orders zero the unmatched Nyquist mode, which carries no odd
-        derivative.  Built once per grid instance: every call returns the
+        derivative.  Built once per (n, dx, order): every equal grid gets the
         same read-only array."""
-        mult = self._multipliers.get(order)
-        if mult is None:
-            mult = (1j * (2.0 * math.pi * np.fft.rfftfreq(self.n, d=self.dx))) ** order
-            if order % 2 == 1:
-                mult[-1] = 0.0
-            mult.flags.writeable = False
-            self._multipliers[order] = mult
-        return mult
+        return _multiplier(self.n, self.dx, order)
+
+
+@lru_cache(maxsize=64)
+def _multiplier(n: int, dx: float, order: int) -> np.ndarray:
+    mult = (1j * (2.0 * math.pi * np.fft.rfftfreq(n, d=dx))) ** order
+    if order % 2 == 1:
+        mult[-1] = 0.0
+    mult.flags.writeable = False
+    return mult
 
 
 @dataclass
@@ -184,7 +185,6 @@ class BottomProfile:
     """
 
     knots: tuple[tuple[float, float], ...]
-    _samples: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots = tuple((float(x), float(h)) for x, h in self.knots)
@@ -281,15 +281,14 @@ def derivative_set(backend: str):
     return backends[backend]
 
 
+@lru_cache(maxsize=64)
 def bottom_eval(bottom: BottomProfile, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """(h, h_x) of the periodically extended bottom on grid points.
 
     h_x comes from the analytic segment slopes, never from differentiating
     samples, so it is exact up to the knot discontinuities.  Sampled once
-    per (bottom, grid): every call returns the same read-only arrays.
+    per equal (bottom, grid) pair: each call returns the same read-only arrays.
     """
-    if grid in bottom._samples:
-        return bottom._samples[grid]
     px = np.array([x for x, _ in bottom.knots])
     ph = np.array([h for _, h in bottom.knots])
     if px[-1] - px[0] >= grid.length:
@@ -302,7 +301,6 @@ def bottom_eval(bottom: BottomProfile, grid: Grid) -> tuple[np.ndarray, np.ndarr
     slope = (ph_ext[idx + 1] - ph_ext[idx]) / (px_ext[idx + 1] - px_ext[idx])
     h = ph_ext[idx] + slope * (xr - px_ext[idx])
     h.flags.writeable = slope.flags.writeable = False
-    bottom._samples[grid] = h, slope
     return h, slope
 
 

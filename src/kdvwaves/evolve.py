@@ -250,11 +250,11 @@ def evolve(config: EvolveConfig, u0) -> Trajectory:
     stepper = ETDRK4(config)
     traj = Trajectory(config)
     traj.append(0.0, values)
-    v = np.fft.rfft(values)
     stride, n_steps = config.output_stride, config.n_steps
     # blowup is detected and reported below, so the transient overflow
-    # on the final doomed step is not worth a RuntimeWarning
+    # on the final doomed step (or of the first transform) is not worth a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
+        v = np.fft.rfft(values)
         for i in range(1, n_steps + 1):
             v = stepper.step(v)
             if not np.isfinite(v).all():
@@ -270,12 +270,12 @@ def monitors(traj: Trajectory) -> dict[str, np.ndarray]:
     """Conserved-quantity and extremum series along a trajectory."""
     dx = traj.config.grid.dx
     u = np.array([s.values for s in traj.snapshots])
-    # u^2 may overflow to inf on a pre-abort snapshot; report it as such
+    # sums of u and u^2 may overflow to inf on a pre-abort snapshot; report them as such
     with np.errstate(over="ignore"):
-        momentum = dx * (u * u).sum(axis=1)
+        mass, momentum = dx * u.sum(axis=1), dx * (u * u).sum(axis=1)
     return {
         "time": np.array(traj.times),
-        "mass": dx * u.sum(axis=1),
+        "mass": mass,
         "momentum": momentum,
         "min": u.min(axis=1),
         "max": u.max(axis=1),
@@ -288,15 +288,18 @@ def estimate_speed(first: Field, last: Field) -> float:
     The correlation peak is located to sub-grid accuracy with a parabolic
     refinement; the shift is reported in [-length/2, length/2), so the
     elapsed time must be short enough that the true displacement does not
-    wrap ambiguously.
+    wrap ambiguously.  Both snapshots are scaled by one power of two that
+    brings their max |u| into [1/2, 1), so the correlation cannot overflow;
+    the scaling is exact, and the same for (-first, -last).
     """
     if first.grid != last.grid:
         raise ValueError("snapshots live on different grids")
     if last.time == first.time:
         raise ValueError("snapshots at equal times")
     n = first.grid.n
-    F = np.fft.rfft(first.values)
-    G = np.fft.rfft(last.values)
+    _, e = math.frexp(max(np.max(np.abs(first.values)), np.max(np.abs(last.values))))
+    F = np.fft.rfft(np.ldexp(first.values, -e))
+    G = np.fft.rfft(np.ldexp(last.values, -e))
     corr = np.fft.irfft(G * np.conj(F), n)
     i = int(np.argmax(corr))
     ym, y0, yp = corr[(i - 1) % n], corr[i], corr[(i + 1) % n]

@@ -450,6 +450,9 @@ def _iterate(kind, params, ansatz, start, n_points, rtol):
     missing = [p for p in ansatz.free if p not in start]
     if missing:
         raise ValueError(f"start is missing free parameters {missing}")
+    extra = [p for p in start if p not in ansatz.free]
+    if extra:
+        raise ValueError(f"start names parameters that are not free: {extra}")
     n_free = len(ansatz.free)
     c = np.array([float(start[p]) for p in ansatz.free])
     for p, value in zip(ansatz.free, c.tolist()):

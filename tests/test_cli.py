@@ -58,6 +58,11 @@ def _records(out: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines() if line.strip()]
 
 
+def _strict(out: str) -> list[dict]:
+    """The records as strict JSON: NaN or Infinity fails the test."""
+    return [json.loads(line, parse_constant=pytest.fail) for line in out.splitlines()]
+
+
 PROFILE_DOC = {
     "medium": {"alpha": 0.1, "beta": 0.1},
     "grid": {"x0": -20.0, "length": 40.0, "n": 64},
@@ -427,7 +432,7 @@ def test_verify_reports_a_finite_norm_2_where_the_squares_overflow(capsys, tmp_p
     cfg = _write(tmp_path, "tiny.yaml", {"medium": {"alpha": 1.0e-300, "beta": 0.1}})
     code, out, _ = _run(capsys, ["verify", "--config", cfg])
     assert code == 1
-    recs = [json.loads(line, parse_constant=pytest.fail) for line in out.splitlines()]
+    recs = _strict(out)
     assert max(r["norm_inf"] for r in recs) > 1e154
     assert all(math.isfinite(r["norm_2"]) for r in recs)
 
@@ -455,6 +460,43 @@ def test_verify_of_a_wave_whose_derivatives_overflow_is_a_numerical_abort(capsys
     assert code == 3
     assert [r["label"] for r in _records(out)] == ["tame"]
     assert err.startswith("verify: numerical abort in case 'huge': overflow encountered in ")
+
+
+def test_evolve_abort_names_a_drift_that_overflows(capsys):
+    # dx sum(u^2) of the initial soliton is inf: its drift is no number
+    code, out, err = _run(capsys, ["evolve", "--config",
+                                   str(CONFIGS / "checks" / "evolve_huge_soliton.yaml")])
+    assert code == 3
+    (rec,) = _strict(out)
+    assert rec["momentum_drift"] is None and rec["non_finite"] == ["momentum_drift"]
+    assert rec["mass_drift"] == 0.0 and "aborted" in rec
+    assert err.startswith("evolve: numerical abort at t=0: non-finite spectrum at step 1")
+
+
+@pytest.mark.parametrize("A,non_finite", [(1.0e154, ["momentum_drift"]), (3.0e153, None)])
+def test_evolve_at_max_u_near_1e154_prints_finite_speed_and_named_drifts(capsys, tmp_path,
+                                                                         A, non_finite):
+    doc = {"equation": "kdv", "medium": {"alpha": 1.0e-154, "beta": 0.1},
+           "grid": {"x0": -50.0, "length": 100.0, "n": 1024}, "dt": 0.01, "t_end": 0.1,
+           "initial": {"family": "kdv_soliton", "A": A}}
+    code, out, _ = _run(capsys, ["evolve", "--config", _write(tmp_path, "big.yaml", doc)])
+    assert code == 0
+    (rec,) = _strict(out)
+    assert math.isfinite(rec["estimated_speed"])
+    assert rec.get("non_finite") == non_finite
+    assert (rec["momentum_drift"] is None) == bool(non_finite)
+
+
+def test_a_huge_initial_transform_is_an_abort_with_both_drifts_named(capsys, tmp_path):
+    # at max|u| = 1e308 the first rfft and the sums of u and u^2 overflow
+    doc = {"equation": "kdv", "medium": {"alpha": 1.0e-308, "beta": 0.1},
+           "grid": {"x0": -50.0, "length": 100.0, "n": 1024}, "dt": 0.01, "t_end": 0.1,
+           "initial": {"family": "kdv_soliton", "A": 1.0e308}}
+    code, out, _ = _run(capsys, ["evolve", "--config", _write(tmp_path, "max.yaml", doc)])
+    assert code == 3
+    (rec,) = _strict(out)
+    assert rec["non_finite"] == ["mass_drift", "momentum_drift"]
+    assert rec["mass_drift"] is None and rec["momentum_drift"] is None
 
 
 @pytest.mark.parametrize("key,value", [("dt", float("nan")), ("dt", float("inf")),
@@ -764,6 +806,11 @@ def test_repeated_main_calls_match_fresh_processes(capsys):
      "B must be nonzero to set the collocation window"),
     ("starts", [{"A": 1.0, "B": 1.2, "v": 1.1}, {"A": 1.0, "v": 1.1}], "starts[1]",
      "start is missing free parameters ['B']"),
+    # a fixed or unknown parameter in a start is refused, not dropped
+    ("start", {"A": 1.0, "B": 0.61, "v": 1.05, "D": 0.5, "Bogus": 3.0}, "start",
+     "start names parameters that are not free: ['Bogus', 'D']"),
+    ("starts", [{"A": 1.0, "B": 1.2, "v": 1.1}, {"A": 1.0, "B": 1.2, "v": 1.1, "m": 0.5}],
+     "starts[1]", "start names parameters that are not free: ['m']"),
 ])
 def test_a_start_that_cannot_be_laid_out_exits_two_and_names_it(capsys, tmp_path, key,
                                                                 value, where, reason):
@@ -849,6 +896,17 @@ def test_verify_out_writes_each_report_to_residuals_csv(capsys, tmp_path):
     assert header == ["norm_inf", "norm_2", "scale", "relative", "tolerance"]
     assert rows == [[r[k] for k in header] for r in _records(out)]
     assert len(rows) == 5
+
+
+def test_a_second_verify_of_equal_grids_builds_no_new_row(capsys):
+    # (ik)^o rows are cached by (n, dx, order): a rerun in one process finds them all
+    from kdvwaves.equations import _multiplier
+
+    argv = ["verify", "--config", str(CONFIGS / "checks" / "verify_n8192.yaml")]
+    first = _run(capsys, argv)
+    misses = _multiplier.cache_info().misses
+    assert _run(capsys, argv) == first
+    assert _multiplier.cache_info().misses == misses
 
 
 def test_symmetry_out_writes_each_row_to_symmetry_csv(capsys, tmp_path):

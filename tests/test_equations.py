@@ -137,11 +137,26 @@ def test_a_grid_builds_each_multiplier_once_and_shares_it_read_only(order):
     if order % 2 == 1:
         fresh[-1] = 0.0
     assert np.array_equal(mult, fresh)
-    # a second grid with the same values builds its own
+    # a second grid with the same values shares the row
     twin = Grid(-3.0, 17.0, 64)
     assert twin == grid
-    assert twin.derivative_multiplier(order) is not mult
+    assert twin.derivative_multiplier(order) is mult
     assert np.array_equal(twin.derivative_multiplier(order), mult)
+
+
+@pytest.mark.parametrize("order", (0,) + DERIVATIVE_ORDERS)
+def test_multipliers_are_keyed_by_n_and_dx_alone(order):
+    mult = Grid(-3.0, 17.0, 64).derivative_multiplier(order)
+    # the row does not depend on x0: a shifted grid shares it
+    assert Grid(5.5, 17.0, 64).derivative_multiplier(order) is mult
+    # another n or length has a row of its own, and every shared row is read-only
+    others = [Grid(-3.0, 17.0, 128).derivative_multiplier(order),
+              Grid(-3.0, 34.0, 64).derivative_multiplier(order)]
+    assert all(row is not mult for row in others)
+    for row in (mult, *others):
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
 
 
 @pytest.mark.parametrize("n", [16, 128, 256, 1024, 4096, 8192, 16384])
@@ -224,10 +239,14 @@ def test_bottom_eval_shares_read_only_samples():
         assert not samples.flags.writeable
         with pytest.raises(ValueError):
             samples[0] = 1.0
+    # an equal bottom on an equal grid shares them too
+    twin = bottom_eval(BottomProfile(bottom.knots), Grid(0.0, 10.0, 100))
+    assert all(a is b for a, b in zip(twin, (h, hx)))
     # another grid gets its own samples, and a too-short period still raises
     assert bottom_eval(bottom, Grid(0.0, 10.0, 200))[0].shape == (200,)
-    with pytest.raises(ValueError):
-        bottom_eval(bottom, Grid(0.0, 5.0, 100))
+    for _ in range(2):      # each call raises: a refusal is not cached
+        with pytest.raises(ValueError, match="span less than one period"):
+            bottom_eval(bottom, Grid(0.0, 5.0, 100))
 
 
 def test_bottom_eval_periodic_closure():

@@ -385,6 +385,21 @@ def test_estimated_speed_of_a_leftward_shift_wraps_to_a_negative_speed():
     assert_allclose(estimate_speed(first, last), -2.5, rtol=1e-3)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_estimated_speed_is_the_same_at_every_power_of_two_scale_and_sign(seed):
+    # the snapshots are correlated at max |u| in [1/2, 1): scaling both by 2^k,
+    # or negating both, changes no bit, and 2^512 ~ 1.3e154 no longer overflows
+    u, _ = RandomField(seed, amplitude=0.7).build(GRID)
+    shifted = np.roll(u.values, 17 + seed)
+    want = estimate_speed(Field(GRID, u.values, 0.0), Field(GRID, shifted, 1.5))
+    assert np.isfinite(want)
+    for k in (-600, -40, 0, 40, 512, 1000):
+        for sign in (1.0, -1.0):
+            first = Field(GRID, sign * np.ldexp(u.values, k), 0.0)
+            last = Field(GRID, sign * np.ldexp(shifted, k), 1.5)
+            assert estimate_speed(first, last) == want, (k, sign)
+
+
 def test_estimated_speed_refuses_other_grids_and_equal_times():
     values = make_kdv_soliton(P, 1.0).profile(GRID.x)
     other = Grid(-30.0, 60.0, 256)

@@ -275,6 +275,15 @@ def test_fit_requires_complete_start():
         fit_travelling_wave(EquationKind.KDV, P, ansatz, {"B": 0.8})
 
 
+def test_fit_refuses_a_start_that_names_a_parameter_that_is_not_free():
+    ansatz = AnsatzFamily("sech2", ("B", "v"), {"A": 1.0, "D": 0.0})
+    with pytest.raises(ValueError, match=r"^start names parameters that are not free: \['A'\]$"):
+        fit_travelling_wave(EquationKind.KDV, P, ansatz, {"A": 1.0, "B": 0.8, "v": 1.0})
+    # an amplitude ladder's {A, B, v} fits only an ansatz that frees all three
+    with pytest.raises(ValueError, match="not free"):
+        multi_start_fit(EquationKind.KDV, P, ansatz, amplitude_starts(P, n=2))
+
+
 # --- constraint counting --------------------------------------------------------
 
 def test_constraint_counts():

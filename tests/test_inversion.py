@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvwaves import cli
-from kdvwaves.equations import EquationId, EquationKind, Field, Grid, residual
+from kdvwaves.equations import EquationId, EquationKind, Field, Grid, bottom_eval, residual
 from kdvwaves.fitting import SHAPE_PARAMS, AnsatzFamily, count_constraints
 from kdvwaves.inversion import (
     ALGEBRAIC_TOL,
@@ -55,6 +55,15 @@ def test_antisymmetry_is_exact_for_any_field(seed, kind, with_bottom):
     eq = EquationId(kind, Frame.FIXED, bottom)
     defect = algebraic_defect(u, ut, eq, params)
     assert defect.relative == 0.0
+
+
+def test_two_ramp_bottoms_of_one_grid_share_their_samples():
+    # each call builds a new, equal BottomProfile; its (h, h_x) are sampled once
+    first, second = ramp_bottom(GRID), ramp_bottom(GRID)
+    assert first is not second and first == second
+    h, hx = bottom_eval(first, GRID)
+    assert all(a is b for a, b in zip(bottom_eval(second, GRID), (h, hx)))
+    assert not h.flags.writeable and not hx.flags.writeable
 
 
 def test_cancellation_requires_the_alpha_flip():
