@@ -98,6 +98,9 @@ def table(tmp: Path) -> list[Entry]:
             holds='"non_finite": ["momentum_drift"]'),
         kdv("evolve", *cfg("checks/evolve_overflowing_momentum"),
             holds='"non_finite": ["momentum_drift"]'),
+        # at max|u| = 1e308 the initial state's own spectrum is not finite: the abort names step 0
+        kdv("evolve", *cfg("checks/evolve_overflowing_spectrum"), exit=3,
+            holds="non-finite spectrum at step 0 (t = 0.0)"),
         # refused: no free parameter, a fixed A of the wrong sign for alpha, a Gardner
         # width whose arithmetic fails, beta5 overflowing (beta**2, tau**2), B = inf,
         # a multi-start with no starts, a start that names a fixed or unknown parameter

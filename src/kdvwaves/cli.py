@@ -264,8 +264,7 @@ EVOLVE = {"equation": (_kind, REQUIRED), "medium": (MEDIUM, REQUIRED),
           "frame": (_frame, Frame.FIXED), "grid": (GRID, REQUIRED),
           "bottom": (BOTTOM, None), "initial": (_wave, REQUIRED),
           "inverted": (_bool, False), "dt": (_float, REQUIRED),
-          "t_end": (_float, REQUIRED), "output_stride": (_int, 1),
-          "dealias": (_bool, None)}
+          "t_end": (_float, REQUIRED), "output_stride": (_int, 1)}
 
 
 # --- output helpers -----------------------------------------------------------
@@ -462,7 +461,7 @@ def cmd_evolve(args) -> int:
     built, eff = _solution(cfg["initial"], cfg["medium"], cfg["inverted"])
     config = _build("evolve", EvolveConfig,
                     eq=eq, params=eff, grid=grid, dt=cfg["dt"], t_end=cfg["t_end"],
-                    output_stride=cfg["output_stride"], dealias=cfg["dealias"])
+                    output_stride=cfg["output_stride"])
 
     u0 = built.evaluate(grid.x, 0.0, eff, eq.frame)
     aborted = None

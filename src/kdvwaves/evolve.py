@@ -60,7 +60,6 @@ class EvolveConfig:
     dt: float
     t_end: float
     output_stride: int = 1     # snapshot every k-th step; 0 keeps first/last only
-    dealias: bool | None = None  # None: on for the equations with cubic terms
 
     def __post_init__(self):
         for name, value in (("dt", self.dt), ("t_end", self.t_end)):
@@ -92,11 +91,6 @@ class EvolveConfig:
     @property
     def n_steps(self) -> int:
         return round(self.t_end / self.dt)
-
-    def dealias_active(self) -> bool:
-        if self.dealias is not None:
-            return self.dealias
-        return any(len(orders) >= 3 for _, _, orders in TERMS[self.eq.kind])
 
 
 @dataclass
@@ -166,7 +160,8 @@ class ETDRK4:
             c_ux, c_u = bottom_coefficients(params, bottom_eval(eq.bottom, grid))
             terms += [((1,), c_ux), ((0,), c_u)]
             outer = None
-        if config.dealias_active():
+        # dealias by the 2/3 rule wherever the kind has a cubic term
+        if any(len(orders) >= 3 for _, _, orders in TERMS[eq.kind]):
             mask = (np.arange(grid.n // 2 + 1) <= grid.n // 3).astype(float)
             outer = mask if outer is None else outer * mask
         self._outer = outer
@@ -242,7 +237,7 @@ def evolve(config: EvolveConfig, u0) -> Trajectory:
 
     u0 is the initial state's samples on the configured grid (a Field's
     `values`).  Raises NumericalAbort (with the partial trajectory
-    attached) if the state stops being finite.
+    attached) if the spectrum is not finite, at step 0 or after a step.
     """
     values = np.asarray(u0, dtype=float)
     if values.shape != (config.grid.n,):
@@ -255,6 +250,9 @@ def evolve(config: EvolveConfig, u0) -> Trajectory:
     # on the final doomed step (or of the first transform) is not worth a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
         v = np.fft.rfft(values)
+        if not np.isfinite(v).all():
+            raise NumericalAbort("non-finite spectrum at step 0 (t = 0.0); "
+                                 "check the initial state", traj)
         for i in range(1, n_steps + 1):
             v = stepper.step(v)
             if not np.isfinite(v).all():

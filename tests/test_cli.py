@@ -499,6 +499,39 @@ def test_a_huge_initial_transform_is_an_abort_with_both_drifts_named(capsys, tmp
     assert rec["mass_drift"] is None and rec["momentum_drift"] is None
 
 
+def test_an_initial_spectrum_that_overflows_is_the_abort_at_step_0(capsys):
+    # max|u| = 1e308: the rfft of the initial state is already not finite
+    code, out, err = _run(capsys, ["evolve", "--config",
+                                   str(CONFIGS / "checks" / "evolve_overflowing_spectrum.yaml")])
+    assert code == 3
+    (rec,) = _strict(out)
+    assert rec["t_final"] == 0.0 and rec["n_snapshots"] == 1
+    assert rec["aborted"] == "non-finite spectrum at step 0 (t = 0.0); check the initial state"
+    assert err == f"evolve: numerical abort at t=0: {rec['aborted']}\n"
+
+
+def test_the_inverted_step_0_abort_prints_the_mirrored_record(capsys, tmp_path):
+    upright = CONFIGS / "checks" / "evolve_overflowing_spectrum.yaml"
+    cfg = _write(tmp_path, "inverted.yaml",
+                 {**yaml.safe_load(upright.read_text()), "inverted": True})
+    _, up, up_err = _run(capsys, ["evolve", "--config", str(upright)])
+    code, dn, dn_err = _run(capsys, ["evolve", "--config", cfg])
+    assert code == 3 and dn_err == up_err
+    (rec_up,), (rec_dn,) = _strict(up), _strict(dn)
+    assert (rec_dn["u_min"], rec_dn["u_max"]) == (-rec_up["u_max"], -rec_up["u_min"])
+    assert {k: v for k, v in rec_dn.items() if k not in ("u_min", "u_max")} == \
+        {k: v for k, v in rec_up.items() if k not in ("u_min", "u_max")}
+
+
+def test_evolve_refuses_the_retired_dealias_key(capsys, tmp_path):
+    # the 2/3 rule follows the equation's cubic terms; no key sets it
+    cfg = _write(tmp_path, "dealias.yaml", {**EVOLVE_DOC, "dealias": True})
+    code, out, err = _run(capsys, ["evolve", "--config", cfg])
+    assert code == 2
+    assert out == ""
+    assert "unknown key 'dealias'" in err
+
+
 @pytest.mark.parametrize("key,value", [("dt", float("nan")), ("dt", float("inf")),
                                        ("t_end", float("nan")), ("t_end", float("inf"))])
 def test_evolve_non_finite_time_exits_two_and_names_it(capsys, tmp_path, key, value):

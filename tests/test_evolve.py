@@ -157,15 +157,26 @@ def test_bottom_knot_on_grid_point_rejected():
                      params=P, grid=grid, dt=0.1, t_end=1.0)
 
 
-def test_dealias_default_tracks_cubic_terms():
-    cfg = EvolveConfig(eq=KDV, params=P, grid=GRID, dt=0.1, t_end=1.0)
-    assert not cfg.dealias_active()
-    cfg2 = EvolveConfig(eq=EquationId(EquationKind.GARDNER), params=P,
-                        grid=GRID, dt=0.1, t_end=1.0)
-    assert cfg2.dealias_active()
-    cfg3 = EvolveConfig(eq=KDV, params=P, grid=GRID, dt=0.1, t_end=1.0,
-                        dealias=True)
-    assert cfg3.dealias_active()
+def _dealiased(kind: EquationKind) -> bool:
+    """The stepper's 2/3 rule: on wherever the kind has a cubic term."""
+    from kdvwaves.equations import TERMS
+    return any(len(orders) >= 3 for _, _, orders in TERMS[kind])
+
+
+@pytest.mark.parametrize("use_bottom", [False, True])
+@pytest.mark.parametrize("kind", EquationKind)
+def test_the_two_thirds_mask_is_on_exactly_for_the_cubic_kinds(kind, use_bottom):
+    from kdvwaves.evolve import ETDRK4
+
+    grid = Grid(-32.0, 64.0, 256)
+    # white noise: its products reach every mode past n // 3
+    u = np.random.default_rng(3).standard_normal(grid.n)
+    p = MediumParams(alpha=0.1, beta=0.1, tau=0.2, delta=0.05 if use_bottom else 0.0)
+    eq = EquationId(kind, bottom=ramp_bottom(grid) if use_bottom else None)
+    nv = ETDRK4(EvolveConfig(eq=eq, params=p, grid=grid, dt=0.01, t_end=0.01)).nonlinear(
+        np.fft.rfft(u))
+    assert np.all(nv[grid.n // 3 + 1:] == 0.0) == _dealiased(kind)
+    assert np.all(nv[1:grid.n // 3 + 1] != 0.0)
 
 
 ALL_SETUPS = [(kind, frame, use_bottom) for kind in EquationKind for frame in Frame
@@ -174,8 +185,9 @@ ALL_SETUPS = [(kind, frame, use_bottom) for kind in EquationKind for frame in Fr
 
 @pytest.mark.parametrize("kind, frame, use_bottom", ALL_SETUPS)
 def test_stepper_rhs_is_minus_the_residual(kind, frame, use_bottom):
-    """The stepper's du/dt, irfft(L v + N(v)), and the residual at u_t = 0
-    read one term table, so they agree to roundoff."""
+    """The stepper's N(v) and minus the residual at u_t = 0, less L v and
+    masked where the kind dealiases, read one term table, so they agree to
+    roundoff."""
     from kdvwaves.equations import Field, residual
     from kdvwaves.evolve import ETDRK4, _linear_symbol
 
@@ -183,11 +195,14 @@ def test_stepper_rhs_is_minus_the_residual(kind, frame, use_bottom):
     u, _ = RandomField(seed=4, amplitude=0.4).build(grid)
     p = MediumParams(alpha=0.1, beta=0.1, tau=0.2, delta=0.05 if use_bottom else 0.0)
     eq = EquationId(kind, frame, ramp_bottom(grid) if use_bottom else None)
-    cfg = EvolveConfig(eq=eq, params=p, grid=grid, dt=0.01, t_end=0.01, dealias=False)
+    cfg = EvolveConfig(eq=eq, params=p, grid=grid, dt=0.01, t_end=0.01)
     v = np.fft.rfft(u.values)
-    rhs = np.fft.irfft(_linear_symbol(eq, p, grid) * v + ETDRK4(cfg).nonlinear(v), grid.n)
     report, res = residual(u, Field(grid, np.zeros(grid.n)), eq, p)
-    assert np.max(np.abs(rhs + res.values)) <= 1e-12 * report.scale
+    expected = -np.fft.rfft(res.values) - _linear_symbol(eq, p, grid) * v
+    if _dealiased(kind):
+        expected[grid.n // 3 + 1:] = 0.0
+    error = np.fft.irfft(ETDRK4(cfg).nonlinear(v) - expected, grid.n)
+    assert np.max(np.abs(error)) <= 1e-12 * report.scale
 
 
 @pytest.mark.parametrize("kind, frame, use_bottom", ALL_SETUPS)
