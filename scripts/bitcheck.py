@@ -52,6 +52,9 @@ def table(tmp: Path) -> list[Entry]:
         # the benchmark's cn2 zero-mean fit, started near the wave of A = 1, m = 0.9
         kdv("fit", *cfg("checks/fit_cn2")),
         kdv("fit", *cfg("checks/fit_cn2"), csvs=("fit.csv",)),
+        # the flat Gardner wave at B = 0 exactly: its d/dB column is finite and warning-free,
+        # the count reads 0 and the fit is trivial at its start
+        kdv("fit", *cfg("checks/count_gardner_flat"), exit=1),
         kdv("verify", *cfg("verify_catalog")),
         kdv("verify", *cfg("verify_catalog"), csvs=("residuals.csv",)),
         kdv("verify", *cfg("verify_catalog"), *fd8),

@@ -7,10 +7,11 @@ the squared depth/length ratio.  A profile is stored as coefficients
 by flipping the sign of alpha together with A (B and v are invariant).
 N-soliton ladders come from one tau-function, with exact u and u_t.
 
-Profile derivatives are exact.  The elliptic shapes live in the algebra of
-sn^a cn^b dn^c monomials, closed under d/dxi; the hyperbolic shapes are the
-m = 1 case of the same algebra; the rational-cosh shape differentiates
-through the product rule applied to u * (1 + B cosh(xi/Delta)) = A.
+Profile derivatives are exact.  Every shape lives in one algebra of
+monomials in three variables, closed under differentiation: sn^a cn^b dn^c
+of B xi for the elliptic shapes, whose m = 1 case gives the hyperbolic
+ones, and g^a tau^b c^d of z = xi/Delta for the Gardner shape, with
+g = 1/(1 + B cosh z), tau = B sinh(z) g and c = 1 - g from sech and tanh.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .elliptic import _complete, elliptic_K, jacobi_sn_cn_dn
+from .elliptic import _complete, elliptic_K, jacobi_sn_cn_dn, sech
 
 __all__ = [
     "Frame",
@@ -140,65 +141,47 @@ class TravellingWave:
         S waves in one call, each row as its wave alone gives it.
         """
         xi = np.asarray(xi, dtype=float)
-        if self.family is WaveFamily.GARDNER_SOLITON:
-            # u w = A with w = 1 + B cosh(xi/Delta): Leibniz gives a recursion for u^(k)
-            _, w, _ = self._gardner_weights(np.atleast_1d(xi), order)
-            rows = _leibniz_quotient(w, [self.A] + [0.0] * order)
-        else:
-            rows = self._monomial_rows(xi, order)
+        rows = self._monomial_rows(xi, order)
         rows[0] += self.D
         return rows.reshape((order + 1,) + xi.shape)
 
     def _monomial_rows(self, xi: np.ndarray, order: int) -> np.ndarray:
         m, seed = _seed(self.family, self.m)
-        w = self.B * xi
-        sn, cn, dn = jacobi_sn_cn_dn(w.reshape(-1), m)
-        # row 0 from the seed's own monomials, so a profile costs no chain
-        f = None
-        for exps, coef in seed.items():
-            term = coef
-            for x, e in zip((sn, cn, dn), exps):
-                if e:
-                    term = term * (x if e == 1 else x**e)
-            f = term if f is None else f + term
-        f = f.reshape(w.shape) * self.A
-        if order == 0:
-            return f[None]
-        exponents, coefficients = _derivative_chain(self.family, m, order)
-        # every row at a point must not depend on how many points are
-        # evaluated with it, so the power table, powers[e, j] = (sn, cn, dn)[j]
-        # ** e, is built by repeated multiplication (an array-exponent pow
-        # rounds some entries by the array's size), and the monomials are
-        # summed in order by a reduce over the outer axis (numpy sums pairwise
-        # only along the contiguous axis, and a BLAS matrix product in blocks)
-        powers = [np.ones((3, w.size)), np.stack([sn, cn, dn])]
-        for _ in range(2, exponents.max() + 1):
-            powers.append(powers[-1] * powers[1])
-        powers = np.stack(powers)
-        monomials = (powers[exponents[:, 0], 0] * powers[exponents[:, 1], 1]
-                     * powers[exponents[:, 2], 2])
-        # B^k by each wave's own pow over k = 0..order, as that wave alone takes it
-        widths = np.array([b ** np.arange(order + 1) for b in np.ravel(self.B)]).T.reshape(
-            (order + 1,) + (1,) * (w.ndim - np.ndim(self.B)) + np.shape(self.B))
-        rows = (np.add.reduce(coefficients[:, :, None] * monomials[:, None], axis=0)
-                .reshape((order + 1,) + w.shape) * (self.A * widths))
+        if self.family is WaveFamily.GARDNER_SOLITON:
+            # row 0 as 1/(1 + B cosh z): cosh is inf far out, where f is 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = np.atleast_1d(xi) / self.Delta
+                f = self.A / (1.0 + self.B * np.cosh(z))
+            if order == 0:
+                return f[None]
+            variables = _gardner_variables(z, self.B)[0]
+        else:
+            w = self.B * xi
+            variables = np.stack(jacobi_sn_cn_dn(w.reshape(-1), m))
+            # row 0 from the seed's own monomials, so a profile costs no chain
+            f = None
+            for exps, coef in seed.items():
+                term = coef
+                for x, e in zip(variables, exps):
+                    if e:
+                        term = term * (x if e == 1 else x**e)
+                f = term if f is None else f + term
+            f = f.reshape(w.shape) * self.A
+            if order == 0:
+                return f[None]
+        rows = _monomial_sum(variables, *_derivative_chain(self.family, m, order))
+        rows = rows.reshape((order + 1,) + f.shape) * (self.A * self._scales(order, f.ndim))
         # row 0 as a profile has it: the chain may round it otherwise
         rows[0] = f
         return rows
 
-    def _gardner_weights(self, xi: np.ndarray, order: int):
-        """(cosh, sinh) of xi/Delta, the derivatives w^(j), j = 0..order,
-        of w = 1 + B cosh(xi/Delta), inf far out in the tail, where cosh
-        overflows, and the powers Delta^j."""
-        B, Delta = self.B, self.Delta
-        # Python's pow for every entry: a column of Delta rounds as one wave's
-        powers = [np.reshape([d**j for d in np.ravel(Delta).tolist()], np.shape(Delta))
-                  for j in range(order + 1)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = xi / Delta
-            hyp = (np.cosh(z), np.sinh(z) if order else None)
-            w = [1.0 + B * hyp[0]] + [B * hyp[j % 2] / powers[j] for j in range(1, order + 1)]
-        return hyp, w, powers
+    def _scales(self, order: int, ndim: int) -> np.ndarray:
+        """B^k, or Delta^-k for the Gardner shape, k = 0..order, shaped for
+        rows of ndim: each wave's own pow, as that wave alone takes it."""
+        scale, k = ((self.Delta, -np.arange(order + 1)) if self.family is
+                    WaveFamily.GARDNER_SOLITON else (self.B, np.arange(order + 1)))
+        return np.array([s ** k for s in np.ravel(scale)]).T.reshape(
+            (order + 1,) + (1,) * (ndim - np.ndim(scale)) + np.shape(scale))
 
     def width_derivatives(self, xi, rows: np.ndarray) -> dict[str, np.ndarray]:
         """d/dB, and for the Gardner shape d/dDelta, of rows[:-1], exactly.
@@ -207,9 +190,10 @@ class TravellingWave:
         an (S, n) xi for (S, 1) columns of parameters (see derivatives).
         The monomial shapes are functions of B xi and the Gardner shape of
         xi/Delta, so d f^(k)/dB = (k f^(k) + xi f^(k+1))/B, and d/dDelta is
-        minus the same over Delta.  The Gardner B sits in the denominator:
-        differentiating u w = A in B gives d u/dB w = -cosh(xi/Delta) u,
-        which the Leibniz recursion of the rows solves for every order.
+        minus the same over Delta.  The Gardner B is not a width: with
+        q = 1/(sech z + B) and sigma = q tanh z, dg/dB = -q g, dtau/dB =
+        sigma g and dc/dB = q g, so d f^(k)/dB is q and sigma times two
+        monomial tables in (g, tau, c), dividing by neither A nor B.
         """
         xi = np.asarray(xi, dtype=float)
         k = np.arange(len(rows) - 1).reshape((-1,) + (1,) * xi.ndim)
@@ -217,17 +201,12 @@ class TravellingWave:
         if self.family is not WaveFamily.GARDNER_SOLITON:
             return {"B": stretch / self.B}
         order = len(rows) - 2
-        hyp, w, powers = self._gardner_weights(xi, order)
-        u = np.concatenate([rows[:1] - self.D, rows[1:-1]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            ch = [hyp[j % 2] / powers[j] for j in range(order + 1)]
-            source = -np.array([sum(math.comb(n, j) * ch[j] * u[n - j] for j in range(n + 1))
-                                for n in range(order + 1)])
-        # inf * 0 in the tail, where the limit is 0
-        bad = ~np.isfinite(source)
-        if bad.any():
-            source[bad & _overflow_band(ch, order)] = 0.0
-        return {"B": _leibniz_quotient(w, source), "Delta": -stretch / self.Delta}
+        z = xi / self.Delta
+        variables, q, sigma = _gardner_variables(z, self.B)
+        tables = _monomial_sum(variables, *_derivative_chain(self.family, None, order, d_b=True))
+        tables = tables.reshape((2, order + 1) + z.shape)
+        d_b = (q * tables[0] + sigma * tables[1]) * (self.A * self._scales(order, z.ndim))
+        return {"B": d_b, "Delta": -stretch / self.Delta}
 
     def profile(self, xi):
         """Profile f(xi) as a function of the co-moving coordinate."""
@@ -323,32 +302,11 @@ class SolitonLadder:
 
 # --- exact profile derivatives -----------------------------------------------
 
-def _leibniz_quotient(w: list[np.ndarray], source) -> np.ndarray:
-    """Rows y^(k) with sum_{j<=k} C(k, j) w^(j) y^(k-j) = source_k: the
-    derivatives of y = s / w, from w's derivatives and those of s.  Where
-    w is inf (cosh overflowed), or a product C(k, j) w^(j) overflows just
-    short of that, the rows past 0 read their limit 0."""
-    rows = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, acc in enumerate(source):
-            for j in range(1, k + 1):
-                acc = acc - math.comb(k, j) * w[j] * rows[k - j]
-            rows.append(acc / w[0])
-    rows = np.array(rows)
-    bad = ~np.isfinite(rows[1:])
-    if bad.any():
-        rows[1:][bad & _overflow_band(w, len(rows) - 1)] = 0.0
-    return rows
-
-
-def _overflow_band(w: list[np.ndarray], order: int) -> np.ndarray:
-    """Where some C(k, j) w[j], k <= order, overflows; C(order, j) is the largest."""
-    with np.errstate(over="ignore"):
-        return np.any([np.isinf(math.comb(order, j) * w[j]) for j in range(order + 1)], 0)
-
-
-def _seed(family: WaveFamily, m: float | None) -> tuple[float, dict[tuple[int, int, int], float]]:
-    """(m, f at A = 1 and D = 0 as {(a, b, c): coefficient of sn^a cn^b dn^c})."""
+def _seed(family: WaveFamily, m: float | None) -> tuple[float | None, dict]:
+    """(m, f at A = 1 and D = 0 as {(a, b, c): coefficient of sn^a cn^b dn^c});
+    for the Gardner shape, m is None and the monomials are g^a tau^b c^c."""
+    if family is WaveFamily.GARDNER_SOLITON:
+        return None, {(1, 0, 0): 1.0}
     if family in (WaveFamily.KDV_SOLITON, WaveFamily.KDV2_SOLITON):
         return 1.0, {(0, 1, 1): 1.0}
     if family is WaveFamily.FIFTH_ORDER_SOLITON:
@@ -359,40 +317,78 @@ def _seed(family: WaveFamily, m: float | None) -> tuple[float, dict[tuple[int, i
     return m, {(0, 0, 2): 0.5, (0, 1, 1): 0.5 * sign * math.sqrt(m)}
 
 
-def _monomial_derivative(poly: dict[tuple[int, int, int], float],
-                         m: float) -> dict[tuple[int, int, int], float]:
-    # d/dw (sn^a cn^b dn^c) = a sn^{a-1} cn^{b+1} dn^{c+1}
-    #                       - b sn^{a+1} cn^{b-1} dn^{c+1}
-    #                       - m c sn^{a+1} cn^{b+1} dn^{c-1}
+def _gardner_variables(z: np.ndarray, B):
+    """((g, tau, c) stacked, q, sigma) at z, where g = 1/(1 + B cosh z),
+    tau = B sinh(z) g and c = 1 - g: with s = sech z and t = tanh z, which
+    never overflow, q = 1/(s + B), g = s q, c = B q, tau = c t, sigma = t q."""
+    s, t = sech(z), np.tanh(z)
+    q = 1.0 / (s + B)
+    c = B * q
+    return np.stack([s * q, c * t, c]), q, t * q
+
+
+# g' = -tau g, tau' = c - tau^2, c' = tau g in d/dz; and d/dB of (g, tau, c)
+# as q (-g, 0, g) + sigma (0, g, 0)
+_GARDNER_RULE = ({(1, 1, 0): -1.0}, {(0, 0, 1): 1.0, (0, 2, 0): -1.0}, {(1, 1, 0): 1.0})
+_GARDNER_D_B = (({(1, 0, 0): -1.0}, {}, {(1, 0, 0): 1.0}), ({}, {(1, 0, 0): 1.0}, {}))
+
+
+def _monomial_derivative(poly: dict[tuple[int, int, int], float], m: float | None,
+                         rule=None) -> dict[tuple[int, int, int], float]:
+    """d/dw of a polynomial in three variables by the chain rule, rule[j]
+    being variable j's derivative: by default sn' = cn dn, cn' = -sn dn and
+    dn' = -m sn cn, or for m None the Gardner shape's _GARDNER_RULE."""
+    if rule is None:
+        rule = (_GARDNER_RULE if m is None
+                else ({(0, 1, 1): 1.0}, {(1, 0, 1): -1.0}, {(1, 1, 0): -m}))
     out: dict[tuple[int, int, int], float] = {}
-
-    def add(key, coef):
-        if coef != 0.0:
-            out[key] = out.get(key, 0.0) + coef
-
-    for (a, b, c), coef in poly.items():
-        if a:
-            add((a - 1, b + 1, c + 1), coef * a)
-        if b:
-            add((a + 1, b - 1, c + 1), -coef * b)
-        if c:
-            add((a + 1, b + 1, c - 1), -coef * m * c)
+    for exps, coef in poly.items():
+        for j, e in enumerate(exps):
+            for shift, factor in (rule[j].items() if e else ()):
+                key = tuple(x + y - (i == j) for i, (x, y) in enumerate(zip(exps, shift)))
+                term = coef * factor * e
+                if term != 0.0:
+                    out[key] = out.get(key, 0.0) + term
     return out
 
 
 @functools.lru_cache(maxsize=64)
-def _derivative_chain(family: WaveFamily, m: float,
-                      order: int) -> tuple[np.ndarray, np.ndarray]:
-    """d^k f/dw^k, k = 0..order, at A = 1 and D = 0: exponents (a, b, c) of
-    sn^a cn^b dn^c by row, and their coefficients, one column per k."""
+def _derivative_chain(family: WaveFamily, m: float | None, order: int,
+                      d_b: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """d^k f/dw^k, k = 0..order, w = B xi (xi/Delta for the Gardner shape),
+    at A = 1 and D = 0: exponents (a, b, c) by row, and their coefficients,
+    one column per k.  With d_b, for the Gardner shape, T1's columns, then
+    T2's: d/dB of row k at A = Delta = 1 is q T1_k + sigma T2_k."""
     chain = [_seed(family, m)[1]]
     for _ in range(order):
         chain.append(_monomial_derivative(chain[-1], m))
+    if d_b:
+        chain = [_monomial_derivative(poly, m, rule) for rule in _GARDNER_D_B for poly in chain]
     monomials = sorted(set().union(*chain))
     exponents = np.array(monomials)
     coefficients = np.array([[poly.get(e, 0.0) for poly in chain] for e in monomials])
     exponents.flags.writeable = coefficients.flags.writeable = False   # shared
     return exponents, coefficients
+
+
+def _monomial_sum(variables: np.ndarray, exponents: np.ndarray,
+                  coefficients: np.ndarray) -> np.ndarray:
+    """sum over e of coefficients[e, k] x^a y^b z^c with (a, b, c) =
+    exponents[e], at the points of (x, y, z) = variables; one row per k."""
+    # every row at a point must not depend on how many points are
+    # evaluated with it, so the power table, powers[e, j] = variables[j]
+    # ** e, is built by repeated multiplication (an array-exponent pow
+    # rounds some entries by the array's size), and the monomials are
+    # summed in order by a reduce over the outer axis (numpy sums pairwise
+    # only along the contiguous axis, and a BLAS matrix product in blocks)
+    variables = variables.reshape(3, -1)
+    powers = [np.ones_like(variables), variables]
+    for _ in range(2, exponents.max() + 1):
+        powers.append(powers[-1] * variables)
+    powers = np.stack(powers)
+    monomials = (powers[exponents[:, 0], 0] * powers[exponents[:, 1], 1]
+                 * powers[exponents[:, 2], 2])
+    return np.add.reduce(coefficients[:, :, None] * monomials[:, None], axis=0)
 
 
 def _finite(wave: TravellingWave) -> TravellingWave:

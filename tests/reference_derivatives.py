@@ -8,9 +8,13 @@ rolled copy per tap; mirrored_residual is the residual of the negated pair
 under the alpha-negated equation, one case at a time, and negative_control
 that of the negated pair with alpha kept; period_mean samples a periodic
 wave's mean over one period; sum_terms_reference is the residual sum and
-scale as first written, one new array per addition.
+scale as first written, one new array per addition; and gardner_derivatives
+takes a Gardner wave's rows and their B and Delta derivatives by the Leibniz
+recursion of u w = A, independently of the package's monomial chain.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -107,3 +111,58 @@ def sum_terms_reference(terms: list[tuple[str, np.ndarray]]):
     for _, t in terms[1:]:
         res = res + t
     return res, np.max([np.max(np.abs(t), axis=-1) for _, t in terms], axis=0)
+
+
+def gardner_derivatives(wave: TravellingWave, xi: np.ndarray, order: int):
+    """(rows, d rows/dB, d rows/dDelta) of a Gardner wave at a 1-D xi: its
+    f ... f^(order), and the B and Delta derivatives of f ... f^(order-1),
+    as TravellingWave.width_derivatives returns them.
+
+    With w = 1 + B cosh(xi/Delta), Leibniz's rule on u w = A gives each
+    u^(k) from the lower ones, and on d/dB of the same, (du/dB) w =
+    -cosh(xi/Delta) u, each B derivative.  Where cosh overflows, or its
+    multiples in the sums do just short of that, the rows past 0 read their
+    limit 0.
+    """
+    B, Delta = wave.B, wave.Delta
+    powers = [Delta**j for j in range(order + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = xi / Delta
+        hyp = (np.cosh(z), np.sinh(z))
+        w = [1.0 + B * hyp[0]] + [B * hyp[j % 2] / powers[j] for j in range(1, order + 1)]
+        rows = _leibniz_quotient(w, [wave.A] + [0.0] * order)
+        ch = [hyp[j % 2] / powers[j] for j in range(order)]
+        source = -np.array([sum(math.comb(n, j) * ch[j] * rows[n - j] for j in range(n + 1))
+                            for n in range(order)])
+    # inf * 0 in the tail, where the limit is 0
+    bad = ~np.isfinite(source)
+    if bad.any():
+        source[bad & _overflow_band(ch, order - 1)] = 0.0
+    k = np.arange(order)[:, None]
+    stretch = k * rows[:-1] + xi * rows[1:]
+    rows[0] += wave.D
+    return rows, _leibniz_quotient(w, source), -stretch / Delta
+
+
+def _leibniz_quotient(w: list[np.ndarray], source) -> np.ndarray:
+    """Rows y^(k) with sum_{j<=k} C(k, j) w^(j) y^(k-j) = source_k: the
+    derivatives of y = s / w, from w's derivatives and those of s.  Where
+    w is inf, or a product C(k, j) w^(j) overflows just short of that, the
+    rows past 0 read their limit 0."""
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, acc in enumerate(source):
+            for j in range(1, k + 1):
+                acc = acc - math.comb(k, j) * w[j] * rows[k - j]
+            rows.append(acc / w[0])
+    rows = np.array(rows)
+    bad = ~np.isfinite(rows[1:])
+    if bad.any():
+        rows[1:][bad & _overflow_band(w, len(rows) - 1)] = 0.0
+    return rows
+
+
+def _overflow_band(w: list[np.ndarray], order: int) -> np.ndarray:
+    """Where some C(k, j) w[j], k <= order, overflows; C(order, j) is the largest."""
+    with np.errstate(over="ignore"):
+        return np.any([np.isinf(math.comb(order, j) * w[j]) for j in range(order + 1)], 0)

@@ -18,6 +18,7 @@ from kdvwaves.waves import (
     Frame,
     MediumParams,
     SolitonLadder,
+    TravellingWave,
     WaveFamily,
     make_fifth_order_soliton,
     make_gardner_soliton,
@@ -27,7 +28,7 @@ from kdvwaves.waves import (
     make_kdv_superposition,
     make_soliton_ladder,
 )
-from reference_derivatives import time_derivative
+from reference_derivatives import gardner_derivatives, time_derivative
 
 P = MediumParams(alpha=0.1, beta=0.1)
 
@@ -279,6 +280,41 @@ def test_gardner_rows_reach_their_limit_just_short_of_the_cosh_overflow(delta):
     assert np.array_equal(rows[at], w.derivatives(inner, 6))
     for name, r in w.width_derivatives(inner, w.derivatives(inner, 6)).items():
         assert np.array_equal(width[name][at], r), name
+
+
+def _assert_gardner_matches_the_leibniz_recursion(wave, xi):
+    rows = wave.derivatives(xi, 6)
+    widths = wave.width_derivatives(xi, rows)
+    for name, got, ref in zip(("rows", "B", "Delta"), (rows, widths["B"], widths["Delta"]),
+                              gardner_derivatives(wave, xi, 6)):
+        assert np.all(np.isfinite(got)), name
+        error = np.max(np.abs(got - ref), axis=1)
+        assert np.all(error <= 1e-12 * np.max(np.abs(ref), axis=1)), (name, error)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_b=st.floats(-8.0, math.log10(5.0)), delta=st.floats(0.3, 3.0),
+       log_a=st.floats(-2.0, 2.0), sign_a=st.sampled_from([1.0, -1.0]),
+       sign_delta=st.sampled_from([1.0, -1.0]))
+def test_gardner_rows_match_the_leibniz_recursion(log_b, delta, log_a, sign_a, sign_delta):
+    # the monomial chain in (g, tau, c) against the recursion of u w = A,
+    # w = 1 + B cosh(xi/Delta), at a fit's 12 Chebyshev nodes on [0, 8|Delta|]
+    wave = TravellingWave(WaveFamily.GARDNER_SOLITON, A=sign_a * 10.0**log_a, B=10.0**log_b,
+                          v=1.0, Delta=sign_delta * delta)
+    xi = 4.0 * delta * (1.0 - np.cos(np.pi * (2 * np.arange(12) + 1) / 24))
+    _assert_gardner_matches_the_leibniz_recursion(wave, xi)
+
+
+@pytest.mark.parametrize("medium", [MediumParams(alpha=0.1, beta=0.3, tau=1.0 / 3.0),
+                                    MediumParams(alpha=0.1, beta=6.0)], ids=["A=0", "B=0"])
+def test_degenerate_gardner_waves_match_the_leibniz_recursion(medium):
+    # beta' = 0 gives A = 0; beta' = Delta^2 gives B = 0, the flat u = A,
+    # whose d/dB = -A cosh(xi/Delta) is finite up to |xi/Delta| ~ 710
+    wave = make_gardner_soliton(medium, Delta=1.0)
+    assert wave.A == 0.0 or wave.B == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_gardner_matches_the_leibniz_recursion(wave, np.linspace(-700.0, 700.0, 281))
 
 
 def test_gardner_profile_adds_its_pedestal():
