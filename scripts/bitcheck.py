@@ -94,6 +94,8 @@ def table(tmp: Path) -> list[Entry]:
         # max|u| = 1e306: the samples print, while their derivatives overflow and the
         # check of the wave is a numerical abort
         kdv("profile", *cfg("checks/profile_huge_soliton")),
+        # the flat Gardner wave at B = 0 prints u = A on every row, past cosh's overflow too
+        kdv("profile", *cfg("checks/profile_flat_gardner"), holds="-800,40\n"),
         kdv("verify", *cfg("checks/verify_huge_soliton"), exit=3),
         # evolve of that soliton aborts at step 1 with a momentum dx sum(u^2) of inf; at
         # max|u| = 1e154 the run completes.  Each drift that overflows prints as null

@@ -59,7 +59,6 @@ from .fitting import (
     count_constraints,
     fit_travelling_wave,
     multi_start_fit,
-    node_count,
 )
 from .inversion import (
     ALGEBRAIC_TOL,
@@ -134,7 +133,7 @@ def _path(where: str, key) -> str:
 def _build(where: str, ctor, **kwargs):
     """ctor(**kwargs), its ValueError, TypeError or ArithmeticError raised
     as a ConfigError naming `where`: the one path from a constructor, a
-    catalog, a fit's starts, node count or constraint count that refuses
+    catalog, a fit's starts or constraint count that refuses
     its input to exit 2."""
     try:
         return ctor(**kwargs)
@@ -257,7 +256,7 @@ VERIFY = {"tolerance": (_tolerance, SOLUTION_TOL), "cases": (_list(_dict), None)
              for key, (kind, default) in VERIFY_CASE.items() if key != "label"}}
 SYMMETRY = {"medium": (MEDIUM, None), "n_seeds": (_count, 5), "select": (_str, None)}
 FIT = {"equation": (_kind, REQUIRED), "medium": (MEDIUM, REQUIRED),
-       "ansatz": (ANSATZ, REQUIRED), "n_points": (_int, None), "rtol": (_tolerance, RTOL),
+       "ansatz": (ANSATZ, REQUIRED), "rtol": (_tolerance, RTOL),
        "count_constraints": (_bool, False), "start": (_mapping(_float), None),
        "starts": (_starts, None)}
 EVOLVE = {"equation": (_kind, REQUIRED), "medium": (MEDIUM, REQUIRED),
@@ -402,7 +401,6 @@ def cmd_symmetry(args) -> int:
 def cmd_fit(args) -> int:
     cfg = _read(_load_config(args.config), FIT, "")
     params, kind, ansatz = cfg["medium"], cfg["equation"], cfg["ansatz"]
-    n_points = _build("n_points", node_count, ansatz=ansatz, n_points=cfg["n_points"])
     rtol = cfg["rtol"] if args.tolerance is None else args.tolerance
 
     if cfg["count_constraints"]:
@@ -418,7 +416,7 @@ def cmd_fit(args) -> int:
 
     if start is not None:
         result = _build("start", fit_travelling_wave, kind=kind, params=params,
-                        ansatz=ansatz, start=start, n_points=n_points, rtol=rtol)
+                        ansatz=ansatz, start=start, rtol=rtol)
         _emit({"values": result.values, "residual": result.residual,
                "status": result.status, "n_iterations": result.n_iterations,
                "rank": result.rank})
@@ -432,8 +430,7 @@ def cmd_fit(args) -> int:
 
     start_list = _build("starts", starts, params=params)
     try:
-        basins, results = multi_start_fit(kind, params, ansatz, start_list,
-                                          n_points=n_points, rtol=rtol)
+        basins, results = multi_start_fit(kind, params, ansatz, start_list, rtol=rtol)
     except StartError as exc:
         raise ConfigError(f"invalid 'starts[{exc.index}]': {exc}")
     for i, b in enumerate(basins):

@@ -39,7 +39,6 @@ __all__ = [
     "multi_start_fit",
     "amplitude_starts",
     "count_constraints",
-    "node_count",
 ]
 
 # config shape -> (catalog family, parameter names)
@@ -145,17 +144,6 @@ def _scaled(values: dict[str, float], unit_rows: np.ndarray) -> np.ndarray:
 
 
 # --- collocation residual ---------------------------------------------------
-
-def node_count(ansatz: AnsatzFamily, n_points: int | None = None) -> int:
-    """A fit's number of collocation nodes: n_points, by default
-    max(3 n_free, 9); fewer than n_free nodes are refused."""
-    n_free = len(ansatz.free)
-    n = max(3 * n_free, 9) if n_points is None else n_points
-    if n < n_free:
-        raise ValueError(f"n_points must be at least the number of free parameters "
-                         f"({n_free}), got {n}")
-    return n
-
 
 def collocation_points(ansatz: AnsatzFamily, values: dict[str, float],
                        n_points: int) -> np.ndarray:
@@ -338,12 +326,12 @@ MERGE_TOL = 1e-6
 
 def fit_travelling_wave(kind: EquationKind, params: MediumParams,
                         ansatz: AnsatzFamily, start: dict[str, float],
-                        n_points: int | None = None, rtol: float = RTOL) -> FitResult:
+                        rtol: float = RTOL) -> FitResult:
     """Damped Gauss-Newton on the collocation residual.
 
-    start must provide every free parameter.  Collocation nodes are laid
-    out once, from the starting shape, and held fixed so the objective
-    does not move under the iteration.
+    start must provide every free parameter.  The max(3 n_free, 9)
+    collocation nodes are laid out once, from the starting shape, and held
+    fixed so the objective does not move under the iteration.
 
     Statuses: converged (relative residual <= rtol), trivial, stalled (no
     trial lowers the residual), max_iterations (no verdict after
@@ -358,12 +346,11 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
     |A| with full steps on their way to a real solution.  Reading |A|
     only, fits and mirrors stop alike.  A constant solves every equation too,
     so a converged profile whose spread over the nodes is at most FLAT_TOL
-    (1e-6) of its size (B -> 0) is reported as trivial.  n_points is
-    the number of nodes (see node_count).
+    (1e-6) of its size (B -> 0) is reported as trivial.
 
     This is multi_start_fit's lockstep loop with one start.
     """
-    return _lockstep(kind, params, ansatz, [start], n_points, rtol)[0]
+    return _lockstep(kind, params, ansatz, [start], rtol)[0]
 
 
 class StartError(ValueError):
@@ -391,8 +378,7 @@ def _solve(augs, rhss) -> list[np.ndarray]:
 
 
 def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
-              starts: list[dict[str, float]], n_points: int | None = None,
-              rtol: float = RTOL) -> list[FitResult]:
+              starts: list[dict[str, float]], rtol: float = RTOL) -> list[FitResult]:
     """fit_travelling_wave from every start, the starts advanced together.
 
     Each start runs _iterate, which pauses wherever it needs a Jacobian, a
@@ -414,7 +400,7 @@ def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
         "solve": _solve,
         "residual": lambda xi, cs: _evaluate(kind, params, ansatz, np.array(xi), np.array(cs)),
     }
-    runs = [_iterate(kind, params, ansatz, start, n_points, rtol) for start in starts]
+    runs = [_iterate(kind, params, ansatz, start, rtol) for start in starts]
     pending, results = [None] * len(runs), [None] * len(runs)
 
     def send(i, reply=None):
@@ -440,13 +426,15 @@ def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
     return results
 
 
-def _iterate(kind, params, ansatz, start, n_points, rtol):
+def _iterate(kind, params, ansatz, start, rtol):
     """One start's damped Gauss-Newton.  It yields ("residual", xi, c),
     ("jacobian", xi, c, point) and ("solve", aug, rhs), is sent the point
     (None where c cannot be evaluated), the Jacobian (None where m cannot be
-    differenced) and the least-squares step, and returns the FitResult.  It
-    takes one SVD, as the fit ends: the rank of its last Jacobian, which the
-    result reports and which tells a dead end's status."""
+    differenced) and the least-squares step, and returns the FitResult.  A
+    step tries up to 12 trials, fewer once mu passes 1e12; with none accepted
+    the fit ends: stalled, or converged within 10 rtol, or singular_jacobian.
+    It takes one SVD, as the fit ends: the rank of its last Jacobian, which
+    the result reports and which tells a dead end's status."""
     missing = [p for p in ansatz.free if p not in start]
     if missing:
         raise ValueError(f"start is missing free parameters {missing}")
@@ -458,7 +446,7 @@ def _iterate(kind, params, ansatz, start, n_points, rtol):
     for p, value in zip(ansatz.free, c.tolist()):
         if not math.isfinite(value):
             raise ValueError(f"start value {p} must be finite, got {value!r}")
-    xi = collocation_points(ansatz, ansatz.values(c), node_count(ansatz, n_points))
+    xi = collocation_points(ansatz, ansatz.values(c), max(3 * n_free, 9))
 
     def rel(point):
         a = float(np.max(np.abs(point.res)))
@@ -567,7 +555,7 @@ def amplitude_starts(params: MediumParams, n: int = 8,
 
 def multi_start_fit(kind: EquationKind, params: MediumParams,
                     ansatz: AnsatzFamily, starts: list[dict[str, float]],
-                    **fit_kwargs) -> tuple[list[FitBasin], list[FitResult]]:
+                    rtol: float = RTOL) -> tuple[list[FitBasin], list[FitResult]]:
     """Fit from every start; cluster the converged results into basins.
 
     The starts advance in lockstep, each round one stacked residual,
@@ -577,7 +565,7 @@ def multi_start_fit(kind: EquationKind, params: MediumParams,
     and are not counted as a basin.  Returns (basins sorted by population, all raw
     results); a start that cannot be laid out or evaluated raises StartError.
     """
-    results = _lockstep(kind, params, ansatz, starts, **fit_kwargs)
+    results = _lockstep(kind, params, ansatz, starts, rtol)
     basins: list[FitBasin] = []
     for r in results:
         if not r.converged:

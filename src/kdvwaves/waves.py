@@ -148,10 +148,11 @@ class TravellingWave:
     def _monomial_rows(self, xi: np.ndarray, order: int) -> np.ndarray:
         m, seed = _seed(self.family, self.m)
         if self.family is WaveFamily.GARDNER_SOLITON:
-            # row 0 as 1/(1 + B cosh z): cosh is inf far out, where f is 0
+            # row 0 as 1/(1 + B cosh z): cosh is inf far out, where f is 0,
+            # or A at B = 0, where 0 cosh z is no number
             with np.errstate(over="ignore", invalid="ignore"):
                 z = np.atleast_1d(xi) / self.Delta
-                f = self.A / (1.0 + self.B * np.cosh(z))
+                f = np.where(self.B == 0.0, self.A, self.A / (1.0 + self.B * np.cosh(z)))
             if order == 0:
                 return f[None]
             variables = _gardner_variables(z, self.B)[0]
@@ -320,11 +321,15 @@ def _seed(family: WaveFamily, m: float | None) -> tuple[float | None, dict]:
 def _gardner_variables(z: np.ndarray, B):
     """((g, tau, c) stacked, q, sigma) at z, where g = 1/(1 + B cosh z),
     tau = B sinh(z) g and c = 1 - g: with s = sech z and t = tanh z, which
-    never overflow, q = 1/(s + B), g = s q, c = B q, tau = c t, sigma = t q."""
+    never overflow, q = 1/(s + B), g = s q, c = B q, tau = c t, sigma = t q.
+    The flat B = 0 has g = 1 and c = 0, also where q = cosh z overflows."""
     s, t = sech(z), np.tanh(z)
-    q = 1.0 / (s + B)
-    c = B * q
-    return np.stack([s * q, c * t, c]), q, t * q
+    flat = B == 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = 1.0 / (s + B)
+        g = np.where(flat, 1.0, s * q)
+        c = np.where(flat, 0.0, B * q)
+    return np.stack([g, c * t, c]), q, t * q
 
 
 # g' = -tau g, tau' = c - tau^2, c' = tau g in d/dz; and d/dB of (g, tau, c)

@@ -18,7 +18,8 @@ from kdvwaves.cli import main
 from kdvwaves.equations import EquationKind
 from kdvwaves.fitting import (AnsatzFamily, amplitude_starts, fit_travelling_wave,
                               multi_start_fit)
-from kdvwaves.waves import MediumParams, TravellingWave, make_kdv_cnoidal
+from kdvwaves.waves import (MediumParams, TravellingWave, make_kdv_cnoidal,
+                            make_kdv_soliton)
 
 P = MediumParams(alpha=0.1, beta=0.1)
 PG = MediumParams(alpha=0.1, beta=0.3, tau=0.0)
@@ -240,11 +241,40 @@ def test_a_start_whose_m_column_cannot_be_formed_ends_alone(monkeypatch):
     assert all(r.rank == 4 for r in results[::2])
 
 
-@pytest.mark.parametrize("n_points", [2, 0])
-def test_fewer_nodes_than_free_parameters_are_refused(n_points):
-    with pytest.raises(ValueError, match="n_points"):
-        fit_travelling_wave(EquationKind.KDV2, P, KDV2_SECH2,
-                            {"A": 2.4, "B": 1.2, "v": 1.1}, n_points=n_points)
+def test_a_step_stops_trying_once_the_damping_passes_its_cap(monkeypatch):
+    # every trial is rejected but the first step's twelfth, taken at mu = 1e8; the
+    # second step starts at mu = 1e8/3 and passes 1e12 after five more rejections,
+    # so it ends with no trial accepted: stalled, at full rank
+    real, calls = fitting._fit_residual, []
+
+    def rejected(kind, params, ansatz, xi, values):
+        point = real(kind, params, ansatz, xi, values)
+        calls.append(values["A"])
+        return point if len(calls) in (1, 13) else point._replace(res=point.res + 1e3)
+
+    monkeypatch.setattr(fitting, "_fit_residual", rejected)
+    result = fit_travelling_wave(EquationKind.KDV2, P, KDV2_SECH2,
+                                 {"A": 3.0, "B": 1.3, "v": 1.1})
+    assert (result.status, result.n_iterations, result.rank) == ("stalled", 2, 3)
+    assert len(calls) == 1 + 12 + 5
+
+
+def test_a_converged_fit_of_tiny_amplitude_counts_but_forms_no_basin(capsys, tmp_path):
+    # at B = 4.7e-4 the kdv soliton's amplitude is 3e-7, below MERGE_TOL: both fits
+    # converge there, and neither is a basin
+    wave = make_kdv_soliton(P, 3e-7)
+    ansatz = AnsatzFamily("sech2", ("A",), {"B": wave.B, "v": wave.v, "D": 0.0})
+    starts = [{"A": 2e-7}, {"A": 5e-7}]
+    basins, results = multi_start_fit(EquationKind.KDV, P, ansatz, starts)
+    assert basins == [] and all(r.converged for r in results)
+    assert all(0.0 < r.values["A"] < fitting.MERGE_TOL for r in results)
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump({
+        "equation": "kdv", "medium": {"alpha": P.alpha, "beta": P.beta},
+        "ansatz": {"shape": "sech2", "free": ["A"], "fixed": ansatz.fixed},
+        "starts": starts}))
+    assert main(["fit", "--config", str(path)]) == 1
+    assert capsys.readouterr().out == '{"n_starts": 2, "n_converged": 2, "n_basins": 0}\n'
 
 
 def _fit_config(tmp_path, changes: dict, name: str) -> str:
@@ -273,11 +303,12 @@ def test_cli_refuses_a_bad_amplitude_ladder(capsys, tmp_path, amplitudes, key):
 
 @pytest.mark.parametrize("name", ["fit_kdv2_multistart.yaml", "fit_gardner.yaml"])
 @pytest.mark.parametrize("n_points", [2, 0])
-def test_cli_refuses_fewer_nodes_than_free_parameters(capsys, tmp_path, name, n_points):
+def test_cli_refuses_an_n_points_key_as_unknown(capsys, tmp_path, name, n_points):
+    # a fit lays out max(3 n_free, 9) nodes by rule: no key sets their count
     cfg = _fit_config(tmp_path, {"n_points": n_points}, name)
     assert main(["fit", "--config", cfg]) == 2
     captured = capsys.readouterr()
-    assert "'n_points'" in captured.err and captured.out == ""
+    assert "unknown key 'n_points'" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("changes,message", [

@@ -140,13 +140,6 @@ NO_FREE = {"equation": "kdv", "medium": {"alpha": 0.1, "beta": 0.1},
                 "cases": [{"equation": "kdv",
                            "wave": {"family": "two_soliton", "amplitudes": [1.0, 2.0]}}]},
      "missing required key 'cases[0].grid'"),
-    # the library's node rule, as the CLI reports it
-    ("fit", {**NO_FREE, "ansatz": {"shape": "sech2", "free": ["A", "B", "v"],
-                                   "fixed": {"D": 0.0}},
-             "count_constraints": True, "n_points": 2,
-             "start": {"A": 1.0, "B": 0.5, "v": 1.05}},
-     "invalid 'n_points': n_points must be at least the number of free parameters (3), "
-     "got 2"),
     # a subnormal Delta**2, whose beta'/Delta^2 overflows
     ("profile", {"medium": GARDNER_MEDIUM, "grid": GARDNER_GRID,
                  "wave": {"family": "gardner_soliton", "Delta": 1.0e-160}},

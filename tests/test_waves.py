@@ -317,6 +317,31 @@ def test_degenerate_gardner_waves_match_the_leibniz_recursion(medium):
         _assert_gardner_matches_the_leibniz_recursion(wave, np.linspace(-700.0, 700.0, 281))
 
 
+@pytest.mark.parametrize("alpha,delta", [(0.1, 1.0), (-0.1, 1.0), (0.1, -2.0)])
+def test_the_flat_gardner_wave_stays_flat_where_cosh_overflows(alpha, delta):
+    # beta' = Delta^2 gives B = 0 exactly, the flat u = A: row 0 is A and every
+    # derivative 0 at every xi, also past |xi/Delta| ~ 710, where 0 cosh(xi/Delta)
+    # and 1/(sech(xi/Delta) + B) are no number
+    wave = make_gardner_soliton(MediumParams(alpha=alpha, beta=6.0 * delta**2), Delta=delta)
+    assert wave.B == 0.0 and abs(wave.A) == 40.0
+    xi = delta * np.array([-2000.0, -800.0, -715.0, 0.0, 715.0, 800.0, 2000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = wave.derivatives(xi, 6)
+        u = wave.profile(xi)
+    assert np.all(rows[0] == wave.A) and np.all(rows[1:] == 0.0)
+    assert np.array_equal(u, rows[0])
+    # stacked with a bell, each wave keeps the rows it has alone
+    bell = make_gardner_soliton(MediumParams(alpha=alpha, beta=0.3), Delta=delta)
+    both = TravellingWave(WaveFamily.GARDNER_SOLITON, A=np.array([[wave.A], [bell.A]]),
+                          B=np.array([[0.0], [bell.B]]), v=1.0, Delta=delta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = both.derivatives(np.stack([xi, xi]), 6)
+    assert np.array_equal(stacked[:, 0], rows)
+    assert np.array_equal(stacked[:, 1], bell.derivatives(xi, 6))
+
+
 def test_gardner_profile_adds_its_pedestal():
     w = make_gardner_soliton(MediumParams(alpha=0.1, beta=0.3), Delta=1.0)
     xi = np.linspace(-30.0, 30.0, 121)
