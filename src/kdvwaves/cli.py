@@ -277,10 +277,11 @@ def _say(msg: str):
 
 
 def _csv_lines(header: list[str], rows):
-    """The CSV text: the header, then one '%' of %.17g fields per block of rows."""
+    """The CSV text: the header, then one '%' of %.17g fields per block of
+    1024 rows, so a stream of rows is never held whole, as rows or as text."""
     yield ",".join(header) + "\n"
     rows = iter(rows)
-    while block := list(islice(rows, 4096)):
+    while block := list(islice(rows, 1024)):
         line = ",".join(["%.17g"] * len(block[0])) + "\n"
         yield line * len(block) % tuple(chain.from_iterable(block))
 
@@ -299,19 +300,16 @@ def cmd_profile(args) -> int:
 
     built, eff = _solution(cfg["wave"], cfg["medium"], cfg["inverted"])
     x = grid.x
-    rows = []
-    for t in times:
-        u = built.evaluate(x, t, eff, cfg["frame"])
-        if len(times) == 1:
-            rows.extend(zip(x, u))
-        else:
-            rows.extend((t, xi, ui) for xi, ui in zip(x, u))
-
-    header = ["x", "u"] if len(times) == 1 else ["t", "x", "u"]
+    samples = [built.evaluate(x, t, eff, cfg["frame"]) for t in times]
+    if len(times) == 1:
+        header, rows = ["x", "u"], zip(x, samples[0])
+    else:
+        header = ["t", "x", "u"]
+        rows = ((t, xi, ui) for t, u in zip(times, samples) for xi, ui in zip(x, u))
     if args.out:
         path = Path(args.out) / "profile.csv"
         _write_csv(path, header, rows)
-        _say(f"profile: {len(rows)} rows -> {path}")
+        _say(f"profile: {len(times) * grid.n} rows -> {path}")
     else:
         sys.stdout.writelines(_csv_lines(header, rows))
     return 0
@@ -471,9 +469,10 @@ def cmd_evolve(args) -> int:
     mon = monitors(traj)
     if args.out:
         out = Path(args.out)
-        rows = [(t, x, u) for snap, t in zip(traj.snapshots, traj.times)
-                for x, u in zip(grid.x.tolist(), snap.values.tolist())]
-        _write_csv(out / "trajectory.csv", ["t", "x", "u"], rows)
+        x = grid.x.tolist()
+        _write_csv(out / "trajectory.csv", ["t", "x", "u"],
+                   ((t, xi, ui) for snap, t in zip(traj.snapshots, traj.times)
+                    for xi, ui in zip(x, snap.values.tolist())))
         _write_csv(out / "monitors.csv",
                    ["time", "mass", "momentum", "min", "max"],
                    zip(mon["time"], mon["mass"], mon["momentum"],

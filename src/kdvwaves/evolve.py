@@ -267,16 +267,19 @@ def evolve(config: EvolveConfig, u0) -> Trajectory:
 def monitors(traj: Trajectory) -> dict[str, np.ndarray]:
     """Conserved-quantity and extremum series along a trajectory."""
     dx = traj.config.grid.dx
-    u = np.array([s.values for s in traj.snapshots])
-    # sums of u and u^2 may overflow to inf on a pre-abort snapshot; report them as such
+    u = [s.values for s in traj.snapshots]
+    # snapshot by snapshot, with no stacked copy: a row's sum, min and max
+    # are those of the stacked axis-1 reductions, bit for bit.  Sums of u
+    # and u^2 may overflow to inf on a pre-abort snapshot; report them as such
     with np.errstate(over="ignore"):
-        mass, momentum = dx * u.sum(axis=1), dx * (u * u).sum(axis=1)
+        mass = dx * np.array([row.sum() for row in u])
+        momentum = dx * np.array([(row * row).sum() for row in u])
     return {
         "time": np.array(traj.times),
         "mass": mass,
         "momentum": momentum,
-        "min": u.min(axis=1),
-        "max": u.max(axis=1),
+        "min": np.array([row.min() for row in u]),
+        "max": np.array([row.max() for row in u]),
     }
 
 

@@ -206,7 +206,13 @@ class TravellingWave:
         variables, q, sigma = _gardner_variables(z, self.B)
         tables = _monomial_sum(variables, *_derivative_chain(self.family, None, order, d_b=True))
         tables = tables.reshape((2, order + 1) + z.shape)
-        d_b = (q * tables[0] + sigma * tables[1]) * (self.A * self._scales(order, z.ndim))
+        with np.errstate(invalid="ignore"):
+            d_b = q * tables[0] + sigma * tables[1]
+        # at the flat B = 0, where the tables read -1 and 0, d/dB of row k
+        # is -cosh^(k) z: 0 - q for even k and 0 - sigma for odd k, also
+        # where q overflows and 0 inf reads NaN (0 - keeps the tables' +0)
+        d_b = np.where(self.B == 0.0, 0.0 - np.where(k % 2, sigma, q), d_b)
+        d_b = d_b * (self.A * self._scales(order, z.ndim))
         return {"B": d_b, "Delta": -stretch / self.Delta}
 
     def profile(self, xi):

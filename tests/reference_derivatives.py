@@ -7,7 +7,8 @@ profile rows the fits use; fd8_roll_diffs sums the fd8 stencils over one
 rolled copy per tap; mirrored_residual is the residual of the negated pair
 under the alpha-negated equation, one case at a time, and negative_control
 that of the negated pair with alpha kept; period_mean samples a periodic
-wave's mean over one period; sum_terms_reference is the residual sum and
+wave's mean over one period, less the first-order error of its rounded
+span; sum_terms_reference is the residual sum and
 scale as first written, one new array per addition; and gardner_derivatives
 takes a Gardner wave's rows and their B and Delta derivatives by the Leibniz
 recursion of u w = A, independently of the package's monomial chain.
@@ -16,13 +17,14 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from kdvwaves.equations import (EquationId, Field, Grid, ResidualReport, _fd8_diffs,
                                  _fd8_stencil, _spectral_diffs, residual)
 from kdvwaves.fitting import AnsatzFamily, _scaled, _unit_rows
 from kdvwaves.inversion import _negated
-from kdvwaves.waves import MediumParams, TravellingWave
+from kdvwaves.waves import MediumParams, TravellingWave, WaveFamily
 
 DERIVATIVE_ORDERS = (1, 2, 3, 5)
 
@@ -99,9 +101,21 @@ def negative_control(u: Field, ut: Field, eq: EquationId, params: MediumParams,
 
 def period_mean(wave: TravellingWave, n_samples: int = 256) -> float:
     """Profile mean over one period by the rectangle rule, which is
-    spectrally exact for a smooth periodic profile."""
-    xi = wave.wavelength() * np.arange(n_samples) / n_samples
-    return float(np.mean(wave.profile(xi)))
+    spectrally exact for a smooth periodic profile.
+
+    The samples span L = wavelength(), the rounded period, so their mean
+    is the mean over the true period P plus eps (f(0) - mean), with
+    eps = (L - P)/P, to first order; that term is taken off with P from
+    mpmath at 30 digits (2K/B for cn^2, 4K/B for the superpositions).
+    """
+    span = wave.wavelength()
+    xi = span * np.arange(n_samples) / n_samples
+    sampled = float(np.mean(wave.profile(xi)))
+    with mpmath.workdps(30):
+        periods = 2 if wave.family is WaveFamily.KDV_CNOIDAL else 4
+        period = periods * mpmath.ellipk(wave.m) / abs(wave.B)
+        eps = float((span - period) / period)
+    return sampled - eps * (float(wave.profile(0.0)) - sampled)
 
 
 def sum_terms_reference(terms: list[tuple[str, np.ndarray]]):

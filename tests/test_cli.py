@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,29 @@ def test_evolve_soliton_peak_translates(capsys, tmp_path):
     assert (out_dir / "monitors.csv").exists()
 
 
+def test_evolve_out_holds_one_block_of_rows_not_the_table(capsys, tmp_path):
+    # 101 snapshots of 1024 points: held as a list of (t, x, u) tuples the
+    # table alone takes about 14 MiB; streamed, the whole run's traced peak
+    # is about 1.3 MiB, mostly the 0.8 MiB of its snapshots
+    doc = {
+        "equation": "kdv",
+        "medium": {"alpha": 0.1, "beta": 0.1},
+        "grid": {"x0": -30.0, "length": 60.0, "n": 1024},
+        "dt": 0.01, "t_end": 1.0, "output_stride": 1,
+        "initial": {"family": "kdv_soliton", "A": 1.0},
+    }
+    cfg = _write(tmp_path, "e.yaml", doc)
+    tracemalloc.start()
+    try:
+        code, out, _ = _run(capsys, ["evolve", "--config", cfg, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and _records(out)[0]["n_snapshots"] == 101
+    assert (tmp_path / "o" / "trajectory.csv").read_bytes().count(b"\n") == 1 + 101 * 1024
+    assert peak < 4 * 2**20
+
+
 def test_evolve_inverted_run_negates_the_trajectory(capsys, tmp_path):
     # 'inverted' on the initial state flips the medium of the run too,
     # so the whole trajectory is the exact pointwise mirror
@@ -609,25 +633,52 @@ def test_verify_and_symmetry_check_the_same_catalog_pairs(capsys, tmp_path, back
     assert verified == upright
 
 
-def test_csv_rows_format_like_the_per_value_join(capsys, tmp_path):
+@pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 2049, 5000])
+@pytest.mark.parametrize("n_cols", [2, 3])
+def test_csv_rows_format_like_the_per_value_join(tmp_path, n_rows, n_cols):
     # one '%' per block of rows gives the bytes of "%.17g" value by value,
-    # also on a block boundary and on the values with special spellings
+    # also on and either side of a block boundary and on the values with
+    # special spellings
     from kdvwaves.cli import _csv_lines, _write_csv
 
     specials = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, math.inf, -math.inf, math.nan,
                 0.1, -2.5, 1.0 / 3.0, 1e300, 7, np.float64(-0.0), np.float64(np.nan)]
     rows = [(specials[i % len(specials)], float(i), specials[(7 * i) % len(specials)])
-            for i in range(5000)]
-    want = "t,x,u\n" + "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
-    assert "".join(_csv_lines(["t", "x", "u"], iter(rows))) == want
-    _write_csv(tmp_path / "rows.csv", ["t", "x", "u"], rows)
+            [3 - n_cols:] for i in range(n_rows)]
+    header = ["t", "x", "u"][3 - n_cols:]
+    want = ",".join(header) + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                             for row in rows)
+    assert "".join(_csv_lines(header, (row for row in rows))) == want
+    _write_csv(tmp_path / "rows.csv", header, iter(rows))
     assert (tmp_path / "rows.csv").read_bytes() == want.encode()
-    assert "".join(_csv_lines(["a"], [])) == "a\n"
-    # profile's stdout rows take the same formatter
-    cfg = _write(tmp_path, "p.yaml", PROFILE_DOC)
-    _, out, _ = _run(capsys, ["profile", "--config", cfg, "--out", str(tmp_path / "p")])
+
+
+def test_csv_text_is_formatted_one_block_of_rows_at_a_time():
+    # a stream of rows is read 1024 rows ahead of the text, no further
+    from kdvwaves.cli import _csv_lines
+
+    taken = []
+
+    def rows():
+        for i in range(3000):
+            taken.append(i)
+            yield (float(i), -float(i))
+
+    lines = _csv_lines(["x", "u"], rows())
+    assert next(lines) == "x,u\n" and not taken
+    assert next(lines).count("\n") == 1024 and len(taken) == 1024
+    assert [block.count("\n") for block in lines] == [1024, 952]
+
+
+@pytest.mark.parametrize("times", [[0.0], [0.0, 1.0, 2.5]])
+def test_profile_stdout_is_the_profile_csv(capsys, tmp_path, times):
+    # profile's stdout rows take the same formatter as its --out table
+    cfg = _write(tmp_path, "p.yaml", {**PROFILE_DOC, "times": times})
+    _, _, err = _run(capsys, ["profile", "--config", cfg, "--out", str(tmp_path / "p")])
+    assert f"profile: {64 * len(times)} rows" in err
     _, stdout, _ = _run(capsys, ["profile", "--config", cfg])
     assert (tmp_path / "p" / "profile.csv").read_text() == stdout
+    assert stdout.count("\n") == 1 + 64 * len(times)
 
 
 @pytest.mark.parametrize("command,flag", [

@@ -56,6 +56,25 @@ def test_mass_and_momentum_conservation():
     assert np.max(np.abs(mon["momentum"] - mon["momentum"][0])) < 1e-8
 
 
+@pytest.mark.parametrize("n", [256, 778, 1000, 1024, 4096, 8192])
+def test_monitors_reduce_each_snapshot_as_the_stacked_trajectory_does(n):
+    # the reference stacks the snapshots and reduces along axis 1
+    grid = Grid(-30.0, 60.0, n)
+    cfg = EvolveConfig(eq=KDV, params=P, grid=grid, dt=0.02, t_end=1.0, output_stride=0)
+    rng = np.random.default_rng(n)
+    traj = evolve_module.Trajectory(cfg)
+    for t in range(5):
+        traj.append(float(t), rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n))
+    mon = monitors(traj)
+    u = np.array([s.values for s in traj.snapshots])
+    want = {"time": np.arange(5.0), "mass": grid.dx * u.sum(axis=1),
+            "momentum": grid.dx * (u * u).sum(axis=1), "min": u.min(axis=1),
+            "max": u.max(axis=1)}
+    assert mon.keys() == want.keys()
+    for key, series in want.items():
+        assert mon[key].tobytes() == series.tobytes(), key
+
+
 def test_estimated_speed_matches_dispersion_relation():
     w = make_kdv_soliton(P, 1.0)
     cfg = EvolveConfig(eq=KDV, params=P, grid=GRID, dt=0.02, t_end=10.0,

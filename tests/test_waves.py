@@ -342,6 +342,27 @@ def test_the_flat_gardner_wave_stays_flat_where_cosh_overflows(alpha, delta):
     assert np.array_equal(stacked[:, 1], bell.derivatives(xi, 6))
 
 
+@pytest.mark.parametrize("alpha,delta", [(0.1, 1.0), (-0.1, 1.0), (0.1, -2.0)])
+def test_the_flat_gardner_width_derivative_overflows_to_a_signed_inf(alpha, delta):
+    # at B = 0, d/dB of row k is -A Delta^-k cosh(xi/Delta) for even k and
+    # -A Delta^-k sinh(xi/Delta) for odd k: finite at 700 Delta, inf past
+    # about 710 Delta, where q = cosh z is inf and the tables' zeros made NaN
+    wave = make_gardner_soliton(MediumParams(alpha=alpha, beta=6.0 * delta**2), Delta=delta)
+    assert wave.B == 0.0
+    z = np.array([0.0, 1.0, 700.0, 715.0, 800.0])
+    z = np.concatenate([z, -z])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d_b = wave.width_derivatives(delta * z, wave.derivatives(delta * z, 6))["B"]
+    with np.errstate(over="ignore"):
+        hyp = np.cosh(z), np.sinh(z)
+        want = np.array([-wave.A * delta**-k * hyp[k % 2] for k in range(6)])
+    finite = np.isfinite(want)
+    assert finite[:, 2].all() and not finite[:, 3:5].any()
+    np.testing.assert_allclose(d_b[finite], want[finite], rtol=1e-15, atol=0.0)
+    assert np.array_equal(d_b[~finite], want[~finite])
+
+
 def test_gardner_profile_adds_its_pedestal():
     w = make_gardner_soliton(MediumParams(alpha=0.1, beta=0.3), Delta=1.0)
     xi = np.linspace(-30.0, 30.0, 121)
