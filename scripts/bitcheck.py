@@ -2,10 +2,11 @@
 """Byte identity: `PYTHONPATH=src python scripts/bitcheck.py [TREE]`.
 
 Runs each table entry in a fresh `python -W error` process on this tree's src/ and on
-TREE/src (default: this tree, a rerun); both read this tree's configs and write one --out.
-Exit code, stdout, stderr and listed CSVs must match byte for byte, and each run must meet
-its entry (exit code; no stdout on exit 2; `holds`; `row_of`) and print every stdout line
-that starts with `{` as strict JSON, without NaN or Infinity, or the script exits 1.
+TREE/src (default: this tree, a rerun); both read this tree's configs.  Exit code, stdout,
+stderr and the CSVs an evolve entry lists (written under its --out) must match byte for
+byte, and each run must meet its entry (exit code; no stdout on exit 2; `holds`;
+`row_of`) and print every stdout line that starts with `{` as strict JSON, without NaN
+or Infinity, or the script exits 1.
 Compare two trees on one machine, never against recorded bytes: numpy's AVX-512 loops
 round differently on other CPUs.
 """
@@ -47,16 +48,12 @@ def table(tmp: Path) -> list[Entry]:
     entries = [
         kdv("fit", *cfg("fit_gardner")),
         kdv("fit", *cfg("fit_kdv2_multistart")),
-        # the multi-start's starts advance in lockstep: its basins too
-        kdv("fit", *cfg("fit_kdv2_multistart"), csvs=("basins.csv",)),
         # the benchmark's cn2 zero-mean fit, started near the wave of A = 1, m = 0.9
         kdv("fit", *cfg("checks/fit_cn2")),
-        kdv("fit", *cfg("checks/fit_cn2"), csvs=("fit.csv",)),
         # the flat Gardner wave at B = 0 exactly: its d/dB column is finite and warning-free,
         # the count reads 0 and the fit is trivial at its start
         kdv("fit", *cfg("checks/count_gardner_flat"), exit=1),
         kdv("verify", *cfg("verify_catalog")),
-        kdv("verify", *cfg("verify_catalog"), csvs=("residuals.csv",)),
         kdv("verify", *cfg("verify_catalog"), *fd8),
         kdv("evolve", *cfg("evolve_shoaling"), csvs=traj),
         # the stepper's workspace: a dealiased kdv2 run fills the (ik)^o v rows
@@ -65,9 +62,7 @@ def table(tmp: Path) -> list[Entry]:
         kdv("evolve", *cfg("checks/evolve_gardner"), csvs=traj),
         # an inverted ladder at two times: signed tau-functions in the mirror medium
         kdv("profile", *cfg("checks/profile_inverted_ladder")),
-        kdv("profile", *cfg("checks/profile_inverted_ladder"), csvs=("profile.csv",)),
         kdv(*seven),
-        kdv(*seven, csvs=("symmetry.csv",)),
         # a user-set tolerance is the one every row reports and judges by
         kdv(*seven, "--tolerance", "1e-10"),
         # one case selected is a one-row stack: it prints its row of the full sweep

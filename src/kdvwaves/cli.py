@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-profile    sample a catalog wave or ladder onto (x, t) points, write a CSV table
+profile    sample a catalog wave or ladder onto (x, t) points, print a CSV table
 verify     residual reports for (wave or ladder, equation) pairs
 symmetry   sign-inversion sweep: max|R_a(u, u_t) + R_{-a}(-u, -u_t)|
 fit        collocation fit of a travelling ansatz, single- or multi-start
@@ -19,7 +19,7 @@ Every config key is checked against the schema below: one table per
 section and per command maps each legal key to (type, default).  An
 unknown key (named with the nearest legal one), a missing required key or
 a malformed value exits 2 with the key's name.  Every subcommand takes
---config and --out; fit adds --tolerance, verify --tolerance and
+--config; evolve adds --out, fit --tolerance, verify --tolerance and
 --backend, symmetry --seed, --tolerance and --backend.  A tolerance is
 finite and >= 0 and a seed >= 0, as flag or key alike; a wave parameter
 and a time are finite.
@@ -287,7 +287,6 @@ def _csv_lines(header: list[str], rows):
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.writelines(_csv_lines(header, rows))
 
@@ -306,12 +305,7 @@ def cmd_profile(args) -> int:
     else:
         header = ["t", "x", "u"]
         rows = ((t, xi, ui) for t, u in zip(times, samples) for xi, ui in zip(x, u))
-    if args.out:
-        path = Path(args.out) / "profile.csv"
-        _write_csv(path, header, rows)
-        _say(f"profile: {len(times) * grid.n} rows -> {path}")
-    else:
-        sys.stdout.writelines(_csv_lines(header, rows))
+    sys.stdout.writelines(_csv_lines(header, rows))
     return 0
 
 
@@ -345,7 +339,7 @@ def cmd_verify(args) -> int:
     cfg = _read(_load_config(args.config), VERIFY, "")
     tolerance = cfg["tolerance"] if args.tolerance is None else args.tolerance
 
-    reports = []
+    n_pass = n_cases = 0
     for label, eq, params, solution, grid, t in _verify_cases(cfg):
         try:
             # a wave's finite samples may still overflow their derivatives
@@ -356,16 +350,10 @@ def cmd_verify(args) -> int:
             _say(f"verify: numerical abort in case {label!r}: {exc}")
             return 3
         _emit({"label": label, **vars(report)})
-        reports.append(report)
+        n_pass, n_cases = n_pass + report.passed, n_cases + 1
 
-    if args.out and reports:
-        _write_csv(Path(args.out) / "residuals.csv",
-                   ["norm_inf", "norm_2", "scale", "relative", "tolerance"],
-                   [(r.norm_inf, r.norm_2, r.scale, r.relative, r.tolerance)
-                    for r in reports])
-    n_pass = sum(r.passed for r in reports)
-    _say(f"verify: {n_pass}/{len(reports)} passed (tolerance {tolerance:g})")
-    return 0 if n_pass == len(reports) else 1
+    _say(f"verify: {n_pass}/{n_cases} passed (tolerance {tolerance:g})")
+    return 0 if n_pass == n_cases else 1
 
 
 def cmd_symmetry(args) -> int:
@@ -385,11 +373,6 @@ def cmd_symmetry(args) -> int:
     for row in rows:
         _emit(row)
     worst = max((r["algebraic_defect_value"] for r in rows), default=0.0)
-
-    if args.out and rows:
-        _write_csv(Path(args.out) / "symmetry.csv",
-                   ["algebraic_defect", "pass"],
-                   [(r["algebraic_defect_value"], float(r["pass"])) for r in rows])
     n_pass = sum(r["pass"] for r in rows)
     _say(f"symmetry: {n_pass}/{len(rows)} passed, "
          f"worst antisymmetry defect {worst:.3e} (tolerance {tolerance:g})")
@@ -418,10 +401,6 @@ def cmd_fit(args) -> int:
         _emit({"values": result.values, "residual": result.residual,
                "status": result.status, "n_iterations": result.n_iterations,
                "rank": result.rank})
-        if args.out:
-            names = sorted(result.values)
-            _write_csv(Path(args.out) / "fit.csv", names,
-                       [[result.values[k] for k in names]])
         _say(f"fit: {result.status} after {result.n_iterations} iterations, "
              f"relative residual {result.residual:.3e}")
         return 0 if result.converged else 1
@@ -437,11 +416,6 @@ def cmd_fit(args) -> int:
     n_conv = sum(r.converged for r in results)
     _emit({"n_starts": len(start_list), "n_converged": n_conv,
            "n_basins": len(basins)})
-    if args.out and basins:
-        names = sorted(basins[0].values)
-        _write_csv(Path(args.out) / "basins.csv", names + ["residual", "count"],
-                   [[b.values[k] for k in names] + [b.residual, b.count]
-                    for b in basins])
     _say(f"fit: {len(basins)} basin(s) from {len(start_list)} starts "
          f"({n_conv} converged)")
     return 0 if basins else 1
@@ -457,6 +431,14 @@ def cmd_evolve(args) -> int:
     config = _build("evolve", EvolveConfig,
                     eq=eq, params=eff, grid=grid, dt=cfg["dt"], t_end=cfg["t_end"],
                     output_stride=cfg["output_stride"])
+    if args.out is not None:     # made before the first step, or refused
+        try:
+            if not args.out:
+                raise OSError("empty path")
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"'--out' cannot be made a directory "
+                              f"({exc.strerror or exc}): {args.out!r}")
 
     u0 = built.evaluate(grid.x, 0.0, eff, eq.frame)
     aborted = None
@@ -518,17 +500,17 @@ def _parser() -> argparse.ArgumentParser:
     flags = {"--seed": dict(type=int, help="base seed for randomised sweeps"),
              "--tolerance": dict(type=float, help="override the module's default tolerance"),
              "--backend": dict(choices=("spectral", "fd8"), default="spectral",
-                               help="derivative backend")}
+                               help="derivative backend"),
+             "--out": dict(help="directory for trajectory.csv and monitors.csv")}
     for name, fn, own in (
             ("profile", cmd_profile, ()),
             ("verify", cmd_verify, ("--tolerance", "--backend")),
             ("symmetry", cmd_symmetry, ("--seed", "--tolerance", "--backend")),
             ("fit", cmd_fit, ("--tolerance",)),
-            ("evolve", cmd_evolve, ())):
+            ("evolve", cmd_evolve, ("--out",))):
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=name != "symmetry",
                        help="YAML run configuration")
-        p.add_argument("--out", help="directory for CSV outputs")
         for flag in own:
             p.add_argument(flag, **flags[flag])
         p.set_defaults(fn=fn)

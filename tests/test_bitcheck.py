@@ -37,7 +37,7 @@ def test_every_command_parses_and_lists_only_csvs_it_writes(table):
             assert Path(entry.argv[0]).is_file() and not entry.csvs
             continue
         args = cli._parser().parse_args(entry.argv[2:])
-        assert (args.out is not None) == bool(entry.csvs), entry.argv
+        assert (getattr(args, "out", None) is not None) == bool(entry.csvs), entry.argv
         source = inspect.getsource(args.fn)
         assert all(f'"{csv}"' in source for csv in entry.csvs), entry.argv
 

@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -412,6 +414,19 @@ def test_evolve_out_holds_one_block_of_rows_not_the_table(capsys, tmp_path):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("out,reason", [
+    ("file", "File exists"), ("file/sub", "Not a directory"), ("", "empty path")])
+def test_an_out_that_cannot_be_a_directory_exits_two_before_the_run(capsys, tmp_path,
+                                                                    monkeypatch, out, reason):
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / out) if out else out
+    monkeypatch.setattr(cli, "evolve", lambda *a: pytest.fail("the run started"))
+    cfg = _write(tmp_path, "e.yaml", EVOLVE_DOC)
+    code, stdout, err = _run(capsys, ["evolve", "--config", cfg, "--out", out])
+    assert (code, stdout) == (2, "")
+    assert err == f"config error: '--out' cannot be made a directory ({reason}): {out!r}\n"
+
+
 def test_evolve_inverted_run_negates_the_trajectory(capsys, tmp_path):
     # 'inverted' on the initial state flips the medium of the run too,
     # so the whole trajectory is the exact pointwise mirror
@@ -672,25 +687,49 @@ def test_csv_text_is_formatted_one_block_of_rows_at_a_time():
 
 @pytest.mark.parametrize("times", [[0.0], [0.0, 1.0, 2.5]])
 def test_profile_stdout_is_the_profile_csv(capsys, tmp_path, times):
-    # profile's stdout rows take the same formatter as its --out table
+    # the table is stdout alone: one %.17g row per (t, x) sample, and nothing on stderr
+    from kdvwaves.waves import MediumParams, make_kdv_soliton
+
     cfg = _write(tmp_path, "p.yaml", {**PROFILE_DOC, "times": times})
-    _, _, err = _run(capsys, ["profile", "--config", cfg, "--out", str(tmp_path / "p")])
-    assert f"profile: {64 * len(times)} rows" in err
-    _, stdout, _ = _run(capsys, ["profile", "--config", cfg])
-    assert (tmp_path / "p" / "profile.csv").read_text() == stdout
-    assert stdout.count("\n") == 1 + 64 * len(times)
+    code, stdout, err = _run(capsys, ["profile", "--config", cfg])
+    assert (code, err) == (0, "")
+    params, x = MediumParams(0.1, 0.1), cli.Grid(-20.0, 40.0, 64).x
+    wave = make_kdv_soliton(params, 1.0)
+    rows = [(t, xi, ui) for t in times for xi, ui in zip(x, wave.evaluate(x, t, params))]
+    if len(times) == 1:
+        assert stdout == "x,u\n" + "".join("%.17g,%.17g\n" % row[1:] for row in rows)
+    else:
+        assert stdout == "t,x,u\n" + "".join("%.17g,%.17g,%.17g\n" % row for row in rows)
 
 
 @pytest.mark.parametrize("command,flag", [
     ("evolve", "--backend"), ("evolve", "--seed"), ("evolve", "--tolerance"),
     ("profile", "--backend"), ("profile", "--seed"), ("profile", "--tolerance"),
-    ("fit", "--backend"), ("fit", "--seed"), ("verify", "--seed")])
+    ("fit", "--backend"), ("fit", "--seed"), ("verify", "--seed"),
+    ("profile", "--out"), ("verify", "--out"), ("symmetry", "--out"), ("fit", "--out")])
 def test_a_flag_the_subcommand_does_not_read_is_rejected(capsys, command, flag):
     value = "fd8" if flag == "--backend" else "3"
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", "unused.yaml", flag, value])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_the_readme_flag_table_lists_the_options_of_each_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Each subcommand takes only the flags it reads:\n\n")[1].split("\n\n")[0]
+    listed, optional = {}, set()
+    for row in table.splitlines()[2:]:
+        names, flags = row.strip("|").split("|")
+        for name in re.findall(r"`(\w+)`", names):
+            listed[name] = set(re.findall(r"--\w+", flags))
+            optional |= {name} if "`--config` (optional)" in flags else set()
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    given = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, p in sub.choices.items()}
+    assert listed == given
+    assert optional == {name for name, p in sub.choices.items()
+                        for a in p._actions if "--config" in a.option_strings and not a.required}
 
 
 def test_verify_without_cases_checks_the_catalog_of_its_medium(capsys, tmp_path):
@@ -938,48 +977,24 @@ def test_a_non_finite_wave_parameter_or_time_exits_two_and_names_it(capsys, tmp_
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
-def _csv(path: Path) -> tuple[list[str], list[list[float]]]:
-    header, *rows = path.read_text().splitlines()
-    return header.split(","), [[float(v) for v in row.split(",")] for row in rows]
-
-
-def test_multi_start_fit_records_and_basins_csv(capsys, tmp_path):
-    code, out, err = _run(capsys, ["fit", "--config", str(CONFIGS / "fit_kdv2_multistart.yaml"),
-                                   "--out", str(tmp_path)])
+def test_multi_start_fit_records_each_basin_then_the_summary(capsys):
+    code, out, err = _run(capsys, ["fit", "--config", str(CONFIGS / "fit_kdv2_multistart.yaml")])
     assert code == 0
     *basins, summary = _records(out)
     assert summary == {"n_starts": 8, "n_converged": 4, "n_basins": len(basins)}
     assert [b["basin"] for b in basins] == list(range(len(basins)))
     assert basins[0]["count"] == 4
-    header, rows = _csv(tmp_path / "basins.csv")
-    names = sorted(basins[0]["values"])
-    assert header == names + ["residual", "count"]
-    assert rows == [[b["values"][k] for k in names] + [b["residual"], b["count"]]
-                    for b in basins]
     assert err == f"fit: {len(basins)} basin(s) from 8 starts (4 converged)\n"
 
 
-def test_count_constraints_record_precedes_the_fit(capsys, tmp_path):
-    code, out, err = _run(capsys, ["fit", "--config", str(CONFIGS / "fit_gardner.yaml"),
-                                   "--out", str(tmp_path)])
+def test_count_constraints_record_precedes_the_fit(capsys):
+    code, out, err = _run(capsys, ["fit", "--config", str(CONFIGS / "fit_gardner.yaml")])
     assert code == 0
     count, fit = _records(out)
     assert count == {"constraint_count": 3, "free_parameters": ["A", "B", "v"]}
     assert fit["status"] == "converged"
+    assert sorted(fit["values"]) == ["A", "B", "Delta", "v"]
     assert err.startswith("fit: 3 independent constraints on 3 free parameters\n")
-    header, rows = _csv(tmp_path / "fit.csv")
-    assert header == sorted(fit["values"]) == ["A", "B", "Delta", "v"]
-    assert rows == [[fit["values"][k] for k in header]]
-
-
-def test_verify_out_writes_each_report_to_residuals_csv(capsys, tmp_path):
-    code, out, _ = _run(capsys, ["verify", "--config", str(CONFIGS / "verify_catalog.yaml"),
-                                 "--out", str(tmp_path)])
-    assert code == 0
-    header, rows = _csv(tmp_path / "residuals.csv")
-    assert header == ["norm_inf", "norm_2", "scale", "relative", "tolerance"]
-    assert rows == [[r[k] for k in header] for r in _records(out)]
-    assert len(rows) == 5
 
 
 def test_a_second_verify_of_equal_grids_builds_no_new_row(capsys):
@@ -991,15 +1006,6 @@ def test_a_second_verify_of_equal_grids_builds_no_new_row(capsys):
     misses = _multiplier.cache_info().misses
     assert _run(capsys, argv) == first
     assert _multiplier.cache_info().misses == misses
-
-
-def test_symmetry_out_writes_each_row_to_symmetry_csv(capsys, tmp_path):
-    code, out, _ = _run(capsys, ["symmetry", "--seed", "7", "--out", str(tmp_path)])
-    assert code == 0
-    header, rows = _csv(tmp_path / "symmetry.csv")
-    assert header == ["algebraic_defect", "pass"]
-    assert rows == [[r["algebraic_defect_value"], float(r["pass"])] for r in _records(out)]
-    assert len(rows) == 48
 
 
 @pytest.mark.parametrize("command,doc,message", [
