@@ -63,8 +63,6 @@ def table(tmp: Path) -> list[Entry]:
         # an inverted ladder at two times: signed tau-functions in the mirror medium
         kdv("profile", *cfg("checks/profile_inverted_ladder")),
         kdv(*seven),
-        # a user-set tolerance is the one every row reports and judges by
-        kdv(*seven, "--tolerance", "1e-10"),
         # one case selected is a one-row stack: it prints its row of the full sweep
         *(kdv(*seven, *cfg(f"checks/select_{name}"), row_of=(kdv(*seven).argv, label))
           for name, label in (("kdv_ramp", "random/kdv/ramp/seed7"),

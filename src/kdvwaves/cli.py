@@ -8,7 +8,7 @@ symmetry   sign-inversion sweep: max|R_a(u, u_t) + R_{-a}(-u, -u_t)|
 fit        collocation fit of a travelling ansatz, single- or multi-start
 evolve     ETDRK4 time integration with snapshot and monitor export
 
-profile and evolve read u from evaluate, verify (u, u_t) from solution_fields.
+profile and evolve read u from evaluate, verify from travelling_residual.
 
 Configs are YAML documents (see scripts/ for worked examples).  Reports
 go to stdout as one JSON object per line; human-readable summaries go to
@@ -19,10 +19,9 @@ Every config key is checked against the schema below: one table per
 section and per command maps each legal key to (type, default).  An
 unknown key (named with the nearest legal one), a missing required key or
 a malformed value exits 2 with the key's name.  Every subcommand takes
---config; evolve adds --out, fit --tolerance, verify --tolerance and
---backend, symmetry --seed, --tolerance and --backend.  A tolerance is
-finite and >= 0 and a seed >= 0, as flag or key alike; a wave parameter
-and a time are finite.
+--config; evolve adds --out, verify --tolerance and --backend, symmetry
+--seed and --backend.  A tolerance is finite and >= 0 and a seed >= 0,
+as flag or key alike; a wave parameter and a time are finite.
 
 Exit codes: 0 success, 1 verification/fit failure, 2 bad configuration,
 3 numerical abort, 141 stdout closed by its reader (as SIGPIPE would).
@@ -52,7 +51,6 @@ from .equations import (
 )
 from .evolve import EvolveConfig, NumericalAbort, estimate_speed, evolve, monitors
 from .fitting import (
-    RTOL,
     AnsatzFamily,
     StartError,
     amplitude_starts,
@@ -256,9 +254,8 @@ VERIFY = {"tolerance": (_tolerance, SOLUTION_TOL), "cases": (_list(_dict), None)
              for key, (kind, default) in VERIFY_CASE.items() if key != "label"}}
 SYMMETRY = {"medium": (MEDIUM, None), "n_seeds": (_count, 5), "select": (_str, None)}
 FIT = {"equation": (_kind, REQUIRED), "medium": (MEDIUM, REQUIRED),
-       "ansatz": (ANSATZ, REQUIRED), "rtol": (_tolerance, RTOL),
-       "count_constraints": (_bool, False), "start": (_mapping(_float), None),
-       "starts": (_starts, None)}
+       "ansatz": (ANSATZ, REQUIRED), "count_constraints": (_bool, False),
+       "start": (_mapping(_float), None), "starts": (_starts, None)}
 EVOLVE = {"equation": (_kind, REQUIRED), "medium": (MEDIUM, REQUIRED),
           "frame": (_frame, Frame.FIXED), "grid": (GRID, REQUIRED),
           "bottom": (BOTTOM, None), "initial": (_wave, REQUIRED),
@@ -368,21 +365,19 @@ def cmd_symmetry(args) -> int:
         if not cases:
             raise ConfigError(f"'select' matches no case label: {select!r}")
 
-    tolerance = ALGEBRAIC_TOL if args.tolerance is None else args.tolerance
-    rows = run_matrix(cases, args.backend, tolerance)
+    rows = run_matrix(cases, args.backend)
     for row in rows:
         _emit(row)
     worst = max((r["algebraic_defect_value"] for r in rows), default=0.0)
     n_pass = sum(r["pass"] for r in rows)
     _say(f"symmetry: {n_pass}/{len(rows)} passed, "
-         f"worst antisymmetry defect {worst:.3e} (tolerance {tolerance:g})")
+         f"worst antisymmetry defect {worst:.3e} (tolerance {ALGEBRAIC_TOL:g})")
     return 0 if n_pass == len(rows) else 1
 
 
 def cmd_fit(args) -> int:
     cfg = _read(_load_config(args.config), FIT, "")
     params, kind, ansatz = cfg["medium"], cfg["equation"], cfg["ansatz"]
-    rtol = cfg["rtol"] if args.tolerance is None else args.tolerance
 
     if cfg["count_constraints"]:
         k = _build("count_constraints", count_constraints,
@@ -397,7 +392,7 @@ def cmd_fit(args) -> int:
 
     if start is not None:
         result = _build("start", fit_travelling_wave, kind=kind, params=params,
-                        ansatz=ansatz, start=start, rtol=rtol)
+                        ansatz=ansatz, start=start)
         _emit({"values": result.values, "residual": result.residual,
                "status": result.status, "n_iterations": result.n_iterations,
                "rank": result.rank})
@@ -407,7 +402,7 @@ def cmd_fit(args) -> int:
 
     start_list = _build("starts", starts, params=params)
     try:
-        basins, results = multi_start_fit(kind, params, ansatz, start_list, rtol=rtol)
+        basins, results = multi_start_fit(kind, params, ansatz, start_list)
     except StartError as exc:
         raise ConfigError(f"invalid 'starts[{exc.index}]': {exc}")
     for i, b in enumerate(basins):
@@ -431,14 +426,17 @@ def cmd_evolve(args) -> int:
     config = _build("evolve", EvolveConfig,
                     eq=eq, params=eff, grid=grid, dt=cfg["dt"], t_end=cfg["t_end"],
                     output_stride=cfg["output_stride"])
-    if args.out is not None:     # made before the first step, or refused
+    if args.out is not None:     # made, its two tables emptied, before the first step
+        what = "be made a directory"
         try:
             if not args.out:
                 raise OSError("empty path")
             Path(args.out).mkdir(parents=True, exist_ok=True)
+            for name in ("trajectory.csv", "monitors.csv"):
+                what = f"write {name}"
+                open(Path(args.out, name), "w").close()
         except OSError as exc:
-            raise ConfigError(f"'--out' cannot be made a directory "
-                              f"({exc.strerror or exc}): {args.out!r}")
+            raise ConfigError(f"'--out' cannot {what} ({exc.strerror or exc}): {args.out!r}")
 
     u0 = built.evaluate(grid.x, 0.0, eff, eq.frame)
     aborted = None
@@ -498,15 +496,15 @@ def _parser() -> argparse.ArgumentParser:
                     "KdV-family equations.")
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {"--seed": dict(type=int, help="base seed for randomised sweeps"),
-             "--tolerance": dict(type=float, help="override the module's default tolerance"),
+             "--tolerance": dict(type=float, help="override the config's tolerance"),
              "--backend": dict(choices=("spectral", "fd8"), default="spectral",
                                help="derivative backend"),
              "--out": dict(help="directory for trajectory.csv and monitors.csv")}
     for name, fn, own in (
             ("profile", cmd_profile, ()),
             ("verify", cmd_verify, ("--tolerance", "--backend")),
-            ("symmetry", cmd_symmetry, ("--seed", "--tolerance", "--backend")),
-            ("fit", cmd_fit, ("--tolerance",)),
+            ("symmetry", cmd_symmetry, ("--seed", "--backend")),
+            ("fit", cmd_fit, ()),
             ("evolve", cmd_evolve, ("--out",))):
         p = sub.add_parser(name, help=fn.__doc__)
         p.add_argument("--config", required=name != "symmetry",

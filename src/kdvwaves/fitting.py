@@ -325,19 +325,19 @@ MERGE_TOL = 1e-6
 
 
 def fit_travelling_wave(kind: EquationKind, params: MediumParams,
-                        ansatz: AnsatzFamily, start: dict[str, float],
-                        rtol: float = RTOL) -> FitResult:
+                        ansatz: AnsatzFamily, start: dict[str, float]) -> FitResult:
     """Damped Gauss-Newton on the collocation residual.
 
     start must provide every free parameter.  The max(3 n_free, 9)
     collocation nodes are laid out once, from the starting shape, and held
     fixed so the objective does not move under the iteration.
 
-    Statuses: converged (relative residual <= rtol), trivial, stalled (no
-    trial lowers the residual), max_iterations (no verdict after
-    MAX_ITERATIONS, 200, steps), singular_jacobian (dead end at deficient
-    rank, or where the residual cannot be evaluated next to the iterate:
-    at no trial step, or not to difference in m).  A free
+    Statuses: converged (relative residual <= RTOL, 1e-10, or within
+    10 RTOL at a dead end), trivial, stalled (no trial lowers the
+    residual), max_iterations (no verdict after MAX_ITERATIONS, 200,
+    steps), singular_jacobian (dead end at deficient rank, or where the
+    residual cannot be evaluated next to the iterate: at no trial step, or
+    not to difference in m).  A free
     amplitude can slide along a solution family toward u = 0, which
     solves every equation.  The fit stops as trivial once, over the last
     TRIVIAL_WINDOW (8) accepted steps, |A| fell each time, the damping
@@ -350,7 +350,7 @@ def fit_travelling_wave(kind: EquationKind, params: MediumParams,
 
     This is multi_start_fit's lockstep loop with one start.
     """
-    return _lockstep(kind, params, ansatz, [start], rtol)[0]
+    return _lockstep(kind, params, ansatz, [start])[0]
 
 
 class StartError(ValueError):
@@ -378,7 +378,7 @@ def _solve(augs, rhss) -> list[np.ndarray]:
 
 
 def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
-              starts: list[dict[str, float]], rtol: float = RTOL) -> list[FitResult]:
+              starts: list[dict[str, float]]) -> list[FitResult]:
     """fit_travelling_wave from every start, the starts advanced together.
 
     Each start runs _iterate, which pauses wherever it needs a Jacobian, a
@@ -400,7 +400,7 @@ def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
         "solve": _solve,
         "residual": lambda xi, cs: _evaluate(kind, params, ansatz, np.array(xi), np.array(cs)),
     }
-    runs = [_iterate(kind, params, ansatz, start, rtol) for start in starts]
+    runs = [_iterate(kind, params, ansatz, start) for start in starts]
     pending, results = [None] * len(runs), [None] * len(runs)
 
     def send(i, reply=None):
@@ -426,13 +426,13 @@ def _lockstep(kind: EquationKind, params: MediumParams, ansatz: AnsatzFamily,
     return results
 
 
-def _iterate(kind, params, ansatz, start, rtol):
+def _iterate(kind, params, ansatz, start):
     """One start's damped Gauss-Newton.  It yields ("residual", xi, c),
     ("jacobian", xi, c, point) and ("solve", aug, rhs), is sent the point
     (None where c cannot be evaluated), the Jacobian (None where m cannot be
     differenced) and the least-squares step, and returns the FitResult.  A
     step tries up to 12 trials, fewer once mu passes 1e12; with none accepted
-    the fit ends: stalled, or converged within 10 rtol, or singular_jacobian.
+    the fit ends: stalled, or converged within 10 RTOL, or singular_jacobian.
     It takes one SVD, as the fit ends: the rank of its last Jacobian, which
     the result reports and which tells a dead end's status."""
     missing = [p for p in ansatz.free if p not in start]
@@ -475,7 +475,7 @@ def _iterate(kind, params, ansatz, start, rtol):
     history = deque([(abs(c[i_amp]), cur_rel, False)] if i_amp is not None else [],
                     maxlen=TRIVIAL_WINDOW + 1)
     for it in range(1, MAX_ITERATIONS + 1):
-        if cur_rel <= rtol:
+        if cur_rel <= RTOL:
             return finish("converged", it - 1)
         columns = yield "jacobian", xi, c, cur
         if columns is None:     # m cannot be differenced next to c
@@ -505,11 +505,11 @@ def _iterate(kind, params, ansatz, start, rtol):
             if mu > 1e12:
                 break
         if not accepted:
-            return finish("converged" if cur_rel <= 10.0 * rtol else None, it)
+            return finish("converged" if cur_rel <= 10.0 * RTOL else None, it)
         if np.max(np.abs(step) / (1.0 + np.abs(c))) < 1e-13:
             # the iteration has stopped moving; only a small residual
             # makes that convergence rather than a dead end
-            return finish("converged" if cur_rel <= 10.0 * rtol else "stalled", it)
+            return finish("converged" if cur_rel <= 10.0 * RTOL else "stalled", it)
         if i_amp is not None:
             history.append((abs(c[i_amp]), cur_rel, n_trial > 0))
             amps, rels, rejected = zip(*history)
@@ -554,8 +554,8 @@ def amplitude_starts(params: MediumParams, n: int = 8,
 
 
 def multi_start_fit(kind: EquationKind, params: MediumParams,
-                    ansatz: AnsatzFamily, starts: list[dict[str, float]],
-                    rtol: float = RTOL) -> tuple[list[FitBasin], list[FitResult]]:
+                    ansatz: AnsatzFamily,
+                    starts: list[dict[str, float]]) -> tuple[list[FitBasin], list[FitResult]]:
     """Fit from every start; cluster the converged results into basins.
 
     The starts advance in lockstep, each round one stacked residual,
@@ -565,7 +565,7 @@ def multi_start_fit(kind: EquationKind, params: MediumParams,
     and are not counted as a basin.  Returns (basins sorted by population, all raw
     results); a start that cannot be laid out or evaluated raises StartError.
     """
-    results = _lockstep(kind, params, ansatz, starts, rtol)
+    results = _lockstep(kind, params, ansatz, starts)
     basins: list[FitBasin] = []
     for r in results:
         if not r.converged:

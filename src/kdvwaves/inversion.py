@@ -201,10 +201,9 @@ def default_matrix(params: MediumParams | None = None,
     return cases
 
 
-def run_matrix(cases: list[InversionCase], backend: str = "spectral",
-               tolerance: float = ALGEBRAIC_TOL) -> list[dict]:
+def run_matrix(cases: list[InversionCase], backend: str = "spectral") -> list[dict]:
     """All applicable checks of each case, as flat JSON-friendly dicts in
-    the cases' order; the algebraic defect passes at relative <= tolerance.
+    the cases' order; the algebraic defect passes at relative <= ALGEBRAIC_TOL.
 
     The cases on one grid form a stack U of their distinct (u, u_t) pairs,
     which takes one derivative set of U and one transformed from -U, of all
@@ -241,7 +240,7 @@ def run_matrix(cases: list[InversionCase], backend: str = "spectral",
                 checks += [_relative(res_p, scale_p), _relative(res_m, scale_m),
                            _relative(*assemble(mirrored, params))]
             for i, values in zip(members, zip(*checks)):
-                rows[i] = _row(cases[i], tolerance, *values)
+                rows[i] = _row(cases[i], *values)
         del upright, mirrored       # this stack's derivative sets, before the next's
     return rows
 
@@ -251,12 +250,12 @@ def _relative(res: np.ndarray, scale: np.ndarray) -> list[float]:
     return list(map(relative_residual, np.max(np.abs(res), axis=-1), scale))
 
 
-def _row(case: InversionCase, tolerance: float, defect: float, *solution: float) -> dict:
+def _row(case: InversionCase, defect: float, *solution: float) -> dict:
     """One sweep row; a solution's also takes its upright, mirrored and control residuals."""
     row = {"label": case.label, "equation": case.eq.label(),
            "kind": "solution" if case.is_solution else "random",
-           "algebraic_defect_value": defect, "algebraic_pass": defect <= tolerance,
-           "algebraic_tol": tolerance}
+           "algebraic_defect_value": defect, "algebraic_pass": defect <= ALGEBRAIC_TOL,
+           "algebraic_tol": ALGEBRAIC_TOL}
     if solution:
         upright, mirrored, control = solution
         row.update(upright_residual=upright, upright_pass=upright <= SOLUTION_TOL,

@@ -1,5 +1,6 @@
 """The byte-identity table of scripts/bitcheck.py, checked without running it."""
 
+import argparse
 import importlib.util
 import inspect
 import os
@@ -40,6 +41,18 @@ def test_every_command_parses_and_lists_only_csvs_it_writes(table):
         assert (getattr(args, "out", None) is not None) == bool(entry.csvs), entry.argv
         source = inspect.getsource(args.fn)
         assert all(f'"{csv}"' in source for csv in entry.csvs), entry.argv
+
+
+def test_every_flag_of_a_subcommand_is_run_by_an_entry(table):
+    # so that every flag stays under byte identity
+    run = {}
+    for entry in table:
+        if entry.argv[:2] == ["-m", "kdvwaves"]:
+            run.setdefault(entry.argv[2], set()).update(a.split("=")[0] for a in entry.argv[3:])
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, p in sub.choices.items():
+        flags = {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        assert flags <= run.get(name, set()), (name, flags - run.get(name, set()))
 
 
 def test_expectations_are_well_formed(table):

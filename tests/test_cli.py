@@ -302,21 +302,15 @@ def test_symmetry_single_case_selection(capsys, tmp_path):
 
 
 def test_symmetry_runs_without_config(capsys):
-    code, out, _ = _run(capsys, ["symmetry", "--seed", "7"])
+    code, out, err = _run(capsys, ["symmetry", "--seed", "7"])
     assert code == 0
     recs = _records(out)
     # 4 kinds x {flat, ramp} x 5 seeds + 8 catalog solutions
     assert len(recs) == 48
     assert all(r["pass"] for r in recs)
-
-
-def test_symmetry_tolerance_is_the_reported_algebraic_tolerance(capsys):
-    code, out, err = _run(capsys, ["symmetry", "--seed", "7", "--tolerance", "1e-10"])
-    assert code == 0
-    recs = _records(out)
-    assert len(recs) == 48
-    assert all(r["algebraic_tol"] == 1e-10 for r in recs)
-    assert "(tolerance 1e-10)" in err
+    # every row is judged against the one fixed bar, which no defect comes near
+    assert {(r["algebraic_tol"], r["algebraic_defect_value"]) for r in recs} == {(1e-13, 0.0)}
+    assert "(tolerance 1e-13)" in err
 
 
 def test_a_reader_closing_the_pipe_ends_the_run_quietly_with_141(tmp_path):
@@ -425,6 +419,18 @@ def test_an_out_that_cannot_be_a_directory_exits_two_before_the_run(capsys, tmp_
     code, stdout, err = _run(capsys, ["evolve", "--config", cfg, "--out", out])
     assert (code, stdout) == (2, "")
     assert err == f"config error: '--out' cannot be made a directory ({reason}): {out!r}\n"
+
+
+@pytest.mark.parametrize("name", ["trajectory.csv", "monitors.csv"])
+def test_an_out_whose_table_is_a_directory_exits_two_before_the_run(capsys, tmp_path,
+                                                                    monkeypatch, name):
+    (tmp_path / "o" / name).mkdir(parents=True)
+    monkeypatch.setattr(cli, "evolve", lambda *a: pytest.fail("the run started"))
+    cfg = _write(tmp_path, "e.yaml", EVOLVE_DOC)
+    out = str(tmp_path / "o")
+    code, stdout, err = _run(capsys, ["evolve", "--config", cfg, "--out", out])
+    assert (code, stdout) == (2, "")
+    assert err == f"config error: '--out' cannot write {name} (Is a directory): {out!r}\n"
 
 
 def test_evolve_inverted_run_negates_the_trajectory(capsys, tmp_path):
@@ -605,10 +611,6 @@ def test_full_precision_round_trip(capsys, tmp_path):
 
 
 def test_tolerance_zero_is_not_replaced_by_the_default(capsys, tmp_path):
-    # the antisymmetry defects are exactly zero, so a zero tolerance passes
-    code, _, err = _run(capsys, ["symmetry", "--seed", "7", "--tolerance", "0"])
-    assert code == 0
-    assert "(tolerance 0)" in err
     # no residual of a closed form is exactly zero
     cfg = _write(tmp_path, "v0.yaml", {})
     code, _, err = _run(capsys, ["verify", "--config", cfg, "--tolerance", "0"])
@@ -706,7 +708,8 @@ def test_profile_stdout_is_the_profile_csv(capsys, tmp_path, times):
     ("evolve", "--backend"), ("evolve", "--seed"), ("evolve", "--tolerance"),
     ("profile", "--backend"), ("profile", "--seed"), ("profile", "--tolerance"),
     ("fit", "--backend"), ("fit", "--seed"), ("verify", "--seed"),
-    ("profile", "--out"), ("verify", "--out"), ("symmetry", "--out"), ("fit", "--out")])
+    ("profile", "--out"), ("verify", "--out"), ("symmetry", "--out"), ("fit", "--out"),
+    ("fit", "--tolerance"), ("symmetry", "--tolerance")])
 def test_a_flag_the_subcommand_does_not_read_is_rejected(capsys, command, flag):
     value = "fd8" if flag == "--backend" else "3"
     with pytest.raises(SystemExit) as exc:
@@ -850,23 +853,27 @@ def test_a_malformed_value_exits_two_and_names_its_key(capsys, tmp_path, command
 
 
 @pytest.mark.parametrize("value", ["-1", "-1e-12", "nan"])
-@pytest.mark.parametrize("command,doc,key", [
-    ("verify", VERIFY_DOC, "tolerance"), ("fit", FIT_DOC, "rtol"),
-    ("symmetry", None, None)])
-def test_a_negative_or_nan_tolerance_exits_two_and_names_it(capsys, tmp_path, value,
-                                                           command, doc, key):
-    # as a flag on each command that takes one, and as a config key
-    argv = [command] if doc is None else [command, "--config", _write(tmp_path, "c.yaml", doc)]
+def test_a_negative_or_nan_tolerance_exits_two_and_names_it(capsys, tmp_path, value):
+    # as verify's flag, and as its config key
+    argv = ["verify", "--config", _write(tmp_path, "c.yaml", VERIFY_DOC)]
     # the = form, since argparse reads a bare -1e-12 as an option
     code, out, err = _run(capsys, argv + [f"--tolerance={value}"])
     assert (code, out) == (2, "")
     assert err.startswith("config error: '--tolerance' must be a finite real number >= 0")
-    if key is not None:
-        path = tmp_path / "k.yaml"
-        path.write_text(yaml.safe_dump(doc) + f"{key}: {'.nan' if value == 'nan' else value}\n")
-        code, out, err = _run(capsys, [command, "--config", str(path)])
-        assert (code, out) == (2, "")
-        assert err.startswith(f"config error: '{key}' must be a finite real number >= 0")
+    path = tmp_path / "k.yaml"
+    path.write_text(yaml.safe_dump(VERIFY_DOC)
+                    + f"tolerance: {'.nan' if value == 'nan' else value}\n")
+    code, out, err = _run(capsys, ["verify", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: 'tolerance' must be a finite real number >= 0")
+
+
+def test_a_fit_config_that_sets_rtol_exits_two(capsys, tmp_path):
+    # a fit is judged against fitting.RTOL alone
+    cfg = _write(tmp_path, "f.yaml", {**FIT_DOC, "rtol": 1.0})
+    code, out, err = _run(capsys, ["fit", "--config", cfg])
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: unknown key 'rtol'")
 
 
 def test_a_negative_seed_exits_two_and_names_it(capsys):

@@ -106,13 +106,14 @@ def test_full_matrix_passes():
     assert worst <= ALGEBRAIC_TOL
 
 
-def test_run_case_tolerance_zero_passes_exactly_zero_defects():
-    # every defect of the matrix is exactly zero, so a zero tolerance holds
+@pytest.mark.parametrize("backend", ["spectral", "fd8"])
+def test_every_default_row_has_an_exactly_zero_defect(backend):
+    # the fixed bar is ALGEBRAIC_TOL, and every defect of the matrix is exactly zero
     for case in default_matrix(seeds=range(1)):
-        row = run_matrix([case], tolerance=0.0)[0]
+        row = run_matrix([case], backend)[0]
         assert row["algebraic_defect_value"] == 0.0
-        assert row["algebraic_tol"] == 0.0
-        assert row["algebraic_pass"] and row["pass"]
+        assert row["algebraic_tol"] == ALGEBRAIC_TOL
+        assert row["algebraic_pass"]
 
 
 def test_solution_rows_carry_all_checks():
